@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dctpipe.block_dct import idct2, zigzag_order
+from dctpipe.block_dct import from_zigzag, idct2, unblockify
 from dctpipe.cli import main as cli_main
 from dctpipe.colorspace import SubsampledImage, assemble_rgb
 from dctpipe.fd_metric import compression_ratio, reconstruct_rgb
@@ -27,11 +27,8 @@ def band_limited_image(rng, size, b, zero_top):
     scale[0] = 40.0
 
     def plane(p):
-        g = p // b
-        coeffs = rng.normal(size=(g, g, n_ranks)) * scale
-        blocks = np.zeros((g, g, n_ranks))
-        blocks[..., zigzag_order(b)] = coeffs
-        return 128.0 + idct2(blocks.reshape(g, g, b, b)).swapaxes(1, 2).reshape(p, p)
+        coeffs = rng.normal(size=(p // b, p // b, n_ranks)) * scale
+        return 128.0 + unblockify(idct2(from_zigzag(coeffs, b)))
 
     img = assemble_rgb(SubsampledImage(plane(size), plane(size // 2), plane(size // 2)))
     return reconstruct_rgb(img, b, 0)  # settle uint8 rounding at a fixed point

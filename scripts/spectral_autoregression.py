@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from dctpipe.block_dct import idct2, zigzag_order
+from dctpipe.block_dct import from_zigzag, idct2
 from dctpipe.freq_stats import apsd, power_law_fit, snr_threshold_time
 from dctpipe.schedule import NoiseSchedule, y_integral
 
@@ -20,9 +20,7 @@ def power_law_blocks(rng, n, b, k, alpha):
     ranks = np.arange(1, b * b, dtype=float)
     power = np.concatenate(([4.0 * k], k * ranks**-alpha))
     coeffs = rng.normal(size=(n, b * b)) * np.sqrt(power)
-    blocks = np.zeros((n, b * b))
-    blocks[:, zigzag_order(b)] = coeffs
-    return idct2(blocks.reshape(n, b, b))
+    return idct2(from_zigzag(coeffs, b))
 
 
 def main():

@@ -1,10 +1,16 @@
-"""Orthonormal 2D type-II DCT on square blocks, plus zigzag ordering.
+"""Orthonormal 2D type-II DCT on square blocks, zigzag order, and block grids.
 
 The transform matrix T has rows T[u, x] = alpha(u) * cos((2x+1)u*pi / 2B)
 with alpha(0) = sqrt(1/B) and alpha(u>0) = sqrt(2/B), so the 2D transform
 is the separable product T A T^T and its inverse is T^T D T. Both accept
-stacks of blocks (shape (..., B, B)) and run as batched matmuls, which is
-what the block-grid codecs in this package rely on.
+stacks of blocks (shape (..., B, B)) and run as batched matmuls.
+
+The block-grid geometry of the package lives here once. :func:`blockify`
+views an (H, W, ...) grid as (H/bh, W/bw, bh, bw, ...) tiles (DCT blocks,
+pooling cells, the 2x2 luma blocks of a token) and :func:`unblockify`
+undoes it; :func:`to_zigzag` gathers (..., B, B) blocks into zigzag rank
+order and :func:`from_zigzag` scatters truncated rank vectors back,
+zero-filling the dropped ranks.
 """
 
 from __future__ import annotations
@@ -13,7 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["basis_matrix", "dct2", "idct2", "zigzag_order", "inverse_zigzag_order"]
+__all__ = [
+    "basis_matrix", "dct2", "idct2", "zigzag_order", "inverse_zigzag_order",
+    "to_zigzag", "from_zigzag", "blockify", "unblockify",
+]
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +69,12 @@ def idct2(coeffs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _zigzag(block_size: int) -> np.ndarray:
+def zigzag_order(block_size: int) -> np.ndarray:
+    """Zigzag permutation: rank -> flattened (row-major) coefficient index.
+
+    JPEG convention: start at (0,0), first move right, then alternate
+    up-right / down-left along anti-diagonals.
+    """
     if block_size < 1:
         raise ValueError(f"block size must be >= 1, got {block_size}")
     b = block_size
@@ -74,24 +88,50 @@ def _zigzag(block_size: int) -> np.ndarray:
     return perm
 
 
-def zigzag_order(block_size: int) -> np.ndarray:
-    """Zigzag permutation: rank -> flattened (row-major) coefficient index.
-
-    JPEG convention: start at (0,0), first move right, then alternate
-    up-right / down-left along anti-diagonals.
-    """
-    return _zigzag(block_size)
-
-
 @lru_cache(maxsize=None)
-def _inverse_zigzag(block_size: int) -> np.ndarray:
-    perm = _zigzag(block_size)
+def inverse_zigzag_order(block_size: int) -> np.ndarray:
+    """Inverse permutation: flattened coefficient index -> zigzag rank."""
+    perm = zigzag_order(block_size)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size, dtype=np.intp)
     inv.setflags(write=False)
     return inv
 
 
-def inverse_zigzag_order(block_size: int) -> np.ndarray:
-    """Inverse permutation: flattened coefficient index -> zigzag rank."""
-    return _inverse_zigzag(block_size)
+def to_zigzag(blocks: np.ndarray) -> np.ndarray:
+    """Gather (..., B, B) blocks into (..., B^2) coefficients in zigzag rank order."""
+    blocks = np.asarray(blocks)
+    b = _check_square(blocks)
+    return blocks.reshape(*blocks.shape[:-2], b * b)[..., zigzag_order(b)]
+
+
+def from_zigzag(coeffs: np.ndarray, block_size: int) -> np.ndarray:
+    """Scatter (..., k) zigzag-ordered coefficients into (..., B, B) blocks.
+
+    Ranks k..B^2-1 (the truncated high frequencies) are zero-filled.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    b, lead, k = block_size, coeffs.shape[:-1], coeffs.shape[-1]
+    blocks = np.zeros((*lead, b * b))
+    blocks[..., zigzag_order(b)[:k]] = coeffs
+    return blocks.reshape(*lead, b, b)
+
+
+def blockify(grid: np.ndarray, bh: int, bw: int | None = None) -> np.ndarray:
+    """View an (H, W, ...) grid as (H/bh, W/bw, bh, bw, ...) tiles.
+
+    Tile (i, j) covers rows i*bh..(i+1)*bh and columns j*bw..(j+1)*bw;
+    trailing axes ride along. ``bw`` defaults to ``bh``.
+    """
+    grid = np.asarray(grid)
+    bw = bh if bw is None else bw
+    h, w = grid.shape[:2]
+    if bh < 1 or bw < 1 or h % bh or w % bw:
+        raise ValueError(f"grid {w}x{h} is not tiled by {bw}x{bh} blocks")
+    return grid.reshape(h // bh, bh, w // bw, bw, *grid.shape[2:]).swapaxes(1, 2)
+
+
+def unblockify(blocks: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`blockify`: (gh, gw, bh, bw, ...) tiles -> (gh*bh, gw*bw, ...) grid."""
+    gh, gw, bh, bw = blocks.shape[:4]
+    return blocks.swapaxes(1, 2).reshape(gh * bh, gw * bw, *blocks.shape[4:])

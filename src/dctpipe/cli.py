@@ -19,11 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fd_metric, freq_stats, scaling, upsample
+from .block_dct import blockify
 from .colorspace import assemble_rgb, subsample_rgb
 from .diffuse import perturb
 from .image_io import GrayImage, RgbImage, read_image, write_image
 from .schedule import NoiseSchedule, snr_factor_for_resolution
 from .tokenizer import (
+    LEVEL_SHIFT,
     TokenConfig,
     dct_coefficient_matrices,
     detokenize,
@@ -33,6 +35,8 @@ from .tokenizer import (
 )
 
 __all__ = ["main"]
+
+_FEATURE_MODES = {"pixels8": "downsampled_pixels", "dctstats": "dct_block_stats"}
 
 
 def _fmt(x: float) -> str:
@@ -177,11 +181,10 @@ def _cmd_weights(args) -> int:
 def _cmd_scan_m(args) -> int:
     threads = _threads(args)
     images = _pmap(_read_rgb, _image_paths(args.input), threads)
-    mode = {"pixels8": "downsampled_pixels", "dctstats": "dct_block_stats"}[args.features]
     cfg = fd_metric.ScanConfig(
         gamma=args.gamma,
         m_grid=_parse_grid(args.grid, args.block_size),
-        feature_mode=mode,
+        feature_mode=_FEATURE_MODES[args.features],
     )
     result = fd_metric.scan_mstar(
         images, args.block_size, cfg,
@@ -216,11 +219,10 @@ def _cmd_apsd(args) -> int:
         else:
             s = subsample_rgb(img)
             plane = (s.y, s.cb, s.cr)[channel_idx]
-        plane = plane - 128.0
-        h, w = plane.shape
-        if h % b or w % b:
-            raise ValueError(f"{path}: plane {w}x{h} not divisible by B={b}")
-        return plane.reshape(h // b, b, w // b, b).swapaxes(1, 2).reshape(-1, b, b)
+        try:
+            return blockify(plane - LEVEL_SHIFT, b).reshape(-1, b, b)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     blocks = np.concatenate(_pmap(blocks_of, _image_paths(args.input), threads))
     sched = _schedule_from(args)
@@ -248,8 +250,7 @@ def _cmd_upsample(args) -> int:
 
 def _cmd_fd(args) -> int:
     threads = _threads(args)
-    mode = {"pixels8": "downsampled_pixels", "dctstats": "dct_block_stats"}[args.features]
-    extract = fd_metric.make_feature_extractor(mode, args.block_size)
+    extract = fd_metric.make_feature_extractor(_FEATURE_MODES[args.features], args.block_size)
 
     def stats_of(directory):
         feats = _pmap(lambda p: extract(_read_rgb(p)), _image_paths(directory), threads)
@@ -308,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--grid", default="full", help="e.g. 0..15 or 0,4,8 (default: full)")
-    p.add_argument("--features", choices=("pixels8", "dctstats"), required=True)
+    p.add_argument("--features", choices=tuple(_FEATURE_MODES), required=True)
     p.add_argument("--report", default=None, help="CSV path for the (m, distance) curve")
 
     p = add("diffuse", _cmd_diffuse, "forward-perturb a DCTK token file")
@@ -337,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("fd", _cmd_fd, "Frechet distance between two image directories")
     p.add_argument("--dir-a", required=True)
     p.add_argument("--dir-b", required=True)
-    p.add_argument("--features", choices=("pixels8", "dctstats"), required=True)
+    p.add_argument("--features", choices=tuple(_FEATURE_MODES), required=True)
     p.add_argument("--block-size", type=int, default=None)
 
     return parser

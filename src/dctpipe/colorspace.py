@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .block_dct import blockify
 from .image_io import RgbImage
 
 __all__ = [
@@ -100,17 +101,11 @@ def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> RgbImage:
     return RgbImage(np.clip(np.rint(rgb), 0, 255).astype(np.uint8))
 
 
-def _pool2(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"plane dimensions must be even, got {w}x{h}")
-    return plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-
-
 def chroma_downsample(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> SubsampledImage:
     """2x2 mean-pool the chroma planes; the Y plane passes through untouched."""
     y, cb, cr = (np.asarray(p, dtype=np.float64) for p in (y, cb, cr))
-    return SubsampledImage(y, _pool2(cb), _pool2(cr))
+    cb, cr = (blockify(p, 2).mean(axis=(2, 3)) for p in (cb, cr))
+    return SubsampledImage(y, cb, cr)
 
 
 def chroma_upsample(s: SubsampledImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

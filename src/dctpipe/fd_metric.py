@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .block_dct import blockify
 from .colorspace import assemble_rgb, rgb_to_ycbcr, subsample_rgb
 from .image_io import RgbImage
 from .tokenizer import TokenConfig, dct_coefficient_matrices, detokenize, tokenize
@@ -106,17 +107,13 @@ def frechet_distance(s1: GaussianStats, s2: GaussianStats) -> float:
     return float(diff @ diff + np.trace(s1.cov) + np.trace(s2.cov) - 2.0 * cross)
 
 
-def _pool_to(plane: np.ndarray, grid: int) -> np.ndarray:
-    h, w = plane.shape
-    if h % grid or w % grid:
-        raise ValueError(f"plane {w}x{h} is not divisible by the {grid}x{grid} feature grid")
-    return plane.reshape(grid, h // grid, grid, w // grid).mean(axis=(1, 3))
-
-
 def extract_pixel_features(img: RgbImage, grid: int = 8) -> np.ndarray:
     """Luma mean-pooled to grid x grid, flattened (default 64-dim)."""
     y, _, _ = rgb_to_ycbcr(img)
-    return _pool_to(y, grid).ravel()
+    h, w = y.shape
+    if h % grid or w % grid:
+        raise ValueError(f"plane {w}x{h} is not divisible by the {grid}x{grid} feature grid")
+    return blockify(y, h // grid, w // grid).mean(axis=(2, 3)).ravel()
 
 
 def extract_dct_stat_features(img: RgbImage, block_size: int, kept: int | None = None) -> np.ndarray:

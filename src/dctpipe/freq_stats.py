@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .block_dct import dct2, zigzag_order
+from .block_dct import dct2, to_zigzag
 from .diffuse import counter_normals, derive_stream, perturb_params
-from .schedule import NoiseSchedule, y_scaled
+from .schedule import NoiseSchedule, t_of_lambda, y_scaled
 
 __all__ = [
     "EntropyWeights",
@@ -173,13 +173,13 @@ def apsd(
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
         raise ValueError(f"blocks must be (n, B, B), got {blocks.shape}")
-    n, b = blocks.shape[0], blocks.shape[1]
+    n = blocks.shape[0]
     if n < 1000:
         raise ValueError(f"need at least 1000 blocks, got {n}")
     if mode not in ("vp", "ve"):
         raise ValueError(f"mode must be 'vp' or 've', got {mode!r}")
 
-    coeffs = dct2(blocks).reshape(n, b * b)[:, zigzag_order(b)]
+    coeffs = to_zigzag(dct2(blocks))
     profiles = []
     for ti, t in enumerate(np.atleast_1d(np.asarray(t_grid, dtype=np.float64))):
         if t == 0:
@@ -230,17 +230,17 @@ def snr_threshold_time(
     """Time at which a frequency with clean power ``s0`` reaches SNR = gamma.
 
     mode "ve_const_g": SNR(t) = s0 / (t g^2), so t = s0 / (gamma g^2).
-    mode "vp": the kernel gives SNR(t) = e^{-y} s0 / (1 - e^{-y}); solving
-    for y yields y = ln((s0 + gamma) / gamma) and t follows from inverting
-    y = a t + 0.5 b t^2. A crossing with t > 1 is flagged as saturated.
+    mode "vp": the kernel sampled by :func:`apsd` gives SNR(t) = s0 snr(t),
+    with snr the schedule's SNR scaled by c. The crossing sits at the
+    half-log-SNR lambda = 0.5 ln(gamma / s0), and t = t_of_lambda(lambda).
+    A crossing with t > 1 is flagged as saturated.
     """
     if s0 <= 0 or gamma <= 0:
         raise ValueError("s0 and gamma must be positive")
     if mode == "ve_const_g":
         t = s0 / (gamma * g * g)
     elif mode == "vp":
-        y = float(np.log((s0 + gamma) / gamma))
-        t = (-sched.a + np.sqrt(sched.a**2 + 2.0 * sched.b * y)) / sched.b
+        t = t_of_lambda(0.5 * np.log(gamma / s0), sched)
     else:
         raise ValueError(f"mode must be 've_const_g' or 'vp', got {mode!r}")
     return ThresholdCrossing(float(t), bool(t > 1.0))
@@ -257,10 +257,14 @@ def save_weights(path, w: EntropyWeights) -> None:
 
 
 def load_weights(path) -> EntropyWeights:
+    """Read a weights JSON file; a missing or mistyped field raises ValueError."""
     doc = json.loads(Path(path).read_text())
-    return EntropyWeights(
-        weights=np.asarray(doc["weights"]),
-        block_size=doc["block_size"],
-        drop_count=doc["drop"],
-        clamped_ranks=tuple(doc.get("clamped_ranks", ())),
-    )
+    try:
+        return EntropyWeights(
+            weights=np.asarray(doc["weights"]),
+            block_size=doc["block_size"],
+            drop_count=doc["drop"],
+            clamped_ranks=tuple(doc.get("clamped_ranks", ())),
+        )
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+        raise ValueError(f"malformed weights file {path}: {type(exc).__name__}: {exc}") from None

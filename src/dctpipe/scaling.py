@@ -153,12 +153,16 @@ def save_bounds(path, bounds: ScalingBounds) -> None:
 
 
 def load_bounds(path) -> ScalingBounds:
+    """Read a bounds JSON file; a missing or mistyped field raises ValueError."""
     doc = json.loads(Path(path).read_text())
-    naive = doc.get("naive_bounds")
-    return ScalingBounds(
-        mode=doc["mode"],
-        tau=doc["tau"],
-        block_size=doc["block_size"],
-        eta=doc.get("eta"),
-        naive_bounds=tuple(naive) if naive is not None else None,
-    )
+    try:
+        naive = doc.get("naive_bounds")
+        return ScalingBounds(
+            mode=doc["mode"],
+            tau=doc["tau"],
+            block_size=doc["block_size"],
+            eta=doc.get("eta"),
+            naive_bounds=tuple(naive) if naive is not None else None,
+        )
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+        raise ValueError(f"malformed bounds file {path}: {type(exc).__name__}: {exc}") from None

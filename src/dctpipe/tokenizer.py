@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block_dct import dct2, idct2, zigzag_order
+from .block_dct import blockify, dct2, from_zigzag, idct2, to_zigzag, unblockify
 from .colorspace import SubsampledImage
 
 __all__ = [
@@ -95,21 +95,9 @@ class TokenArray:
             raise ValueError(f"token matrix shape {self.tokens.shape} != expected {want}")
 
 
-def _blockify(plane: np.ndarray, b: int) -> np.ndarray:
-    h, w = plane.shape
-    return plane.reshape(h // b, b, w // b, b).swapaxes(1, 2)
-
-
-def _unblockify(blocks: np.ndarray) -> np.ndarray:
-    gh, gw, b, _ = blocks.shape
-    return blocks.swapaxes(1, 2).reshape(gh * b, gw * b)
-
-
 def _zigzag_coeffs(plane: np.ndarray, b: int) -> np.ndarray:
     """Level-shifted plane -> (grid_h, grid_w, B^2) zigzag-ordered DCT coefficients."""
-    blocks = dct2(_blockify(plane - LEVEL_SHIFT, b))
-    gh, gw = blocks.shape[:2]
-    return blocks.reshape(gh, gw, b * b)[..., zigzag_order(b)]
+    return to_zigzag(dct2(blockify(plane - LEVEL_SHIFT, b)))
 
 
 def tokenize(s: SubsampledImage, cfg: TokenConfig) -> TokenArray:
@@ -118,28 +106,16 @@ def tokenize(s: SubsampledImage, cfg: TokenConfig) -> TokenArray:
         raise ValueError(
             f"image is {s.width}x{s.height} but config says {cfg.width}x{cfg.height}"
         )
-    b, k = cfg.block_size, cfg.kept
-    ys = _zigzag_coeffs(s.y, b)
-    cb = _zigzag_coeffs(s.cb, b)
-    cr = _zigzag_coeffs(s.cr, b)
-    parts = [
-        ys[0::2, 0::2, :k],
-        ys[0::2, 1::2, :k],
-        ys[1::2, 0::2, :k],
-        ys[1::2, 1::2, :k],
-        cb[..., :k],
-        cr[..., :k],
-    ]
-    tokens = np.concatenate(parts, axis=-1).reshape(cfg.token_count, cfg.token_width)
-    return TokenArray(cfg, tokens / cfg.eta)
+    b, k, n = cfg.block_size, cfg.kept, cfg.token_count
+    # each 2x2 tile of the luma block grid is one token's [TL, TR, BL, BR]
+    parts = [blockify(_zigzag_coeffs(s.y, b)[..., :k], 2).reshape(n, 4 * k)]
+    parts += [_zigzag_coeffs(p, b)[..., :k].reshape(n, k) for p in (s.cb, s.cr)]
+    return TokenArray(cfg, np.concatenate(parts, axis=1) / cfg.eta)
 
 
 def _plane_from_zigzag(coeffs: np.ndarray, b: int) -> np.ndarray:
-    """(grid_h, grid_w, B^2) zigzag coefficients -> plane (level shift restored)."""
-    gh, gw = coeffs.shape[:2]
-    blocks = np.empty((gh, gw, b * b))
-    blocks[..., zigzag_order(b)] = coeffs
-    return _unblockify(idct2(blocks.reshape(gh, gw, b, b))) + LEVEL_SHIFT
+    """(grid_h, grid_w, k) zigzag coefficients -> plane (level shift restored)."""
+    return unblockify(idct2(from_zigzag(coeffs, b))) + LEVEL_SHIFT
 
 
 def detokenize(t: TokenArray) -> SubsampledImage:
@@ -148,19 +124,8 @@ def detokenize(t: TokenArray) -> SubsampledImage:
     b, k = cfg.block_size, cfg.kept
     nh, nw = cfg.height // (2 * b), cfg.width // (2 * b)
     segs = (t.tokens * cfg.eta).reshape(nh, nw, 6, k)
-    full = np.zeros((nh, nw, 6, b * b))
-    full[..., :k] = segs
-
-    ys = np.zeros((2 * nh, 2 * nw, b * b))
-    ys[0::2, 0::2] = full[:, :, 0]
-    ys[0::2, 1::2] = full[:, :, 1]
-    ys[1::2, 0::2] = full[:, :, 2]
-    ys[1::2, 1::2] = full[:, :, 3]
-    return SubsampledImage(
-        _plane_from_zigzag(ys, b),
-        _plane_from_zigzag(full[:, :, 4], b),
-        _plane_from_zigzag(full[:, :, 5], b),
-    )
+    ys = unblockify(segs[:, :, :4].reshape(nh, nw, 2, 2, k))
+    return SubsampledImage(*(_plane_from_zigzag(c, b) for c in (ys, segs[:, :, 4], segs[:, :, 5])))
 
 
 def dct_coefficient_matrices(
@@ -177,11 +142,7 @@ def dct_coefficient_matrices(
         raise ValueError(
             f"image {s.width}x{s.height} is not tiled by {2 * b}x{2 * b} patches"
         )
-    mats = []
-    for plane in (s.y, s.cb, s.cr):
-        coeffs = _zigzag_coeffs(plane, b)
-        mats.append(coeffs.reshape(-1, b * b))
-    return mats[0], mats[1], mats[2]
+    return tuple(_zigzag_coeffs(p, b).reshape(-1, b * b) for p in (s.y, s.cb, s.cr))
 
 
 def write_dctk(path, t: TokenArray) -> None:
@@ -195,10 +156,13 @@ def write_dctk(path, t: TokenArray) -> None:
 
 
 def read_dctk(path) -> TokenArray:
-    """Read a DCTK file written by :func:`write_dctk`."""
+    """Read a DCTK file written by :func:`write_dctk`; the payload length must be exact."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ValueError(f"not a DCTK file: bad magic {data[:4]!r}")
+    offset = 6 + _HEADER.size
+    if len(data) < offset:
+        raise ValueError(f"truncated DCTK header: {len(data)} of {offset} bytes")
     (version,) = struct.unpack_from("<H", data, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported DCTK version {version}")
@@ -206,9 +170,9 @@ def read_dctk(path) -> TokenArray:
     cfg = TokenConfig(block_size=b, drop_count=m, eta=eta, height=h, width=w)
     if n != cfg.token_count:
         raise ValueError(f"header token count {n} != geometry-implied {cfg.token_count}")
-    offset = 6 + _HEADER.size
-    need = n * cfg.token_width * 8
-    if len(data) - offset < need:
-        raise ValueError(f"truncated DCTK payload: need {need} bytes")
+    need, have = n * cfg.token_width * 8, len(data) - offset
+    if have != need:
+        what = "truncated DCTK payload" if have < need else "trailing bytes after DCTK payload"
+        raise ValueError(f"{what}: need {need} bytes, have {have}")
     tokens = np.frombuffer(data, dtype="<f8", count=n * cfg.token_width, offset=offset)
     return TokenArray(cfg, tokens.reshape(n, cfg.token_width).astype(np.float64))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_dct import dct2, idct2
+from .block_dct import blockify, dct2, idct2, unblockify
 from .colorspace import rgb_to_ycbcr, ycbcr_to_rgb
 from .image_io import GrayImage, RgbImage
 
@@ -52,27 +52,18 @@ class UpsampleConfig:
 
 def avg_pool2(plane: np.ndarray) -> np.ndarray:
     """2x2 average pooling; the exact adjoint premise of DCT upsampling."""
-    plane = np.asarray(plane, dtype=np.float64)
-    h, w = plane.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"plane dimensions must be even, got {w}x{h}")
-    return plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+    return blockify(np.asarray(plane, dtype=np.float64), 2).mean(axis=(2, 3))
 
 
 def dct_upsample(low: np.ndarray, block_size: int) -> np.ndarray:
     """Double a plane's resolution through the block-DCT relation above."""
-    low = np.asarray(low, dtype=np.float64)
     b = block_size
-    h, w = low.shape
-    if h % b or w % b:
-        raise ValueError(f"plane {w}x{h} is not divisible by block size {b}")
-    gh, gw = h // b, w // b
-    coeffs = dct2(low.reshape(gh, b, gw, b).swapaxes(1, 2))
+    coeffs = dct2(blockify(np.asarray(low, dtype=np.float64), b))
 
     k = np.cos(np.arange(b) * np.pi / (4 * b))
-    big = np.zeros((gh, gw, 2 * b, 2 * b))
+    big = np.zeros((*coeffs.shape[:2], 2 * b, 2 * b))
     big[..., :b, :b] = coeffs * (2.0 / np.outer(k, k))
-    return idct2(big).swapaxes(1, 2).reshape(2 * h, 2 * w)
+    return unblockify(idct2(big))
 
 
 def bilinear_upsample(low: np.ndarray) -> np.ndarray:

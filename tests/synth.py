@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dctpipe.block_dct import idct2, zigzag_order
+from dctpipe.block_dct import from_zigzag, idct2, unblockify
 from dctpipe.colorspace import SubsampledImage, assemble_rgb
 from dctpipe.image_io import RgbImage
 from dctpipe.upsample import bilinear_upsample
@@ -62,9 +62,7 @@ def power_law_dct_blocks(
     ranks = np.arange(1, b * b, dtype=float)
     power = np.concatenate(([4.0 * k if dc_power is None else dc_power], k * ranks**-alpha))
     coeffs = rng.normal(size=(n, b * b)) * np.sqrt(power)
-    blocks = np.zeros((n, b * b))
-    blocks[:, zigzag_order(b)] = coeffs
-    return idct2(blocks.reshape(n, b, b))
+    return idct2(from_zigzag(coeffs, b))
 
 
 def band_limited_image(
@@ -86,12 +84,8 @@ def band_limited_image(
     scale[0] = 40.0
 
     def plane(ph, pw):
-        gh, gw = ph // b, pw // b
-        coeffs = rng.normal(size=(gh, gw, n_ranks)) * scale
-        blocks = np.zeros((gh, gw, n_ranks))
-        blocks[..., zigzag_order(b)] = coeffs
-        spatial = idct2(blocks.reshape(gh, gw, b, b))
-        return 128.0 + spatial.swapaxes(1, 2).reshape(ph, pw)
+        coeffs = rng.normal(size=(ph // b, pw // b, n_ranks)) * scale
+        return 128.0 + unblockify(idct2(from_zigzag(coeffs, b)))
 
     s = SubsampledImage(plane(h, w), plane(h // 2, w // 2), plane(h // 2, w // 2))
     img = assemble_rgb(s)

@@ -3,7 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctpipe.block_dct import basis_matrix, dct2, idct2, inverse_zigzag_order, zigzag_order
+from dctpipe.block_dct import (
+    basis_matrix,
+    blockify,
+    dct2,
+    from_zigzag,
+    idct2,
+    inverse_zigzag_order,
+    to_zigzag,
+    unblockify,
+    zigzag_order,
+)
 
 from oracles import naive_dct2_loops, naive_dct2_stack, naive_idct2_loops, zigzag_by_diagonal_walk
 
@@ -98,3 +108,66 @@ def test_zigzag_properties(b):
     assert diag == sorted(diag)
     inv = inverse_zigzag_order(b)
     assert np.array_equal(inv[perm], np.arange(b * b))
+
+
+def test_blockify_square_tiles_and_roundtrip(rng):
+    grid = rng.normal(size=(12, 8))
+    tiles = blockify(grid, 4)
+    assert tiles.shape == (3, 2, 4, 4)
+    for i in range(3):
+        for j in range(2):
+            assert np.array_equal(tiles[i, j], grid[4 * i : 4 * i + 4, 4 * j : 4 * j + 4])
+    assert np.array_equal(unblockify(tiles), grid)
+
+
+def test_blockify_rectangular_tiles(rng):
+    grid = rng.normal(size=(6, 20))
+    tiles = blockify(grid, 3, 5)
+    assert tiles.shape == (2, 4, 3, 5)
+    assert np.array_equal(tiles[1, 2], grid[3:6, 10:15])
+    assert np.array_equal(unblockify(tiles), grid)
+    # whole-plane pooling: one tile per output cell
+    pooled = blockify(grid, 3, 5).mean(axis=(2, 3))
+    assert pooled[1, 3] == pytest.approx(grid[3:6, 15:20].mean(), abs=1e-12)
+
+
+def test_blockify_carries_trailing_axes(rng):
+    grid = rng.normal(size=(4, 6, 3, 2))
+    tiles = blockify(grid, 2, 3)
+    assert tiles.shape == (2, 2, 2, 3, 3, 2)
+    assert np.array_equal(tiles[1, 0, :, :, 2, 1], grid[2:4, 0:3, 2, 1])
+    assert np.array_equal(unblockify(tiles), grid)
+
+
+@pytest.mark.parametrize(
+    "shape,bh,bw", [((6, 8), 4, None), ((8, 6), 2, 4), ((4, 4), 0, None), ((2, 2), 4, None)]
+)
+def test_blockify_rejects_untiled_grid(shape, bh, bw):
+    with pytest.raises(ValueError, match="not tiled"):
+        blockify(np.zeros(shape), bh, bw)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 8])
+def test_zigzag_gather_scatter_roundtrip(rng, b):
+    blocks = rng.normal(size=(5, 3, b, b))
+    coeffs = to_zigzag(blocks)
+    assert coeffs.shape == (5, 3, b * b)
+    assert np.array_equal(from_zigzag(coeffs, b), blocks)
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 8])
+def test_to_zigzag_follows_diagonal_walk(rng, b):
+    block = rng.normal(size=(b, b))
+    walk = zigzag_by_diagonal_walk(b)
+    assert to_zigzag(block).tolist() == [block[r, c] for r, c in walk]
+
+
+def test_from_zigzag_zero_fills_dropped_ranks(rng):
+    b, k = 4, 9
+    coeffs = rng.normal(size=(7, k))
+    blocks = from_zigzag(coeffs, b)
+    walk = zigzag_by_diagonal_walk(b)
+    for rank, (r, c) in enumerate(walk):
+        want = coeffs[:, rank] if rank < k else np.zeros(7)
+        assert np.array_equal(blocks[:, r, c], want)
+    assert np.array_equal(to_zigzag(blocks)[:, :k], coeffs)

@@ -180,6 +180,52 @@ def test_missing_input_is_single_line_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def assert_single_line_error(code, err):
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_decode_of_short_dctk_is_single_line_error(tmp_path, capsys):
+    dctk = tmp_path / "five.dctk"
+    dctk.write_bytes(b"DCTK\x01")
+    code, _, err = run(capsys, "decode", "--input", dctk, "--out", tmp_path / "x.ppm")
+    assert_single_line_error(code, err)
+    assert "truncated" in err
+
+
+def test_decode_of_dctk_with_trailing_bytes_is_single_line_error(dataset, tmp_path, capsys):
+    dctk = tmp_path / "x.dctk"
+    src = sorted(dataset.iterdir())[0]
+    run(capsys, "encode", "--input", src, "--block-size", 4, "--eta", 100, "--out", dctk)
+    dctk.write_bytes(dctk.read_bytes() + b"\x00")
+    code, _, err = run(capsys, "decode", "--input", dctk, "--out", tmp_path / "x.ppm")
+    assert_single_line_error(code, err)
+    assert "trailing" in err
+
+
+def test_encode_with_bounds_missing_tau_is_single_line_error(dataset, tmp_path, capsys):
+    bounds = tmp_path / "b.json"
+    bounds.write_text(json.dumps({"mode": "ecs", "block_size": 4, "eta": 50.0}))
+    code, _, err = run(
+        capsys, "encode", "--input", sorted(dataset.iterdir())[0], "--block-size", 4,
+        "--bounds", bounds, "--out", tmp_path / "x.dctk",
+    )
+    assert_single_line_error(code, err)
+    assert "tau" in err
+
+
+def test_encode_with_mistyped_bounds_is_single_line_error(dataset, tmp_path, capsys):
+    bounds = tmp_path / "b.json"
+    for doc in ([1, 2], {"mode": "ecs", "tau": "high", "block_size": 4, "eta": 50.0}):
+        bounds.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "encode", "--input", sorted(dataset.iterdir())[0], "--block-size", 4,
+            "--bounds", bounds, "--out", tmp_path / "x.dctk",
+        )
+        assert_single_line_error(code, err)
+
+
 def test_grid_syntax_variants():
     from dctpipe.cli import _parse_grid
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from dctpipe.freq_stats import (
     save_weights,
     snr_threshold_time,
 )
-from dctpipe.schedule import NoiseSchedule, y_integral
+from dctpipe.schedule import NoiseSchedule, snr, y_integral
 
 from oracles import gaussian_differential_entropy
 from synth import power_law_dct_blocks
@@ -84,6 +85,23 @@ def test_weights_json_roundtrip(tmp_path, rng):
     back = load_weights(path)
     assert np.allclose(back.weights, w.weights)
     assert back.block_size == w.block_size
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"block_size": 1, "drop": 0},
+        {"weights": [1.0, 1.0, 1.0], "block_size": "1", "drop": 0},
+        {"weights": [1.0, 1.0, 1.0], "block_size": 1, "drop": 0, "clamped_ranks": 3},
+        {"weights": {"a": 1}, "block_size": 1, "drop": 0},
+    ],
+)
+def test_malformed_weights_json_is_value_error(tmp_path, doc):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_weights(path)
 
 
 def unit_weights(block_size, drop=0):
@@ -219,6 +237,16 @@ def test_threshold_time_vp_value():
     # verify the crossing: SNR at the returned t equals gamma
     y = y_integral(t, DEFAULTS)
     assert math.exp(-y) * 1.0 / (1.0 - math.exp(-y)) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [1.0, 4.0, 12.0])
+@pytest.mark.parametrize("s0,gamma", [(1.0, 1.0), (3.0, 0.05), (0.01, 2.0)])
+def test_threshold_time_vp_honours_snr_scale(c, s0, gamma):
+    sched = NoiseSchedule(c=c)
+    t, saturated = snr_threshold_time(s0, gamma, sched, mode="vp")
+    assert 0 < t < 1 and not saturated
+    # the vp kernel perturbs coefficients with SNR s0 * snr(t), snr scaled by c
+    assert s0 * snr(t, sched) == pytest.approx(gamma, rel=1e-9)
 
 
 def test_threshold_time_monotonicity():

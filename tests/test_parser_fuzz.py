@@ -1,0 +1,112 @@
+"""Fuzzing of the artifact parsers: any byte string either parses into a
+valid object or is rejected with ValueError (PnmError is a ValueError)."""
+
+import json
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dctpipe.freq_stats import EntropyWeights, load_weights
+from dctpipe.image_io import GrayImage, RgbImage, read_image
+from dctpipe.scaling import ScalingBounds, load_bounds
+from dctpipe.tokenizer import TokenArray, read_dctk
+
+_DCTK_PREFIX = b"DCTK" + struct.pack("<H", 1)
+
+
+@pytest.fixture(scope="module")
+def scratch_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp) / "fuzz.bin"
+
+
+def _parse(read, path, data):
+    path.write_bytes(data)
+    try:
+        return read(path)
+    except ValueError:
+        return None
+
+
+@st.composite
+def dctk_like(draw):
+    """A DCTK header whose fields are mostly consistent, with a payload of any length."""
+    b, m = draw(st.integers(0, 3)), draw(st.integers(0, 9))
+    gh, gw = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    skew, extra = draw(st.sampled_from([0, 0, 0, 1])), draw(st.sampled_from([0, 0, 0, 1]))
+    eta = draw(st.one_of(st.just(2.5), st.floats()))
+    n = gh * gw + extra
+    head = _DCTK_PREFIX + struct.pack("<IIHHdQ", gh * 2 * b + skew, gw * 2 * b, b, m, eta, n)
+    size = n * 6 * max(b * b - m, 0) * 8 + draw(st.sampled_from([0, 0, 0, -8, -1, 1, 8]))
+    return head + bytes(max(size, 0))
+
+
+@given(st.one_of(st.binary(max_size=80), st.binary(max_size=80).map(_DCTK_PREFIX.__add__), dctk_like()))
+@settings(max_examples=300, deadline=None)
+def test_read_dctk_returns_valid_tokens_or_value_error(scratch_file, data):
+    t = _parse(read_dctk, scratch_file, data)
+    if t is not None:
+        assert isinstance(t, TokenArray)
+        cfg = t.config
+        assert t.tokens.shape == (cfg.token_count, cfg.token_width)
+        assert len(data) == 34 + t.tokens.size * 8
+
+
+@st.composite
+def pnm_like(draw):
+    """A PNM header with small dimensions, an occasional bad field, and a payload of any length."""
+    magic = draw(st.sampled_from([b"P5", b"P6", b"P4"]))
+    w, h = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    fields = [magic, str(w).encode(), str(h).encode(), b"255"]
+    if draw(st.integers(0, 3)) == 0:
+        fields[draw(st.integers(1, 3))] = draw(st.sampled_from([b"x", b"-2", b"256", b"1"]))
+    sep = draw(st.sampled_from([b"\n", b" ", b"\n# note\n"]))
+    size = w * h * (3 if magic == b"P6" else 1) + draw(st.sampled_from([0, 0, -1, 1]))
+    payload = draw(st.binary(min_size=max(size, 0), max_size=max(size, 0)))
+    return sep.join(fields) + draw(st.sampled_from([b"\n", b"\n", b""])) + payload
+
+
+@given(st.one_of(st.binary(max_size=80), pnm_like()))
+@settings(max_examples=300, deadline=None)
+def test_read_image_returns_valid_image_or_value_error(scratch_file, data):
+    img = _parse(read_image, scratch_file, data)
+    if img is not None:
+        assert isinstance(img, (RgbImage, GrayImage))
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.shape[:2] == (img.height, img.width)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 70), st.floats(), st.text(max_size=3),
+    st.sampled_from(["ecs", "naive"]),
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(st.text(max_size=3), inner)),
+    max_leaves=12,
+)
+
+
+def _json_doc(keys):
+    """Dicts over the loader's own keys (each possibly missing) with arbitrary JSON values."""
+    fields = st.fixed_dictionaries({}, optional={k: _JSON for k in keys})
+    return st.one_of(_JSON, fields).map(lambda doc: json.dumps(doc).encode())
+
+
+@given(st.one_of(st.binary(max_size=40), _json_doc(["mode", "tau", "block_size", "eta", "naive_bounds"])))
+@settings(max_examples=300, deadline=None)
+def test_load_bounds_returns_bounds_or_value_error(scratch_file, data):
+    bounds = _parse(load_bounds, scratch_file, data)
+    assert bounds is None or isinstance(bounds, ScalingBounds)
+
+
+@given(st.one_of(st.binary(max_size=40), _json_doc(["weights", "block_size", "drop", "clamped_ranks"])))
+@settings(max_examples=300, deadline=None)
+def test_load_weights_returns_weights_or_value_error(scratch_file, data):
+    w = _parse(load_weights, scratch_file, data)
+    assert w is None or isinstance(w, EntropyWeights)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,24 @@ def test_bounds_json_roundtrip(tmp_path):
     path = tmp_path / "naive.json"
     save_bounds(path, naive)
     assert load_bounds(path) == naive
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        "ecs",
+        {"mode": "ecs", "block_size": 4, "eta": 1.0},
+        {"mode": "ecs", "tau": "98", "block_size": 4, "eta": 1.0},
+        {"mode": "ecs", "tau": 98.0, "block_size": 4, "eta": "1"},
+        {"mode": "naive", "tau": 98.0, "block_size": 1, "naive_bounds": 3},
+    ],
+)
+def test_malformed_bounds_json_is_value_error(tmp_path, doc):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed bounds"):
+        load_bounds(path)
 
 
 def test_bounds_invariants():

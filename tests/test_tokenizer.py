@@ -96,6 +96,20 @@ def test_geometry_single_patch_hits_single_token():
     assert nonzero.tolist() == [1 * 4 + 2]
 
 
+def test_top_right_luma_block_fills_only_the_y_tr_segment():
+    b, m = 4, 3
+    k = b * b - m
+    y = np.full((32, 32), 128.0)
+    flat = np.full((16, 16), 128.0)
+    # token (1, 2) covers luma rows 8:16, cols 16:24; its top-right block is rows 8:12, cols 20:24
+    y[8:12, 20:24] = 200.0
+    t = tokenize(SubsampledImage(y, flat, flat), TokenConfig(b, m, 1.0, 32, 32))
+    rows, cols = np.nonzero(np.abs(t.tokens) > 1e-9)
+    assert set(rows.tolist()) == {1 * 4 + 2}
+    assert cols.min() >= k and cols.max() < 2 * k
+    assert t.tokens[6, k] == pytest.approx(72.0 * b)  # DC of a 4x4 block raised by 72
+
+
 def test_signal_count_identity():
     for b, m, h, w in [(2, 0, 64, 64), (4, 8, 256, 128), (8, 46, 512, 512)]:
         cfg = TokenConfig(b, m, 1.0, h, w)
@@ -178,3 +192,20 @@ def test_dctk_truncation_detected(tmp_path, rng):
     path.write_bytes(data[:-16])
     with pytest.raises(ValueError, match="truncated"):
         read_dctk(path)
+
+
+def test_dctk_trailing_bytes_rejected(tmp_path, rng):
+    t = tokenize(random_subsampled(rng, 16, 16), TokenConfig(2, 0, 1.0, 16, 16))
+    path = tmp_path / "t.dctk"
+    write_dctk(path, t)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="trailing"):
+        read_dctk(path)
+
+
+def test_dctk_short_header_rejected(tmp_path):
+    path = tmp_path / "short.dctk"
+    for size in range(4, 34):
+        path.write_bytes((b"DCTK\x01\x00" + bytes(28))[:size])
+        with pytest.raises(ValueError, match="truncated DCTK header"):
+            read_dctk(path)
