@@ -12,26 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from dctpipe.block_dct import from_zigzag, idct2, unblockify
 from dctpipe.cli import main as cli_main
-from dctpipe.colorspace import SubsampledImage, assemble_rgb
-from dctpipe.fd_metric import compression_ratio, reconstruct_rgb
+from dctpipe.fd_metric import compression_ratio
 from dctpipe.image_io import write_image
-
-
-def band_limited_image(rng, size, b, zero_top):
-    n_ranks = b * b
-    live = n_ranks - zero_top
-    scale = np.zeros(n_ranks)
-    scale[:live] = 18.0 / (1.0 + np.arange(live)) ** 0.8
-    scale[0] = 40.0
-
-    def plane(p):
-        coeffs = rng.normal(size=(p // b, p // b, n_ranks)) * scale
-        return 128.0 + unblockify(idct2(from_zigzag(coeffs, b)))
-
-    img = assemble_rgb(SubsampledImage(plane(size), plane(size // 2), plane(size // 2)))
-    return reconstruct_rgb(img, b, 0)  # settle uint8 rounding at a fixed point
+from dctpipe.synth import band_limited_image
 
 
 def main():

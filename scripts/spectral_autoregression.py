@@ -11,16 +11,9 @@ import argparse
 
 import numpy as np
 
-from dctpipe.block_dct import from_zigzag, idct2
 from dctpipe.freq_stats import apsd, power_law_fit, snr_threshold_time
 from dctpipe.schedule import NoiseSchedule, y_integral
-
-
-def power_law_blocks(rng, n, b, k, alpha):
-    ranks = np.arange(1, b * b, dtype=float)
-    power = np.concatenate(([4.0 * k], k * ranks**-alpha))
-    coeffs = rng.normal(size=(n, b * b)) * np.sqrt(power)
-    return idct2(from_zigzag(coeffs, b))
+from dctpipe.synth import power_law_dct_blocks
 
 
 def main():
@@ -37,7 +30,7 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     sched = NoiseSchedule()
-    blocks = power_law_blocks(rng, args.blocks, args.block_size, args.k, args.alpha)
+    blocks = power_law_dct_blocks(rng, args.blocks, args.block_size, args.k, args.alpha)
     t_grid = [float(v) for v in args.t_list.split(",")]
     profiles = apsd(blocks, sched, t_grid, seed=args.seed, mode=args.mode)
 

@@ -10,18 +10,8 @@ import argparse
 
 import numpy as np
 
+from dctpipe.synth import smooth_cosine_plane
 from dctpipe.upsample import avg_pool2, bilinear_upsample, dct_upsample, psnr
-
-
-def smooth_image(rng, size, max_freq):
-    coords = (np.arange(size) + 0.5) / size
-    plane = np.zeros((size, size))
-    for p in range(max_freq + 1):
-        for q in range(max_freq + 1):
-            amp = rng.normal() / (1.0 + p + q)
-            plane += amp * np.outer(np.cos(np.pi * p * coords), np.cos(np.pi * q * coords))
-    span = np.abs(plane).max() or 1.0
-    return 128.0 + 90.0 * plane / span
 
 
 def main():
@@ -36,7 +26,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     rows = []
     for _ in range(args.images):
-        truth = smooth_image(rng, args.size, args.max_freq)
+        truth = smooth_cosine_plane(rng, args.size, args.max_freq)
         low = avg_pool2(truth)
         rows.append(
             (

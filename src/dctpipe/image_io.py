@@ -100,7 +100,7 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def read_image(path) -> RgbImage | GrayImage:
-    """Read a binary PNM file (P6 -> RgbImage, P5 -> GrayImage)."""
+    """Read a binary PNM file (P6 -> RgbImage, P5 -> GrayImage) with an exact-length payload."""
     data = Path(path).read_bytes()
     magic, pos = _next_token(data, 0)
     if magic not in (b"P5", b"P6"):
@@ -116,9 +116,10 @@ def read_image(path) -> RgbImage | GrayImage:
 
     channels = 3 if magic == b"P6" else 1
     need = width * height * channels
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise PnmError(f"truncated payload: need {need} bytes, have {len(payload)}")
+    payload = data[pos:]
+    if len(payload) != need:
+        what = "truncated payload" if len(payload) < need else "trailing bytes after payload"
+        raise PnmError(f"{what}: need {need} bytes, have {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8)
     if channels == 3:
         if width % 2 or height % 2 or width < 2 or height < 2:

@@ -156,7 +156,7 @@ def write_dctk(path, t: TokenArray) -> None:
 
 
 def read_dctk(path) -> TokenArray:
-    """Read a DCTK file written by :func:`write_dctk`; the payload length must be exact."""
+    """Read a DCTK file written by :func:`write_dctk`; exact payload length, finite tokens."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ValueError(f"not a DCTK file: bad magic {data[:4]!r}")
@@ -175,4 +175,6 @@ def read_dctk(path) -> TokenArray:
         what = "truncated DCTK payload" if have < need else "trailing bytes after DCTK payload"
         raise ValueError(f"{what}: need {need} bytes, have {have}")
     tokens = np.frombuffer(data, dtype="<f8", count=n * cfg.token_width, offset=offset)
+    if not np.isfinite(tokens).all():
+        raise ValueError("DCTK payload contains non-finite values")
     return TokenArray(cfg, tokens.reshape(n, cfg.token_width).astype(np.float64))

@@ -33,11 +33,12 @@ from dctpipe.schedule import (
     y_integral,
     y_scaled,
 )
+from dctpipe.synth import band_limited_image, power_law_dct_blocks, smooth_cosine_plane
 from dctpipe.tokenizer import TokenConfig, detokenize, tokenize
 from dctpipe.upsample import avg_pool2, bilinear_upsample, dct_upsample, psnr
 
 from oracles import naive_dct2_loops, naive_dct2_stack
-from synth import band_limited_image, cell_chroma_image, power_law_dct_blocks, smooth_cosine_plane
+from synth import cell_chroma_image
 
 SEED = 20250808
 
@@ -129,7 +130,7 @@ def test_criterion_4_eta_doubling():
     ratio_const = eta_for(const_planes, 8) / eta_for(const_planes, 4)
     exact = ratio_const == 2.0
 
-    smooth = [smooth_cosine_plane(rng, 32, 32, max_freq=2) for _ in range(1000)]
+    smooth = [smooth_cosine_plane(rng, 32, max_freq=2) for _ in range(1000)]
     ratio_smooth = eta_for(smooth, 8) / eta_for(smooth, 4)
     elapsed = time.monotonic() - start
     ok = exact and 1.8 <= ratio_smooth <= 2.2 and elapsed < 60
@@ -228,7 +229,7 @@ def test_criterion_7_dct_upsampling():
 
     wins = 0
     for _ in range(50):
-        truth = smooth_cosine_plane(rng, 64, 64)
+        truth = smooth_cosine_plane(rng, 64)
         low = avg_pool2(truth)
         if psnr(truth, dct_upsample(low, b)) > psnr(truth, bilinear_upsample(low)):
             wins += 1
@@ -270,7 +271,7 @@ def test_criterion_9_mstar_scan():
     start = time.monotonic()
     rng = np.random.default_rng(SEED)
     b, zero_top = 4, 6
-    images = [band_limited_image(rng, 64, 64, b=b, zero_top=zero_top) for _ in range(500)]
+    images = [band_limited_image(rng, 64, b=b, zero_top=zero_top) for _ in range(500)]
     cfg = ScanConfig(gamma=1.0, m_grid=tuple(range(b * b)), feature_mode="dct_block_stats")
     result = scan_mstar(images, b, cfg)
     values = [d for _, d in result.curve]
@@ -306,7 +307,7 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch, capsys):
     scan_data = tmp_path / "scan_imgs"
     scan_data.mkdir()
     for i in range(500):
-        write_image(scan_data / f"img_{i:03d}.ppm", band_limited_image(rng, 16, 16, 2, 1))
+        write_image(scan_data / f"img_{i:03d}.ppm", band_limited_image(rng, 16, 2, 1))
     src = data / "img_000.ppm"
     lo = tmp_path / "lo.pgm"
     from dctpipe.image_io import GrayImage

@@ -6,6 +6,7 @@ import pytest
 from dctpipe.cli import main
 from dctpipe.image_io import read_image, write_image
 from dctpipe.scaling import load_bounds
+from dctpipe.synth import band_limited_image
 from dctpipe.tokenizer import read_dctk
 
 from synth import cell_chroma_image
@@ -204,6 +205,33 @@ def test_decode_of_dctk_with_trailing_bytes_is_single_line_error(dataset, tmp_pa
     assert "trailing" in err
 
 
+def test_upsample_of_ppm_with_trailing_bytes_is_single_line_error(tmp_path, capsys):
+    src = tmp_path / "lo.ppm"
+    src.write_bytes(b"P6\n2 2\n255\n" + bytes(12) + b"EXTRA")
+    code, _, err = run(
+        capsys, "upsample", "--method", "dct", "--block-size", 2,
+        "--input", src, "--output", tmp_path / "hi.ppm",
+    )
+    assert_single_line_error(code, err)
+    assert "trailing" in err
+    assert not (tmp_path / "hi.ppm").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_diffuse_of_non_finite_dctk_is_single_line_error(dataset, tmp_path, capsys, value):
+    dctk = tmp_path / "x.dctk"
+    src = sorted(dataset.iterdir())[0]
+    run(capsys, "encode", "--input", src, "--block-size", 4, "--eta", 100, "--out", dctk)
+    data = bytearray(dctk.read_bytes())
+    data[-8:] = np.float64(value).tobytes()
+    dctk.write_bytes(bytes(data))
+    out = tmp_path / "y.dctk"
+    code, _, err = run(capsys, "diffuse", "--input", dctk, "--t", 0.3, "--out", out)
+    assert_single_line_error(code, err)
+    assert "non-finite" in err
+    assert not out.exists()
+
+
 def test_encode_with_bounds_missing_tau_is_single_line_error(dataset, tmp_path, capsys):
     bounds = tmp_path / "b.json"
     bounds.write_text(json.dumps({"mode": "ecs", "block_size": 4, "eta": 50.0}))
@@ -260,12 +288,10 @@ def test_apsd_channels_and_gray_input(dataset, tmp_path, rng, capsys):
 
 def test_scan_m_curve_report(tmp_path, capsys):
     gen = np.random.default_rng(5)
-    from synth import band_limited_image
-
     root = tmp_path / "scan"
     root.mkdir()
     for i in range(500):
-        write_image(root / f"i{i:04d}.ppm", band_limited_image(gen, 16, 16, 2, 1))
+        write_image(root / f"i{i:04d}.ppm", band_limited_image(gen, 16, 2, 1))
     report = tmp_path / "curve.csv"
     code, out, err = run(
         capsys, "scan-m", "--input", root, "--block-size", 2, "--gamma", "1.0",

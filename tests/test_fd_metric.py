@@ -14,9 +14,10 @@ from dctpipe.fd_metric import (
     scan_mstar,
 )
 from dctpipe.image_io import RgbImage
+from dctpipe.synth import band_limited_image
 
 from oracles import covariance_twopass
-from synth import band_limited_image, cell_chroma_image
+from synth import cell_chroma_image
 
 
 def stats_1d(mean, var, n=100):
@@ -129,7 +130,7 @@ def test_scan_config_validation():
 @pytest.fixture(scope="module")
 def band_limited_set():
     gen = np.random.default_rng(777)
-    return [band_limited_image(gen, 32, 32, b=4, zero_top=6) for _ in range(500)]
+    return [band_limited_image(gen, 32, b=4, zero_top=6) for _ in range(500)]
 
 
 def test_scan_mstar_recovers_band_limit(band_limited_set):

@@ -16,9 +16,9 @@ from dctpipe.freq_stats import (
     snr_threshold_time,
 )
 from dctpipe.schedule import NoiseSchedule, snr, y_integral
+from dctpipe.synth import power_law_dct_blocks
 
 from oracles import gaussian_differential_entropy
-from synth import power_law_dct_blocks
 
 DEFAULTS = NoiseSchedule()
 

@@ -2,17 +2,18 @@
 valid object or is rejected with ValueError (PnmError is a ValueError)."""
 
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dctpipe.freq_stats import EntropyWeights, load_weights
-from dctpipe.image_io import GrayImage, RgbImage, read_image
+from dctpipe.image_io import GrayImage, PnmError, RgbImage, read_image, write_image
 from dctpipe.scaling import ScalingBounds, load_bounds
 from dctpipe.tokenizer import TokenArray, read_dctk
 
@@ -35,18 +36,20 @@ def _parse(read, path, data):
 
 @st.composite
 def dctk_like(draw):
-    """A DCTK header whose fields are mostly consistent, with a payload of any length."""
+    """A mostly consistent DCTK header and a payload of any length, zero or non-finite."""
     b, m = draw(st.integers(0, 3)), draw(st.integers(0, 9))
     gh, gw = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     skew, extra = draw(st.sampled_from([0, 0, 0, 1])), draw(st.sampled_from([0, 0, 0, 1]))
     eta = draw(st.one_of(st.just(2.5), st.floats()))
     n = gh * gw + extra
     head = _DCTK_PREFIX + struct.pack("<IIHHdQ", gh * 2 * b + skew, gw * 2 * b, b, m, eta, n)
-    size = n * 6 * max(b * b - m, 0) * 8 + draw(st.sampled_from([0, 0, 0, -8, -1, 1, 8]))
-    return head + bytes(max(size, 0))
+    size = max(n * 6 * max(b * b - m, 0) * 8 + draw(st.sampled_from([0, 0, 0, -8, -1, 1, 8])), 0)
+    fill = draw(st.sampled_from([0.0, 0.0, 0.0, math.nan, math.inf, -math.inf]))
+    return head + np.full(size // 8, fill, dtype="<f8").tobytes() + bytes(size % 8)
 
 
 @given(st.one_of(st.binary(max_size=80), st.binary(max_size=80).map(_DCTK_PREFIX.__add__), dctk_like()))
+@example(_DCTK_PREFIX + struct.pack("<IIHHdQ", 2, 2, 1, 0, 2.5, 1) + np.full(6, np.nan).tobytes())
 @settings(max_examples=300, deadline=None)
 def test_read_dctk_returns_valid_tokens_or_value_error(scratch_file, data):
     t = _parse(read_dctk, scratch_file, data)
@@ -55,6 +58,7 @@ def test_read_dctk_returns_valid_tokens_or_value_error(scratch_file, data):
         cfg = t.config
         assert t.tokens.shape == (cfg.token_count, cfg.token_width)
         assert len(data) == 34 + t.tokens.size * 8
+        assert np.isfinite(t.tokens).all()
 
 
 @st.composite
@@ -79,6 +83,16 @@ def test_read_image_returns_valid_image_or_value_error(scratch_file, data):
         assert isinstance(img, (RgbImage, GrayImage))
         assert img.pixels.dtype == np.uint8
         assert img.pixels.shape[:2] == (img.height, img.width)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.binary(min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_read_image_rejects_trailing_bytes(scratch_file, h, w, color, suffix):
+    pixels = np.zeros((2 * h, 2 * w, 3) if color else (h, w), np.uint8)
+    write_image(scratch_file, RgbImage(pixels) if color else GrayImage(pixels))
+    scratch_file.write_bytes(scratch_file.read_bytes() + suffix)
+    with pytest.raises(PnmError, match="trailing bytes after payload"):
+        read_image(scratch_file)
 
 
 _JSON_SCALARS = st.one_of(

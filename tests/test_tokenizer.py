@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctpipe.colorspace import SubsampledImage
+from dctpipe.synth import power_law_dct_blocks
 from dctpipe.tokenizer import (
     TokenArray,
     TokenConfig,
@@ -13,8 +14,6 @@ from dctpipe.tokenizer import (
     tokenize,
     write_dctk,
 )
-
-from synth import power_law_dct_blocks
 
 
 def random_subsampled(rng, h, w):

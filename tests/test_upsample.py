@@ -4,6 +4,7 @@ import pytest
 from dctpipe.block_dct import dct2, idct2
 from dctpipe.colorspace import rgb_to_ycbcr
 from dctpipe.image_io import GrayImage, RgbImage
+from dctpipe.synth import smooth_cosine_plane
 from dctpipe.upsample import (
     UpsampleConfig,
     avg_pool2,
@@ -15,7 +16,6 @@ from dctpipe.upsample import (
 )
 
 from oracles import bilinear2x_loops, pool2_loops
-from synth import smooth_cosine_plane
 
 
 def test_avg_pool_basics(rng):
@@ -118,7 +118,7 @@ def test_bilinear_matches_bruteforce(rng):
 def test_dct_beats_bilinear_on_smooth_images(rng):
     wins = 0
     for _ in range(10):
-        truth = smooth_cosine_plane(rng, 64, 64)
+        truth = smooth_cosine_plane(rng, 64)
         low = avg_pool2(truth)
         up_dct = dct_upsample(low, 4)
         up_bil = bilinear_upsample(low)
