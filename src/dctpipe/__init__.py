@@ -14,7 +14,6 @@ from .diffuse import PerturbParams, counter_normals, perturb, perturb_params
 from .fd_metric import (
     GaussianStats,
     MStarResult,
-    ScanConfig,
     compression_ratio,
     frechet_distance,
     gaussian_stats,
@@ -43,6 +42,6 @@ from .schedule import (
     y_scaled,
 )
 from .tokenizer import TokenArray, TokenConfig, detokenize, read_dctk, tokenize, write_dctk
-from .upsample import UpsampleConfig, avg_pool2, bilinear_upsample, dct_upsample, psnr
+from .upsample import avg_pool2, bilinear_upsample, dct_upsample, psnr
 
 __version__ = "0.1.0"

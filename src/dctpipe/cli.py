@@ -36,8 +36,6 @@ from .tokenizer import (
 
 __all__ = ["main"]
 
-_FEATURE_MODES = {"pixels8": "downsampled_pixels", "dctstats": "dct_block_stats"}
-
 
 def _fmt(x: float) -> str:
     return f"{x:#.6g}"
@@ -181,14 +179,9 @@ def _cmd_weights(args) -> int:
 def _cmd_scan_m(args) -> int:
     threads = _threads(args)
     images = _pmap(_read_rgb, _image_paths(args.input), threads)
-    cfg = fd_metric.ScanConfig(
-        gamma=args.gamma,
-        m_grid=_parse_grid(args.grid, args.block_size),
-        feature_mode=_FEATURE_MODES[args.features],
-    )
     result = fd_metric.scan_mstar(
-        images, args.block_size, cfg,
-        map_fn=lambda fn, it: _pmap(fn, it, threads),
+        images, args.block_size, args.gamma, _parse_grid(args.grid, args.block_size),
+        features=args.features, map_fn=lambda fn, it: _pmap(fn, it, threads),
     )
     if args.report:
         lines = ["m,distance"] + [f"{m},{_fmt(d)}" for m, d in result.curve]
@@ -226,9 +219,7 @@ def _cmd_apsd(args) -> int:
 
     blocks = np.concatenate(_pmap(blocks_of, _image_paths(args.input), threads))
     sched = _schedule_from(args)
-    profiles = freq_stats.apsd(
-        blocks, sched, t_grid, seed=args.seed, mode=args.mode, channel=args.channel
-    )
+    profiles = freq_stats.apsd(blocks, sched, t_grid, seed=args.seed, mode=args.mode)
     lines = ["t,rank,power"]
     for prof in profiles:
         lines.extend(
@@ -240,17 +231,14 @@ def _cmd_apsd(args) -> int:
 
 def _cmd_upsample(args) -> int:
     img = read_image(args.input)
-    cfg = upsample.UpsampleConfig(method=args.method, block_size=args.block_size)
-    if isinstance(img, RgbImage):
-        write_image(args.output, upsample.upsample_rgb(img, cfg))
-    else:
-        write_image(args.output, upsample.upsample_gray(img, cfg))
+    up = upsample.upsample_rgb if isinstance(img, RgbImage) else upsample.upsample_gray
+    write_image(args.output, up(img, args.method, args.block_size))
     return 0
 
 
 def _cmd_fd(args) -> int:
     threads = _threads(args)
-    extract = fd_metric.make_feature_extractor(_FEATURE_MODES[args.features], args.block_size)
+    extract = fd_metric.make_feature_extractor(args.features, args.block_size)
 
     def stats_of(directory):
         feats = _pmap(lambda p: extract(_read_rgb(p)), _image_paths(directory), threads)
@@ -309,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--grid", default="full", help="e.g. 0..15 or 0,4,8 (default: full)")
-    p.add_argument("--features", choices=tuple(_FEATURE_MODES), required=True)
+    p.add_argument("--features", choices=fd_metric.FEATURE_MODES, required=True)
     p.add_argument("--report", default=None, help="CSV path for the (m, distance) curve")
 
     p = add("diffuse", _cmd_diffuse, "forward-perturb a DCTK token file")
@@ -338,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("fd", _cmd_fd, "Frechet distance between two image directories")
     p.add_argument("--dir-a", required=True)
     p.add_argument("--dir-b", required=True)
-    p.add_argument("--features", choices=tuple(_FEATURE_MODES), required=True)
+    p.add_argument("--features", choices=fd_metric.FEATURE_MODES, required=True)
     p.add_argument("--block-size", type=int, default=None)
 
     return parser

@@ -27,13 +27,12 @@ __all__ = [
     "extract_dct_stat_features",
     "make_feature_extractor",
     "reconstruct_rgb",
-    "ScanConfig",
     "MStarResult",
     "scan_mstar",
     "compression_ratio",
 ]
 
-FEATURE_MODES = ("downsampled_pixels", "dct_block_stats")
+FEATURE_MODES = ("pixels8", "dctstats")
 
 _RIDGE = 1e-6
 _EIG_DUST = 1e-8
@@ -107,36 +106,28 @@ def frechet_distance(s1: GaussianStats, s2: GaussianStats) -> float:
     return float(diff @ diff + np.trace(s1.cov) + np.trace(s2.cov) - 2.0 * cross)
 
 
-def extract_pixel_features(img: RgbImage, grid: int = 8) -> np.ndarray:
-    """Luma mean-pooled to grid x grid, flattened (default 64-dim)."""
+def extract_pixel_features(img: RgbImage) -> np.ndarray:
+    """Luma mean-pooled to 8 x 8, flattened to 64 values ("pixels8")."""
     y, _, _ = rgb_to_ycbcr(img)
     h, w = y.shape
-    if h % grid or w % grid:
-        raise ValueError(f"plane {w}x{h} is not divisible by the {grid}x{grid} feature grid")
-    return blockify(y, h // grid, w // grid).mean(axis=(2, 3)).ravel()
+    if h % 8 or w % 8:
+        raise ValueError(f"plane {w}x{h} is not divisible by the 8x8 feature grid")
+    return blockify(y, h // 8, w // 8).mean(axis=(2, 3)).ravel()
 
 
-def extract_dct_stat_features(img: RgbImage, block_size: int, kept: int | None = None) -> np.ndarray:
-    """Per-channel mean and std of each kept DCT coefficient rank.
-
-    Dimension is 2 * 3 * kept (kept defaults to the full B^2).
-    """
-    k = block_size**2 if kept is None else kept
+def extract_dct_stat_features(img: RgbImage, block_size: int) -> np.ndarray:
+    """Per-channel mean and std of each DCT coefficient rank ("dctstats", 6 B^2 values)."""
     mats = dct_coefficient_matrices(subsample_rgb(img), block_size)
-    feats = []
-    for mat in mats:
-        feats.append(mat[:, :k].mean(axis=0))
-        feats.append(mat[:, :k].std(axis=0))
-    return np.concatenate(feats)
+    return np.concatenate([f(mat, axis=0) for mat in mats for f in (np.mean, np.std)])
 
 
 def make_feature_extractor(mode: str, block_size: int | None = None):
-    """Feature function RgbImage -> 1-D vector for the given mode."""
-    if mode == "downsampled_pixels":
+    """Feature function RgbImage -> 1-D vector for a mode of FEATURE_MODES."""
+    if mode == "pixels8":
         return extract_pixel_features
-    if mode == "dct_block_stats":
+    if mode == "dctstats":
         if block_size is None:
-            raise ValueError("dct_block_stats features need a block size")
+            raise ValueError("dctstats features need a block size")
         return lambda img: extract_dct_stat_features(img, block_size)
     raise ValueError(f"unknown feature mode {mode!r} (want one of {FEATURE_MODES})")
 
@@ -150,27 +141,6 @@ def reconstruct_rgb(img: RgbImage, block_size: int, drop_count: int) -> RgbImage
     return assemble_rgb(detokenize(tokenize(s, cfg)))
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Threshold, candidate drop counts, and feature space of an m* scan."""
-
-    gamma: float
-    m_grid: tuple[int, ...]
-    feature_mode: str = "downsampled_pixels"
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        grid = tuple(int(m) for m in self.m_grid)
-        if not grid or any(m < 0 for m in grid):
-            raise ValueError("m_grid must be a nonempty list of nonnegative drop counts")
-        if list(grid) != sorted(set(grid)):
-            raise ValueError("m_grid must be strictly ascending")
-        object.__setattr__(self, "m_grid", grid)
-        if self.feature_mode not in FEATURE_MODES:
-            raise ValueError(f"unknown feature mode {self.feature_mode!r}")
-
-
 @dataclass
 class MStarResult:
     """Outcome of a scan: chosen m*, the full (m, distance) curve, saturation."""
@@ -180,31 +150,40 @@ class MStarResult:
     saturated: bool
 
 
-def scan_mstar(images, block_size: int, cfg: ScanConfig, map_fn=map) -> MStarResult:
-    """Find the largest drop count whose reconstruction distance stays under gamma.
+def scan_mstar(
+    images, block_size: int, gamma: float, m_grid, features: str = "pixels8", map_fn=map
+) -> MStarResult:
+    """Find the largest drop count in ``m_grid`` whose distance stays under ``gamma``.
 
-    For each m in the grid the dataset is reconstructed through the codec,
-    features are extracted from originals and reconstructions, and the
-    Frechet distance between the two feature distributions is recorded.
-    ``map_fn`` may be an order-preserving parallel map.
+    ``m_grid`` must be strictly ascending within [0, B^2 - 1]. For each m
+    the dataset is reconstructed through the codec, ``features`` are
+    extracted from originals and reconstructions, and the Frechet distance
+    between the two feature distributions is recorded. ``map_fn`` may be
+    an order-preserving parallel map.
     """
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    grid = [int(m) for m in m_grid]
+    top = block_size**2 - 1
+    if not grid or min(grid) < 0 or max(grid) > top:
+        raise ValueError(f"m_grid must be a nonempty list of drop counts in [0, {top}]")
+    if grid != sorted(set(grid)):
+        raise ValueError("m_grid must be strictly ascending")
+    extract = make_feature_extractor(features, block_size)
     images = list(images)
     if len(images) < 500:
         raise ValueError(f"scan needs at least 500 images, got {len(images)}")
-    if max(cfg.m_grid) > block_size**2 - 1:
-        raise ValueError(f"m_grid exceeds B^2-1 = {block_size**2 - 1}")
-    extract = make_feature_extractor(cfg.feature_mode, block_size)
     ref = gaussian_stats(np.stack(list(map_fn(extract, images))))
 
     curve = []
-    for m in cfg.m_grid:
+    for m in grid:
         def recon_features(img, _m=m):
             return extract(reconstruct_rgb(img, block_size, _m))
 
         stats = gaussian_stats(np.stack(list(map_fn(recon_features, images))))
         curve.append((m, frechet_distance(ref, stats)))
 
-    passing = [m for m, d in curve if d < cfg.gamma]
+    passing = [m for m, d in curve if d < gamma]
     if passing:
         return MStarResult(max(passing), tuple(curve), saturated=False)
     return MStarResult(0, tuple(curve), saturated=True)

@@ -141,16 +141,12 @@ class SpectrumProfile:
     """Averaged power per zigzag rank at one diffusion time (t=0 means clean)."""
 
     powers: np.ndarray
-    sample_count: int
-    channel: str
     time: float
 
     def __post_init__(self):
         self.powers = np.asarray(self.powers, dtype=np.float64)
         if np.any(self.powers < 0):
             raise ValueError("powers must be nonnegative")
-        if self.sample_count <= 0:
-            raise ValueError("sample count must be positive")
 
 
 def apsd(
@@ -159,7 +155,6 @@ def apsd(
     t_grid,
     seed: int = 0,
     mode: str = "vp",
-    channel: str = "Y",
 ) -> list[SpectrumProfile]:
     """Monte-Carlo averaged power spectral density per zigzag rank.
 
@@ -173,9 +168,8 @@ def apsd(
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
         raise ValueError(f"blocks must be (n, B, B), got {blocks.shape}")
-    n = blocks.shape[0]
-    if n < 1000:
-        raise ValueError(f"need at least 1000 blocks, got {n}")
+    if blocks.shape[0] < 1000:
+        raise ValueError(f"need at least 1000 blocks, got {blocks.shape[0]}")
     if mode not in ("vp", "ve"):
         raise ValueError(f"mode must be 'vp' or 've', got {mode!r}")
 
@@ -191,9 +185,7 @@ def apsd(
                 xt = p.mean_coef * coeffs + p.std * eps
             else:
                 xt = coeffs + np.sqrt(float(y_scaled(t, sched))) * eps
-        profiles.append(
-            SpectrumProfile(np.mean(xt * xt, axis=0), sample_count=n, channel=channel, time=float(t))
-        )
+        profiles.append(SpectrumProfile(np.mean(xt * xt, axis=0), float(t)))
     return profiles
 
 

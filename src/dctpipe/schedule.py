@@ -53,7 +53,7 @@ def snr_factor_for_resolution(resolution: int) -> float:
 
 def _check_t(t, allow_zero: bool = True):
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > 1):
+    if not np.all((t >= 0) & (t <= 1)):
         raise ValueError("t must lie in [0, 1]")
     if not allow_zero and np.any(t == 0):
         raise ValueError("t = 0 is outside the domain of this quantity")

@@ -35,6 +35,7 @@ LEVEL_SHIFT = 128.0
 _MAGIC = b"DCTK"
 _VERSION = 1
 _HEADER = struct.Struct("<IIHHdQ")  # h, w, block_size, drop_count, eta, token_count
+_HEADER_INTS = (("height", 32), ("width", 32), ("block_size", 16), ("drop_count", 16))
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,8 @@ def dct_coefficient_matrices(
     estimation and entropy statistics.
     """
     b = block_size
+    if b < 1:
+        raise ValueError(f"block size must be >= 1, got {b}")
     if s.height % (2 * b) or s.width % (2 * b):
         raise ValueError(
             f"image {s.width}x{s.height} is not tiled by {2 * b}x{2 * b} patches"
@@ -148,6 +151,9 @@ def dct_coefficient_matrices(
 def write_dctk(path, t: TokenArray) -> None:
     """Write a token array in the DCTK binary format (little-endian, f64 payload)."""
     cfg = t.config
+    for name, bits in _HEADER_INTS:
+        if not 0 <= getattr(cfg, name) < 1 << bits:
+            raise ValueError(f"{name} {getattr(cfg, name)} does not fit the DCTK header's u{bits}")
     header = _HEADER.pack(
         cfg.height, cfg.width, cfg.block_size, cfg.drop_count, cfg.eta, cfg.token_count
     )

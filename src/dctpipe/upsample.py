@@ -14,8 +14,6 @@ carry no energy, which is why it reproduces smooth content so well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .block_dct import blockify, dct2, idct2, unblockify
@@ -23,7 +21,6 @@ from .colorspace import rgb_to_ycbcr, ycbcr_to_rgb
 from .image_io import GrayImage, RgbImage
 
 __all__ = [
-    "UpsampleConfig",
     "avg_pool2",
     "dct_upsample",
     "bilinear_upsample",
@@ -34,20 +31,6 @@ __all__ = [
 ]
 
 METHODS = ("dct", "bilinear")
-
-
-@dataclass(frozen=True)
-class UpsampleConfig:
-    """Method and DCT block size (of the low-resolution image) for upsampling."""
-
-    method: str = "dct"
-    block_size: int = 4
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.block_size < 1:
-            raise ValueError(f"block size must be >= 1, got {self.block_size}")
 
 
 def avg_pool2(plane: np.ndarray) -> np.ndarray:
@@ -85,21 +68,26 @@ def bilinear_upsample(low: np.ndarray) -> np.ndarray:
     return top * (1 - fr)[:, None] + bot * fr[:, None]
 
 
-def upsample_plane(low: np.ndarray, cfg: UpsampleConfig) -> np.ndarray:
-    if cfg.method == "dct":
-        return dct_upsample(low, cfg.block_size)
+def upsample_plane(low: np.ndarray, method: str, block_size: int = 4) -> np.ndarray:
+    """2x upsample one plane by a method of METHODS; ``block_size`` is the low-res DCT block."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if block_size < 1:
+        raise ValueError(f"block size must be >= 1, got {block_size}")
+    if method == "dct":
+        return dct_upsample(low, block_size)
     return bilinear_upsample(low)
 
 
-def upsample_gray(img: GrayImage, cfg: UpsampleConfig) -> GrayImage:
-    out = upsample_plane(img.pixels.astype(np.float64), cfg)
+def upsample_gray(img: GrayImage, method: str, block_size: int = 4) -> GrayImage:
+    out = upsample_plane(img.pixels.astype(np.float64), method, block_size)
     return GrayImage(np.clip(np.rint(out), 0, 255).astype(np.uint8))
 
 
-def upsample_rgb(img: RgbImage, cfg: UpsampleConfig) -> RgbImage:
+def upsample_rgb(img: RgbImage, method: str, block_size: int = 4) -> RgbImage:
     """Upsample a color image per YCbCr plane, then convert back to RGB."""
     planes = rgb_to_ycbcr(img)
-    return ycbcr_to_rgb(*(upsample_plane(p, cfg) for p in planes))
+    return ycbcr_to_rgb(*(upsample_plane(p, method, block_size) for p in planes))
 
 
 def psnr(reference: np.ndarray, test: np.ndarray, peak: float = 255.0) -> float:

@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Snapshot the bytes of a fixed set of dctpipe CLI invocations.
+
+    PYTHONPATH=<checkout>/src python tests/cli_snapshot.py OUT
+
+Writes seeded inputs under OUT/in, built with numpy alone so they do not
+depend on the code under test. It then runs every invocation in CASES as
+``python -m dctpipe.cli`` in a subprocess, with OUT as the working
+directory and the caller's environment (so ``PYTHONPATH`` picks the
+checkout). Output files land under OUT/out; OUT/log.json records each
+argv (paths relative to OUT), exit code, stdout and stderr.
+
+Snapshot two checkouts into two directories and ``diff -r`` them: every
+difference is a change in CLI behaviour.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+# (argv, expected to succeed); paths are relative to OUT
+CASES = [
+    ("ratio --block-size 8 --drop 46", True),
+    ("bounds --input in/rgb --block-size 4 --out out/ecs4.json", True),
+    ("bounds --input in/rgb --block-size 4 --threads 2 --out out/ecs4_t2.json", True),
+    ("bounds --input in/rgb --block-size 2 --mode naive --max-samples 500 --out out/naive2.json", True),
+    ("encode --input in/rgb/i00.ppm --block-size 4 --drop 8 --bounds out/ecs4.json --out out/a.dctk", True),
+    ("encode --input in/rgb/i01.ppm --block-size 8 --eta 300 --out out/b.dctk", True),
+    ("decode --input out/a.dctk --out out/a.ppm", True),
+    ("decode --input out/b.dctk --out out/b.ppm", True),
+    ("diffuse --input out/a.dctk --t 0.3 --seed 7 --out out/a_t.dctk", True),
+    ("diffuse --input out/b.dctk --t 1 --c 4 --out out/b_t.dctk", True),
+    ("weights --input in/rgb --block-size 4 --drop 4 --out out/w4.json", True),
+    ("apsd --input in/rgb --block-size 4 --t-list 0,0.1,0.5 --out out/apsd_y.csv", True),
+    ("apsd --input in/rgb --block-size 2 --t-list 0,0.5 --mode ve --channel cb --out out/apsd_cb.csv", True),
+    ("apsd --input in/gray --block-size 2 --t-list 0,1 --mode ve --out out/apsd_gray.csv", True),
+    ("upsample --method dct --block-size 4 --input in/rgb/i02.ppm --output out/up_dct.ppm", True),
+    ("upsample --method bilinear --input in/gray/g0.pgm --output out/up_bil.pgm", True),
+    ("fd --dir-a in/rgb --dir-b in/rgb2 --features pixels8", True),
+    ("fd --dir-a in/rgb --dir-b in/rgb2 --features dctstats --block-size 4", True),
+    ("scan-m --input in/scan --block-size 2 --gamma 1.0 --grid 0..3 --features dctstats --report out/curve_dct.csv", True),
+    ("scan-m --input in/scan --block-size 2 --gamma 50 --grid 0,2 --features pixels8 --report out/curve_pix.csv", True),
+    ("ratio --block-size 4 --drop 16", False),
+    ("encode --input in/rgb/i00.ppm --block-size 4 --out out/no_eta.dctk", False),
+    ("decode --input out/missing.dctk --out out/missing.ppm", False),
+    ("upsample --method bilinear --block-size 0 --input in/gray/g0.pgm --output out/bs0.pgm", False),
+    ("upsample --method dct --block-size 2 --input in/trailing.ppm --output out/trailing.ppm", False),
+    ("scan-m --input in/rgb --block-size 2 --gamma 1.0 --grid 0..3 --features dctstats", False),
+    ("scan-m --input in/scan --block-size 2 --gamma 1.0 --grid 0..4 --features dctstats", False),
+    ("scan-m --input in/scan --block-size 2 --gamma 0 --grid 0..3 --features pixels8", False),
+    ("fd --dir-a in/rgb --dir-b in/rgb2 --features dctstats", False),
+    ("bounds --input in/rgb --block-size 0 --out out/bs0.json", False),
+    ("weights --input in/rgb --block-size 0 --out out/w0.json", False),
+    ("fd --dir-a in/rgb --dir-b in/rgb2 --features dctstats --block-size 0", False),
+    ("apsd --input in/rgb --block-size 4 --t-list 0,nan --mode ve --out out/apsd_nan.csv", False),
+    ("diffuse --input out/a.dctk --t nan --out out/nan.dctk", False),
+    ("encode --input in/big.ppm --block-size 257 --drop 65536 --eta 1000 --out out/big.dctk", False),
+]
+
+
+def _pnm(path: Path, pixels: np.ndarray) -> None:
+    magic = b"P6" if pixels.ndim == 3 else b"P5"
+    h, w = pixels.shape[:2]
+    path.write_bytes(magic + f"\n{w} {h}\n255\n".encode() + pixels.astype(np.uint8).tobytes())
+
+
+def _smooth_rgb(rng: np.random.Generator, size: int) -> np.ndarray:
+    # a random gradient per channel plus mild noise, so every DCT rank carries energy
+    ramp = np.linspace(0.0, 1.0, size)
+    offset = rng.uniform(40, 200, 3)
+    base = offset + rng.uniform(-40, 40, 3) * (ramp[:, None, None] + ramp[None, :, None])
+    return np.clip(np.rint(base + rng.normal(0, 12, (size, size, 3))), 0, 255)
+
+
+def build_inputs(root: Path, seed: int = 0) -> None:
+    """Seeded PNM inputs for CASES, numpy only."""
+    rng = np.random.default_rng(seed)
+    for name, count, size in (("rgb", 16, 64), ("rgb2", 16, 64), ("scan", 500, 16)):
+        (root / name).mkdir(parents=True)
+        for i in range(count):
+            _pnm(root / name / f"i{i:02d}.ppm", _smooth_rgb(rng, size))
+    (root / "gray").mkdir()
+    for i in range(4):
+        _pnm(root / "gray" / f"g{i}.pgm", rng.integers(0, 256, (32, 32)))
+    _pnm(root / "big.ppm", np.full((514, 514, 3), 90))
+    (root / "trailing.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(12) + b"EXTRA")
+
+
+def snapshot(out: Path) -> list[dict]:
+    """Build inputs under ``out``, run every case, write ``out/log.json``, return the log."""
+    out = Path(out)
+    build_inputs(out / "in")
+    (out / "out").mkdir()
+    env = dict(os.environ)
+    # the cases run inside OUT, so a relative PYTHONPATH is resolved here first
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep)
+        )
+    log = []
+    for argv, _ in CASES:
+        args = argv.split()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dctpipe.cli", *args],
+            cwd=out, env=env, capture_output=True, text=True,
+        )
+        log.append(
+            {"argv": args, "exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+        )
+    (out / "log.json").write_text(json.dumps(log, indent=1) + "\n")
+    return log
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: cli_snapshot.py OUT")
+    snapshot(Path(sys.argv[1]))

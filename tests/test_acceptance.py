@@ -14,7 +14,6 @@ from dctpipe.cli import main
 from dctpipe.colorspace import subsample_rgb
 from dctpipe.fd_metric import (
     GaussianStats,
-    ScanConfig,
     compression_ratio,
     frechet_distance,
     gaussian_stats,
@@ -272,8 +271,7 @@ def test_criterion_9_mstar_scan():
     rng = np.random.default_rng(SEED)
     b, zero_top = 4, 6
     images = [band_limited_image(rng, 64, b=b, zero_top=zero_top) for _ in range(500)]
-    cfg = ScanConfig(gamma=1.0, m_grid=tuple(range(b * b)), feature_mode="dct_block_stats")
-    result = scan_mstar(images, b, cfg)
+    result = scan_mstar(images, b, gamma=1.0, m_grid=range(b * b), features="dctstats")
     values = [d for _, d in result.curve]
     inversions = sum(1 for i in range(len(values) - 1) if values[i + 1] < values[i])
     elapsed = time.monotonic() - start

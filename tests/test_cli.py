@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dctpipe.cli import main
-from dctpipe.image_io import read_image, write_image
+from dctpipe.image_io import RgbImage, read_image, write_image
 from dctpipe.scaling import load_bounds
 from dctpipe.synth import band_limited_image
 from dctpipe.tokenizer import read_dctk
@@ -229,6 +229,41 @@ def test_diffuse_of_non_finite_dctk_is_single_line_error(dataset, tmp_path, caps
     code, _, err = run(capsys, "diffuse", "--input", dctk, "--t", 0.3, "--out", out)
     assert_single_line_error(code, err)
     assert "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["bounds", "weights", "fd"])
+def test_block_size_zero_is_single_line_error(dataset, tmp_path, capsys, cmd):
+    if cmd == "fd":
+        argv = ("fd", "--dir-a", dataset, "--dir-b", dataset, "--features", "dctstats")
+    else:
+        argv = (cmd, "--input", dataset, "--out", tmp_path / "x.json")
+    code, _, err = run(capsys, *argv, "--block-size", 0)
+    assert_single_line_error(code, err)
+    assert "block size" in err
+
+
+def test_apsd_with_nan_time_is_single_line_error(dataset, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    code, _, err = run(
+        capsys, "apsd", "--input", dataset, "--block-size", 2, "--t-list", "0,nan",
+        "--mode", "ve", "--out", out,
+    )
+    assert_single_line_error(code, err)
+    assert "[0, 1]" in err
+    assert not out.exists()
+
+
+def test_encode_beyond_dctk_header_range_is_single_line_error(tmp_path, capsys):
+    src = tmp_path / "big.ppm"
+    write_image(src, RgbImage(np.full((514, 514, 3), 90, dtype=np.uint8)))
+    out = tmp_path / "big.dctk"
+    code, _, err = run(
+        capsys, "encode", "--input", src, "--block-size", 257, "--drop", 65536,
+        "--eta", 1000, "--out", out,
+    )
+    assert_single_line_error(code, err)
+    assert "drop_count" in err
     assert not out.exists()
 
 

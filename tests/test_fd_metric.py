@@ -3,7 +3,6 @@ import pytest
 
 from dctpipe.fd_metric import (
     GaussianStats,
-    ScanConfig,
     compression_ratio,
     extract_dct_stat_features,
     extract_pixel_features,
@@ -99,13 +98,11 @@ def test_dct_stat_features_shape(rng):
     img = cell_chroma_image(rng, 32, 32)
     feats = extract_dct_stat_features(img, block_size=4)
     assert feats.shape == (2 * 3 * 16,)
-    feats = extract_dct_stat_features(img, block_size=4, kept=10)
-    assert feats.shape == (2 * 3 * 10,)
 
 
 def test_make_feature_extractor_validation():
     with pytest.raises(ValueError):
-        make_feature_extractor("dct_block_stats")
+        make_feature_extractor("dctstats")
     with pytest.raises(ValueError):
         make_feature_extractor("nope")
 
@@ -117,14 +114,15 @@ def test_reconstruct_rgb_m0_is_rounding_exact(rng):
 
 
 def test_scan_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(gamma=0.0, m_grid=(0, 1))
-    with pytest.raises(ValueError):
-        ScanConfig(gamma=1.0, m_grid=())
-    with pytest.raises(ValueError):
-        ScanConfig(gamma=1.0, m_grid=(3, 1))
-    with pytest.raises(ValueError):
-        ScanConfig(gamma=1.0, m_grid=(0, 1), feature_mode="bad")
+    # the arguments are checked before the dataset size
+    with pytest.raises(ValueError, match="gamma"):
+        scan_mstar([], 4, gamma=0.0, m_grid=(0, 1))
+    with pytest.raises(ValueError, match="m_grid"):
+        scan_mstar([], 4, gamma=1.0, m_grid=())
+    with pytest.raises(ValueError, match="m_grid"):
+        scan_mstar([], 4, gamma=1.0, m_grid=(3, 1))
+    with pytest.raises(ValueError, match="feature mode"):
+        scan_mstar([], 4, gamma=1.0, m_grid=(0, 1), features="bad")
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +132,13 @@ def band_limited_set():
 
 
 def test_scan_mstar_recovers_band_limit(band_limited_set):
-    cfg = ScanConfig(gamma=1.0, m_grid=tuple(range(0, 16, 2)), feature_mode="dct_block_stats")
-    result = scan_mstar(band_limited_set, block_size=4, cfg=cfg)
+    gamma = 1.0
+    result = scan_mstar(
+        band_limited_set, block_size=4, gamma=gamma, m_grid=range(0, 16, 2), features="dctstats"
+    )
     dist = dict(result.curve)
     assert dist[6] < 0.01 * dist[8]  # zeroed-slot plateau sits far below the jump
-    assert dist[8] > cfg.gamma  # first live frequency killed: threshold crossed
+    assert dist[8] > gamma  # first live frequency killed: threshold crossed
     assert not result.saturated
     assert result.m_star >= 6
     # curve is non-decreasing with at most one inversion
@@ -148,15 +148,17 @@ def test_scan_mstar_recovers_band_limit(band_limited_set):
 
 
 def test_scan_mstar_gamma_infinity_selects_max(band_limited_set):
-    cfg = ScanConfig(gamma=1e30, m_grid=(0, 5, 9), feature_mode="dct_block_stats")
-    result = scan_mstar(band_limited_set, block_size=4, cfg=cfg)
+    result = scan_mstar(
+        band_limited_set, block_size=4, gamma=1e30, m_grid=(0, 5, 9), features="dctstats"
+    )
     assert result.m_star == 9
     assert not result.saturated
 
 
 def test_scan_mstar_saturation_flag(band_limited_set):
-    cfg = ScanConfig(gamma=1e-30, m_grid=(0, 1), feature_mode="dct_block_stats")
-    result = scan_mstar(band_limited_set, block_size=4, cfg=cfg)
+    result = scan_mstar(
+        band_limited_set, block_size=4, gamma=1e-30, m_grid=(0, 1), features="dctstats"
+    )
     assert result.saturated
     assert result.m_star == 0
 
@@ -164,7 +166,7 @@ def test_scan_mstar_saturation_flag(band_limited_set):
 def test_scan_mstar_needs_enough_images(rng):
     imgs = [cell_chroma_image(rng, 16, 16) for _ in range(5)]
     with pytest.raises(ValueError, match="500"):
-        scan_mstar(imgs, 2, ScanConfig(gamma=1.0, m_grid=(0,)))
+        scan_mstar(imgs, 2, gamma=1.0, m_grid=(0,))
 
 
 def test_compression_ratio_table_values():

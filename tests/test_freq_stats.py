@@ -196,7 +196,7 @@ def test_apsd_validation(rng):
 def test_power_law_fit_exact():
     ranks = np.arange(1, 16, dtype=float)
     profile = SpectrumProfile(
-        np.concatenate(([10.0], 3.0 * ranks**-2.0)), sample_count=10, channel="Y", time=0.0
+        np.concatenate(([10.0], 3.0 * ranks**-2.0)), time=0.0
     )
     k, alpha = power_law_fit(profile)
     assert k == pytest.approx(3.0, abs=1e-9)
@@ -219,9 +219,9 @@ def test_power_law_fit_recovers_synthetic_alpha(rng):
 
 def test_power_law_fit_validation():
     with pytest.raises(ValueError):
-        power_law_fit(SpectrumProfile(np.ones(4), 1, "Y", 0.0))
+        power_law_fit(SpectrumProfile(np.ones(4), 0.0))
     with pytest.raises(ValueError):
-        power_law_fit(SpectrumProfile(np.zeros(10), 1, "Y", 0.0))
+        power_law_fit(SpectrumProfile(np.zeros(10), 0.0))
 
 
 def test_threshold_time_ve_direct():

@@ -34,6 +34,13 @@ def test_y_integral_domain():
         y_integral(1.01)
 
 
+@pytest.mark.parametrize("fn", [y_integral, lambda_of_t, beta_prime])
+@pytest.mark.parametrize("t", [np.nan, np.array([0.5, np.nan])])
+def test_nan_time_is_rejected(fn, t):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        fn(t)
+
+
 def test_snr_scaling_is_exact_multiplication():
     t = np.linspace(1e-3, 1.0, 257)
     ratio = snr(t, NoiseSchedule(c=4.0)) / snr(t, DEFAULTS)

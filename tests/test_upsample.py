@@ -6,12 +6,12 @@ from dctpipe.colorspace import rgb_to_ycbcr
 from dctpipe.image_io import GrayImage, RgbImage
 from dctpipe.synth import smooth_cosine_plane
 from dctpipe.upsample import (
-    UpsampleConfig,
     avg_pool2,
     bilinear_upsample,
     dct_upsample,
     psnr,
     upsample_gray,
+    upsample_plane,
     upsample_rgb,
 )
 
@@ -129,13 +129,13 @@ def test_dct_beats_bilinear_on_smooth_images(rng):
 
 def test_upsample_gray_and_rgb_wrappers(rng):
     gray = GrayImage(rng.integers(0, 256, (8, 8), dtype=np.uint8))
-    out = upsample_gray(gray, UpsampleConfig(method="dct", block_size=4))
+    out = upsample_gray(gray, "dct", block_size=4)
     assert out.pixels.shape == (16, 16)
-    out = upsample_gray(gray, UpsampleConfig(method="bilinear"))
+    out = upsample_gray(gray, "bilinear")
     assert out.pixels.shape == (16, 16)
 
     rgb = RgbImage(np.full((8, 8, 3), 200, dtype=np.uint8))
-    out = upsample_rgb(rgb, UpsampleConfig(method="dct", block_size=4))
+    out = upsample_rgb(rgb, "dct", block_size=4)
     assert out.pixels.shape == (16, 16, 3)
     assert np.abs(out.pixels.astype(int) - 200).max() <= 1
     # luma of the upsampled image stays flat
@@ -145,9 +145,9 @@ def test_upsample_gray_and_rgb_wrappers(rng):
 
 def test_upsample_config_validation():
     with pytest.raises(ValueError):
-        UpsampleConfig(method="nearest")
+        upsample_plane(np.zeros((8, 8)), "nearest")
     with pytest.raises(ValueError):
-        UpsampleConfig(block_size=0)
+        upsample_plane(np.zeros((8, 8)), "dct", block_size=0)
     with pytest.raises(ValueError):
         dct_upsample(np.zeros((6, 6)), 4)
 
