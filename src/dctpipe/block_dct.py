@@ -5,7 +5,8 @@ with alpha(0) = sqrt(1/B) and alpha(u>0) = sqrt(2/B), so the 2D transform
 is the separable product T A T^T and its inverse is T^T D T. Both accept
 stacks of blocks (shape (..., B, B)) and run as batched matmuls.
 
-The block-grid geometry of the package lives here once. :func:`blockify`
+The block-grid geometry of the package lives here once. :func:`kept_ranks`
+checks a block size B and drop count m; :func:`blockify`
 views an (H, W, ...) grid as (H/bh, W/bw, bh, bw, ...) tiles (DCT blocks,
 pooling cells, the 2x2 luma blocks of a token) and :func:`unblockify`
 undoes it; :func:`to_zigzag` gathers (..., B, B) blocks into zigzag rank
@@ -20,15 +21,24 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "basis_matrix", "dct2", "idct2", "zigzag_order", "inverse_zigzag_order",
+    "kept_ranks", "basis_matrix", "dct2", "idct2", "zigzag_order", "inverse_zigzag_order",
     "to_zigzag", "from_zigzag", "blockify", "unblockify",
 ]
 
 
-@lru_cache(maxsize=None)
-def _basis(block_size: int) -> np.ndarray:
+def kept_ranks(block_size: int, drop_count: int = 0) -> int:
+    """B^2 - m zigzag ranks kept per block; ValueError unless B >= 1 and 0 <= m <= B^2 - 1."""
     if block_size < 1:
         raise ValueError(f"block size must be >= 1, got {block_size}")
+    top = block_size**2 - 1
+    if not 0 <= drop_count <= top:
+        raise ValueError(f"drop count must be in [0, {top}] for B={block_size}, got {drop_count}")
+    return top + 1 - drop_count
+
+
+@lru_cache(maxsize=None)
+def _basis(block_size: int) -> np.ndarray:
+    kept_ranks(block_size)
     b = block_size
     x = np.arange(b)
     u = np.arange(b)[:, None]
@@ -75,8 +85,7 @@ def zigzag_order(block_size: int) -> np.ndarray:
     JPEG convention: start at (0,0), first move right, then alternate
     up-right / down-left along anti-diagonals.
     """
-    if block_size < 1:
-        raise ValueError(f"block size must be >= 1, got {block_size}")
+    kept_ranks(block_size)
     b = block_size
     order = []
     for d in range(2 * b - 1):

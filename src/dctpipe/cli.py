@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fd_metric, freq_stats, scaling, upsample
-from .block_dct import blockify
+from .block_dct import blockify, kept_ranks
 from .colorspace import assemble_rgb, subsample_rgb
 from .diffuse import perturb
 from .image_io import GrayImage, RgbImage, read_image, write_image
@@ -169,7 +169,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    kept = args.block_size**2 - args.drop
+    kept = kept_ranks(args.block_size, args.drop)
     mats = tuple(m[:, :kept] for m in _collect_samples(args))
     w = freq_stats.entropy_weights(mats, args.block_size, args.drop, bins=args.bins)
     freq_stats.save_weights(args.out, w)
@@ -178,9 +178,9 @@ def _cmd_weights(args) -> int:
 
 def _cmd_scan_m(args) -> int:
     threads = _threads(args)
-    images = _pmap(_read_rgb, _image_paths(args.input), threads)
     result = fd_metric.scan_mstar(
-        images, args.block_size, args.gamma, _parse_grid(args.grid, args.block_size),
+        map(_read_rgb, _image_paths(args.input)), args.block_size, args.gamma,
+        _parse_grid(args.grid, args.block_size),
         features=args.features, map_fn=lambda fn, it: _pmap(fn, it, threads),
     )
     if args.report:
@@ -248,10 +248,15 @@ def _cmd_fd(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, without argparse's usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dctpipe", description="DCT-space image pipeline tools"
-    )
+    parser = _Parser(prog="dctpipe", description="DCT-space image pipeline tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):

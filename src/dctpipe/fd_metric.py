@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_dct import blockify
+from .block_dct import blockify, kept_ranks
 from .colorspace import assemble_rgb, rgb_to_ycbcr, subsample_rgb
 from .image_io import RgbImage
 from .tokenizer import TokenConfig, dct_coefficient_matrices, detokenize, tokenize
@@ -164,11 +164,10 @@ def scan_mstar(
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     grid = [int(m) for m in m_grid]
-    top = block_size**2 - 1
-    if not grid or min(grid) < 0 or max(grid) > top:
-        raise ValueError(f"m_grid must be a nonempty list of drop counts in [0, {top}]")
-    if grid != sorted(set(grid)):
-        raise ValueError("m_grid must be strictly ascending")
+    if not grid or grid != sorted(set(grid)):
+        raise ValueError("m_grid must be a nonempty, strictly ascending list of drop counts")
+    kept_ranks(block_size, grid[0])
+    kept_ranks(block_size, grid[-1])
     extract = make_feature_extractor(features, block_size)
     images = list(images)
     if len(images) < 500:
@@ -195,7 +194,4 @@ def compression_ratio(block_size: int, drop_count: int) -> float:
     Chroma subsampling contributes the factor 2 and truncation the factor
     B^2 / (B^2 - m), giving 2 B^2 / (B^2 - m).
     """
-    b2 = block_size**2
-    if not 0 <= drop_count <= b2 - 1:
-        raise ValueError(f"drop count must be in [0, {b2 - 1}], got {drop_count}")
-    return 2.0 * b2 / (b2 - drop_count)
+    return 2.0 * block_size**2 / kept_ranks(block_size, drop_count)

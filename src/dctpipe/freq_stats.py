@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .block_dct import dct2, to_zigzag
+from .block_dct import dct2, kept_ranks, to_zigzag
 from .diffuse import counter_normals, derive_stream, perturb_params
 from .schedule import NoiseSchedule, t_of_lambda, y_scaled
 
@@ -53,10 +53,10 @@ class EntropyWeights:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        kept = self.block_size**2 - self.drop_count
+        kept = kept_ranks(self.block_size, self.drop_count)
         if self.weights.shape != (3 * kept,):
             raise ValueError(f"expected {3 * kept} weights, got shape {self.weights.shape}")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):
             raise ValueError("all weights must be strictly positive")
         if abs(self.weights.mean() - 1.0) > 1e-9:
             raise ValueError("weights must be normalized to mean 1")
@@ -88,7 +88,7 @@ def entropy_weights(
     """
     if bins < 16:
         raise ValueError(f"need at least 16 histogram bins, got {bins}")
-    kept = block_size**2 - drop_count
+    kept = kept_ranks(block_size, drop_count)
     mats = [np.asarray(m, dtype=np.float64) for m in channel_samples]
     if len(mats) != 3:
         raise ValueError(f"expected (y, cb, cr) sample matrices, got {len(mats)}")
@@ -128,7 +128,7 @@ def apply_ebfr(squared_residuals: np.ndarray, w: EntropyWeights) -> float:
     block is broadcast across the four Y segments.
     """
     sq = np.asarray(squared_residuals, dtype=np.float64)
-    kept = w.block_size**2 - w.drop_count
+    kept = kept_ranks(w.block_size, w.drop_count)
     if sq.shape[-1] != 6 * kept:
         raise ValueError(f"last axis must be {6 * kept}, got {sq.shape[-1]}")
     wy, wcb, wcr = w.weights[:kept], w.weights[kept : 2 * kept], w.weights[2 * kept :]

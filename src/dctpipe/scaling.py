@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .block_dct import kept_ranks
 from .diffuse import counter_uniforms
 
 __all__ = [
@@ -128,19 +129,18 @@ class ScalingBounds:
         if self.mode not in ("ecs", "naive"):
             raise ValueError(f"mode must be 'ecs' or 'naive', got {self.mode!r}")
         _check_tau(self.tau)
-        if self.block_size < 1:
-            raise ValueError(f"block size must be >= 1, got {self.block_size}")
+        kept_ranks(self.block_size)
         if self.mode == "ecs":
-            if self.eta is None or not self.eta > 0:
-                raise ValueError("ecs bounds require a positive eta")
+            if self.eta is None or not 0 < self.eta < np.inf:
+                raise ValueError("ecs bounds require a positive finite eta")
         else:
             if self.naive_bounds is None:
                 raise ValueError("naive bounds require the bound vector")
             want = 3 * self.block_size**2
             if len(self.naive_bounds) != want:
                 raise ValueError(f"expected {want} naive bounds, got {len(self.naive_bounds)}")
-            if any(b <= 0 for b in self.naive_bounds):
-                raise ValueError("all naive bounds must be strictly positive")
+            if not all(0 < b < np.inf for b in self.naive_bounds):
+                raise ValueError("all naive bounds must be positive and finite")
 
 
 def save_bounds(path, bounds: ScalingBounds) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block_dct import blockify, dct2, from_zigzag, idct2, to_zigzag, unblockify
+from .block_dct import blockify, dct2, from_zigzag, idct2, kept_ranks, to_zigzag, unblockify
 from .colorspace import SubsampledImage
 
 __all__ = [
@@ -38,6 +38,11 @@ _HEADER = struct.Struct("<IIHHdQ")  # h, w, block_size, drop_count, eta, token_c
 _HEADER_INTS = (("height", 32), ("width", 32), ("block_size", 16), ("drop_count", 16))
 
 
+def _check_patch_tiling(height: int, width: int, b: int) -> None:
+    if height % (2 * b) or width % (2 * b):
+        raise ValueError(f"image {width}x{height} is not tiled by the {2 * b}x{2 * b} patch")
+
+
 @dataclass(frozen=True)
 class TokenConfig:
     """Geometry and scaling of a token array.
@@ -53,25 +58,15 @@ class TokenConfig:
     width: int
 
     def __post_init__(self):
-        b = self.block_size
-        if b < 1:
-            raise ValueError(f"block size must be >= 1, got {b}")
-        if not 0 <= self.drop_count <= b * b - 1:
-            raise ValueError(
-                f"drop count must be in [0, {b * b - 1}] for B={b}, got {self.drop_count}"
-            )
+        kept_ranks(self.block_size, self.drop_count)
         if not (self.eta > 0 and np.isfinite(self.eta)):
             raise ValueError(f"eta must be a positive finite real, got {self.eta}")
-        patch = 2 * b
-        if self.height % patch or self.width % patch:
-            raise ValueError(
-                f"image {self.width}x{self.height} is not tiled by the {patch}x{patch} patch"
-            )
+        _check_patch_tiling(self.height, self.width, self.block_size)
 
     @property
     def kept(self) -> int:
         """Coefficients kept per block after truncation."""
-        return self.block_size**2 - self.drop_count
+        return kept_ranks(self.block_size, self.drop_count)
 
     @property
     def token_width(self) -> int:
@@ -138,14 +133,9 @@ def dct_coefficient_matrices(
     blocks, columns are zigzag ranks. This is the raw material for bound
     estimation and entropy statistics.
     """
-    b = block_size
-    if b < 1:
-        raise ValueError(f"block size must be >= 1, got {b}")
-    if s.height % (2 * b) or s.width % (2 * b):
-        raise ValueError(
-            f"image {s.width}x{s.height} is not tiled by {2 * b}x{2 * b} patches"
-        )
-    return tuple(_zigzag_coeffs(p, b).reshape(-1, b * b) for p in (s.y, s.cb, s.cr))
+    ranks = kept_ranks(block_size)
+    _check_patch_tiling(s.height, s.width, block_size)
+    return tuple(_zigzag_coeffs(p, block_size).reshape(-1, ranks) for p in (s.y, s.cb, s.cr))
 
 
 def write_dctk(path, t: TokenArray) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .block_dct import blockify, dct2, idct2, unblockify
+from .block_dct import blockify, dct2, idct2, kept_ranks, unblockify
 from .colorspace import rgb_to_ycbcr, ycbcr_to_rgb
 from .image_io import GrayImage, RgbImage
 
@@ -72,8 +72,7 @@ def upsample_plane(low: np.ndarray, method: str, block_size: int = 4) -> np.ndar
     """2x upsample one plane by a method of METHODS; ``block_size`` is the low-res DCT block."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if block_size < 1:
-        raise ValueError(f"block size must be >= 1, got {block_size}")
+    kept_ranks(block_size)
     if method == "dct":
         return dct_upsample(low, block_size)
     return bilinear_upsample(low)

@@ -61,6 +61,13 @@ CASES = [
     ("apsd --input in/rgb --block-size 4 --t-list 0,nan --mode ve --out out/apsd_nan.csv", False),
     ("diffuse --input out/a.dctk --t nan --out out/nan.dctk", False),
     ("encode --input in/big.ppm --block-size 257 --drop 65536 --eta 1000 --out out/big.dctk", False),
+    ("ratio --block-size -1 --drop 0", False),
+    ("weights --input in/rgb --block-size 4 --drop 16 --out out/w16.json", False),
+    ("weights --input in/rgb --block-size 4 --drop 99 --out out/w99.json", False),
+    ("scan-m --input in/truncated --block-size 2 --gamma 0 --grid 0..3 --features pixels8", False),
+    ("upsample --method nearest --input in/gray/g0.pgm --output out/nearest.pgm", False),
+    ("encode --input in/rgb/i00.ppm --block-size 4 --eta 300", False),
+    ("ratio --block-size x --drop 0", False),
 ]
 
 
@@ -90,6 +97,8 @@ def build_inputs(root: Path, seed: int = 0) -> None:
         _pnm(root / "gray" / f"g{i}.pgm", rng.integers(0, 256, (32, 32)))
     _pnm(root / "big.ppm", np.full((514, 514, 3), 90))
     (root / "trailing.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(12) + b"EXTRA")
+    (root / "truncated").mkdir()
+    (root / "truncated" / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
 
 
 def snapshot(out: Path) -> list[dict]:

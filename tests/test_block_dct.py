@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dctpipe.block_dct import (
@@ -10,10 +10,15 @@ from dctpipe.block_dct import (
     from_zigzag,
     idct2,
     inverse_zigzag_order,
+    kept_ranks,
     to_zigzag,
     unblockify,
     zigzag_order,
 )
+
+from dctpipe.fd_metric import compression_ratio, scan_mstar
+from dctpipe.freq_stats import EntropyWeights
+from dctpipe.tokenizer import TokenConfig
 
 from oracles import naive_dct2_loops, naive_dct2_stack, naive_idct2_loops, zigzag_by_diagonal_walk
 
@@ -171,3 +176,37 @@ def test_from_zigzag_zero_fills_dropped_ranks(rng):
         want = coeffs[:, rank] if rank < k else np.zeros(7)
         assert np.array_equal(blocks[:, r, c], want)
     assert np.array_equal(to_zigzag(blocks)[:, :k], coeffs)
+
+
+def _rejects(fn) -> bool:
+    try:
+        fn()
+    except ValueError as exc:
+        # scan_mstar checks the dataset size only after the geometry
+        return "at least 500 images" not in str(exc)
+    return False
+
+
+@given(st.integers(min_value=-2, max_value=12), st.integers(min_value=-2, max_value=150))
+@settings(max_examples=300, deadline=None)
+@example(-1, 0)
+@example(0, 0)
+@example(1, 0)
+@example(4, 15)
+@example(4, 16)
+@example(12, 143)
+@example(12, 144)
+def test_geometry_rule_is_shared_by_its_consumers(b, m):
+    valid = b >= 1 and 0 <= m <= b * b - 1
+    if valid:
+        assert kept_ranks(b, m) == b * b - m
+    assert _rejects(lambda: kept_ranks(b, m)) == (not valid)
+    size = 2 * max(b, 1)
+    consumers = {
+        "compression_ratio": lambda: compression_ratio(b, m),
+        "TokenConfig": lambda: TokenConfig(b, m, 1.0, size, size),
+        "EntropyWeights": lambda: EntropyWeights(np.ones(max(3 * (b * b - m), 0)), b, m),
+        "scan_mstar": lambda: scan_mstar([], b, 1.0, [m]),
+    }
+    for name, fn in consumers.items():
+        assert _rejects(fn) == (not valid), name

@@ -289,6 +289,39 @@ def test_encode_with_mistyped_bounds_is_single_line_error(dataset, tmp_path, cap
         assert_single_line_error(code, err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("upsample", "--method", "nearest", "--input", "x.ppm", "--output", "y.ppm"),
+        ("encode", "--input", "x.ppm", "--block-size", 4, "--eta", 100),
+        ("ratio", "--block-size", "x", "--drop", 0),
+        ("definitely-not-a-command",),
+    ],
+)
+def test_argparse_error_is_single_line(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert_single_line_error(code, err)
+    assert err.startswith("dctpipe")
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("ratio", "--help")])
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: dctpipe")
+
+
+def test_scan_m_checks_gamma_before_reading_images(tmp_path, capsys):
+    (tmp_path / "bad.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    code, _, err = run(
+        capsys, "scan-m", "--input", tmp_path, "--block-size", 2, "--gamma", 0,
+        "--features", "pixels8",
+    )
+    assert_single_line_error(code, err)
+    assert "gamma" in err
+
+
 def test_grid_syntax_variants():
     from dctpipe.cli import _parse_grid
 

@@ -95,6 +95,10 @@ def test_weights_json_roundtrip(tmp_path, rng):
         {"weights": [1.0, 1.0, 1.0], "block_size": "1", "drop": 0},
         {"weights": [1.0, 1.0, 1.0], "block_size": 1, "drop": 0, "clamped_ranks": 3},
         {"weights": {"a": 1}, "block_size": 1, "drop": 0},
+        {"weights": [math.nan, math.nan, math.nan], "block_size": 1, "drop": 0},
+        {"weights": [1, 1, 1], "block_size": -1, "drop": 0},
+        {"weights": [], "block_size": 4, "drop": 16},
+        {"weights": [], "block_size": 0, "drop": 0},
     ],
 )
 def test_malformed_weights_json_is_value_error(tmp_path, doc):

@@ -185,3 +185,8 @@ def test_bounds_invariants():
         ScalingBounds(mode="naive", tau=98.25, block_size=2, naive_bounds=(1.0,) * 11)
     with pytest.raises(ValueError):
         ScalingBounds(mode="other", tau=98.25, block_size=2, eta=1.0)
+    with pytest.raises(ValueError):
+        ScalingBounds(mode="ecs", tau=98.25, block_size=2, eta=np.inf)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ScalingBounds(mode="naive", tau=98.25, block_size=1, naive_bounds=(1.0, bad, 1.0))
