@@ -13,7 +13,7 @@ import numpy as np
 
 from dctpipe.freq_stats import apsd, power_law_fit, snr_threshold_time
 from dctpipe.schedule import NoiseSchedule, y_integral
-from dctpipe.synth import power_law_dct_blocks
+from dctpipe.synth import power_law_coefficients
 
 
 def main():
@@ -30,9 +30,9 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     sched = NoiseSchedule()
-    blocks = power_law_dct_blocks(rng, args.blocks, args.block_size, args.k, args.alpha)
+    coeffs = power_law_coefficients(rng, args.blocks, args.block_size, args.k, args.alpha)
     t_grid = [float(v) for v in args.t_list.split(",")]
-    profiles = apsd(blocks, sched, t_grid, seed=args.seed, mode=args.mode)
+    profiles = apsd(coeffs, sched, t_grid, seed=args.seed, mode=args.mode)
 
     show = range(0, args.block_size**2, max(1, args.block_size**2 // 16))
     header = "t      " + "".join(f"r{r:<9d}" for r in show)
@@ -44,7 +44,7 @@ def main():
             floor = float(y_integral(prof.time, sched))
             print(f"       expected additive noise floor: {floor:.4f}")
 
-    clean = profiles[0] if t_grid[0] == 0 else apsd(blocks, sched, [0.0])[0]
+    clean = profiles[0] if t_grid[0] == 0 else apsd(coeffs, sched, [0.0])[0]
     k_fit, alpha_fit = power_law_fit(clean)
     print(f"\npower-law fit of the clean spectrum: K={k_fit:.4f} alpha={alpha_fit:.4f}")
 

@@ -19,16 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import fd_metric, freq_stats, scaling, upsample
-from .block_dct import blockify, kept_ranks
+from .block_dct import kept_ranks
 from .colorspace import assemble_rgb, subsample_rgb
 from .diffuse import perturb
-from .image_io import GrayImage, RgbImage, read_image, write_image
-from .schedule import NoiseSchedule, snr_factor_for_resolution
+from .image_io import RgbImage, read_image, write_image
+from .schedule import NoiseSchedule, _check_t, snr_factor_for_resolution
 from .tokenizer import (
-    LEVEL_SHIFT,
     TokenConfig,
     dct_coefficient_matrices,
     detokenize,
+    plane_to_zigzag,
     read_dctk,
     tokenize,
     write_dctk,
@@ -41,14 +41,26 @@ def _fmt(x: float) -> str:
     return f"{x:#.6g}"
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        n = int(os.environ.get("DCTK_THREADS", "1"))
+def _threads(flag: int | None) -> int:
+    """Worker threads from --threads, else DCTK_THREADS, else 1."""
+    name, n = "--threads", flag
+    if flag is None:
+        name, raw = "DCTK_THREADS", os.environ.get("DCTK_THREADS", "1")
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {raw!r}") from None
     if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
+        raise ValueError(f"{name} must be >= 1, got {n}")
     return n
+
+
+def _check_flag(flag: str, check, value) -> None:
+    """Run the library's own check on a flag's value before any file is read."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _pmap(fn, items, threads: int):
@@ -134,16 +146,16 @@ def _cmd_ratio(args) -> int:
 
 
 def _collect_samples(args):
-    threads = _threads(args)
-
     def per_image(path):
         return dct_coefficient_matrices(subsample_rgb(_read_rgb(path)), args.block_size)
 
-    triples = _pmap(per_image, _image_paths(args.input), threads)
+    triples = _pmap(per_image, _image_paths(args.input), args.threads)
     return tuple(np.concatenate([t[i] for t in triples]) for i in range(3))
 
 
 def _cmd_bounds(args) -> int:
+    _check_flag("--tau", scaling._check_tau, args.tau)
+    _check_flag("--max-samples", scaling._check_limit, args.max_samples)
     y, cb, cr = _collect_samples(args)
     if args.mode == "ecs":
         dc = scaling.reservoir_sample(y[:, 0], args.max_samples)
@@ -170,6 +182,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_weights(args) -> int:
     kept = kept_ranks(args.block_size, args.drop)
+    _check_flag("--bins", freq_stats._check_bins, args.bins)
     mats = tuple(m[:, :kept] for m in _collect_samples(args))
     w = freq_stats.entropy_weights(mats, args.block_size, args.drop, bins=args.bins)
     freq_stats.save_weights(args.out, w)
@@ -177,11 +190,10 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_scan_m(args) -> int:
-    threads = _threads(args)
     result = fd_metric.scan_mstar(
         map(_read_rgb, _image_paths(args.input)), args.block_size, args.gamma,
         _parse_grid(args.grid, args.block_size),
-        features=args.features, map_fn=lambda fn, it: _pmap(fn, it, threads),
+        features=args.features, map_fn=lambda fn, it: _pmap(fn, it, args.threads),
     )
     if args.report:
         lines = ["m,distance"] + [f"{m},{_fmt(d)}" for m, d in result.curve]
@@ -200,26 +212,28 @@ def _cmd_diffuse(args) -> int:
 
 
 def _cmd_apsd(args) -> int:
-    threads = _threads(args)
     t_grid = [float(v) for v in args.t_list.split(",")]
-    channel_idx = {"y": 0, "cb": 1, "cr": 2}[args.channel]
+    _check_flag("--t-list", _check_t, t_grid)
+    sched = _schedule_from(args)
     b = args.block_size
 
-    def blocks_of(path):
+    def coeffs_of(path):
         img = read_image(path)
-        if isinstance(img, GrayImage):
-            plane = img.pixels.astype(np.float64)
+        if isinstance(img, RgbImage):
+            plane = getattr(subsample_rgb(img), args.channel)
+        elif args.channel == "y":
+            plane = img.pixels
         else:
-            s = subsample_rgb(img)
-            plane = (s.y, s.cb, s.cr)[channel_idx]
+            raise ValueError(
+                f"{path}: a P5 gray image has no {args.channel} channel; use --channel y"
+            )
         try:
-            return blockify(plane - LEVEL_SHIFT, b).reshape(-1, b, b)
+            return plane_to_zigzag(plane, b).reshape(-1, b * b)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-    blocks = np.concatenate(_pmap(blocks_of, _image_paths(args.input), threads))
-    sched = _schedule_from(args)
-    profiles = freq_stats.apsd(blocks, sched, t_grid, seed=args.seed, mode=args.mode)
+    coeffs = np.concatenate(_pmap(coeffs_of, _image_paths(args.input), args.threads))
+    profiles = freq_stats.apsd(coeffs, sched, t_grid, seed=args.seed, mode=args.mode)
     lines = ["t,rank,power"]
     for prof in profiles:
         lines.extend(
@@ -237,11 +251,10 @@ def _cmd_upsample(args) -> int:
 
 
 def _cmd_fd(args) -> int:
-    threads = _threads(args)
     extract = fd_metric.make_feature_extractor(args.features, args.block_size)
 
     def stats_of(directory):
-        feats = _pmap(lambda p: extract(_read_rgb(p)), _image_paths(directory), threads)
+        feats = _pmap(lambda p: extract(_read_rgb(p)), _image_paths(directory), args.threads)
         return fd_metric.gaussian_stats(np.stack(feats))
 
     print(_fmt(fd_metric.frechet_distance(stats_of(args.dir_a), stats_of(args.dir_b))))
@@ -344,6 +357,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.threads = _threads(args.threads)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"dctpipe {args.command}: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Covers four jobs: per-frequency entropy weights for loss reweighting,
 the averaged power spectral density (APSD) of clean and noise-perturbed
-blocks, power-law fits of spectra, and the time at which a frequency's
-SNR crosses a threshold. The frequency axis is always the zigzag rank
+coefficients, power-law fits of spectra, and the time at which a
+frequency's SNR crosses a threshold. The frequency axis is always the zigzag rank
 of the block DCT, not a Fourier bin.
 """
 
@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .block_dct import dct2, kept_ranks, to_zigzag
+from .block_dct import kept_ranks
 from .diffuse import counter_normals, derive_stream, perturb_params
-from .schedule import NoiseSchedule, t_of_lambda, y_scaled
+from .schedule import NoiseSchedule, _check_t, t_of_lambda, y_scaled
 
 __all__ = [
     "EntropyWeights",
@@ -62,6 +62,11 @@ class EntropyWeights:
             raise ValueError("weights must be normalized to mean 1")
 
 
+def _check_bins(bins: int) -> None:
+    if bins < 16:
+        raise ValueError(f"need at least 16 histogram bins, got {bins}")
+
+
 def _hist_entropy(samples: np.ndarray, bins: int) -> float | None:
     lo, hi = samples.min(), samples.max()
     if hi == lo:
@@ -86,8 +91,7 @@ def entropy_weights(
     a global rescale of the samples shifts every entropy by the same ln k,
     so the shift cancels and the weights are scale invariant.
     """
-    if bins < 16:
-        raise ValueError(f"need at least 16 histogram bins, got {bins}")
+    _check_bins(bins)
     kept = kept_ranks(block_size, drop_count)
     mats = [np.asarray(m, dtype=np.float64) for m in channel_samples]
     if len(mats) != 3:
@@ -150,7 +154,7 @@ class SpectrumProfile:
 
 
 def apsd(
-    blocks: np.ndarray,
+    coeffs: np.ndarray,
     sched: NoiseSchedule,
     t_grid,
     seed: int = 0,
@@ -158,24 +162,23 @@ def apsd(
 ) -> list[SpectrumProfile]:
     """Monte-Carlo averaged power spectral density per zigzag rank.
 
-    ``blocks`` are spatial-domain BxB blocks, shape (n, B, B) with n >= 1000;
-    they are DCT-transformed here. For each t the blocks are perturbed in
-    DCT space and E[D_r(x_t)^2] is estimated per rank. ``mode`` selects the
+    ``coeffs`` is an (n, ranks) matrix of zigzag-ordered DCT coefficients,
+    one row per block, with n >= 1000. For each t the coefficients are
+    perturbed and E[D_r(x_t)^2] is estimated per rank. ``mode`` selects the
     kernel: "vp" is the variance-preserving x_t = m(t) x_0 + s(t) eps;
     "ve" is the additive x_t = x_0 + sigma(t) eps with sigma^2 = y'(t), the
     form under which noisy power = clean power + sigma^2 holds per rank.
     """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-        raise ValueError(f"blocks must be (n, B, B), got {blocks.shape}")
-    if blocks.shape[0] < 1000:
-        raise ValueError(f"need at least 1000 blocks, got {blocks.shape[0]}")
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.ndim != 2:
+        raise ValueError(f"coeffs must be an (n, ranks) matrix, got shape {coeffs.shape}")
+    if coeffs.shape[0] < 1000:
+        raise ValueError(f"need at least 1000 blocks, got {coeffs.shape[0]}")
     if mode not in ("vp", "ve"):
         raise ValueError(f"mode must be 'vp' or 've', got {mode!r}")
 
-    coeffs = to_zigzag(dct2(blocks))
     profiles = []
-    for ti, t in enumerate(np.atleast_1d(np.asarray(t_grid, dtype=np.float64))):
+    for ti, t in enumerate(np.atleast_1d(_check_t(t_grid))):
         if t == 0:
             xt = coeffs
         else:

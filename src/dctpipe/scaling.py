@@ -45,6 +45,11 @@ def _check_tau(tau: float) -> float:
     return float(tau)
 
 
+def _check_limit(limit: int) -> None:
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+
+
 def _percentile_bound(samples: np.ndarray, tau: float) -> float:
     up = np.percentile(samples, tau)
     low = np.percentile(samples, 100.0 - tau)
@@ -106,8 +111,7 @@ def reservoir_sample(samples: np.ndarray, limit: int, seed: int = 0) -> np.ndarr
     selection depends only on (input order, limit, seed).
     """
     x = np.asarray(samples)
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    _check_limit(limit)
     if x.size <= limit:
         return x
     # Keep the `limit` smallest keys: equivalent to a uniform reservoir.

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .block_dct import from_zigzag, idct2, unblockify
 from .colorspace import SubsampledImage, assemble_rgb
 from .fd_metric import reconstruct_rgb
 from .image_io import RgbImage
+from .tokenizer import plane_from_zigzag
 
-__all__ = ["smooth_cosine_plane", "power_law_dct_blocks", "band_limited_image"]
+__all__ = ["smooth_cosine_plane", "power_law_coefficients", "band_limited_image"]
 
 
 def smooth_cosine_plane(rng: np.random.Generator, size: int, max_freq: int = 8) -> np.ndarray:
@@ -29,19 +29,17 @@ def smooth_cosine_plane(rng: np.random.Generator, size: int, max_freq: int = 8) 
     return 128.0 + 90.0 * plane / span
 
 
-def power_law_dct_blocks(
+def power_law_coefficients(
     rng: np.random.Generator, n: int, b: int, k: float = 3.0, alpha: float = 2.0
 ) -> np.ndarray:
-    """``n`` spatial BxB blocks whose DCT coefficients follow E[D_r^2] = K r^-alpha.
+    """(n, B^2) zigzag-ordered DCT coefficients of BxB blocks with E[D_r^2] = K r^-alpha.
 
-    Rank 0 gets power 4K, keeping the spectrum monotone. Built by drawing
-    zigzag-rank-scaled normals and inverse transforming, so a forward DCT
-    recovers the spectrum.
+    Rank 0 gets power 4K, keeping the spectrum monotone. Each row is one
+    block's coefficients, drawn as zigzag-rank-scaled normals.
     """
     ranks = np.arange(1, b * b, dtype=float)
     power = np.concatenate(([4.0 * k], k * ranks**-alpha))
-    coeffs = rng.normal(size=(n, b * b)) * np.sqrt(power)
-    return idct2(from_zigzag(coeffs, b))
+    return rng.normal(size=(n, b * b)) * np.sqrt(power)
 
 
 def band_limited_image(rng: np.random.Generator, size: int, b: int, zero_top: int) -> RgbImage:
@@ -62,8 +60,7 @@ def band_limited_image(rng: np.random.Generator, size: int, b: int, zero_top: in
     scale[0] = 40.0
 
     def plane(p):
-        coeffs = rng.normal(size=(p // b, p // b, n_ranks)) * scale
-        return 128.0 + unblockify(idct2(from_zigzag(coeffs, b)))
+        return plane_from_zigzag(rng.normal(size=(p // b, p // b, n_ranks)) * scale, b)
 
     img = assemble_rgb(SubsampledImage(plane(size), plane(size // 2), plane(size // 2)))
     return reconstruct_rgb(img, b, 0)

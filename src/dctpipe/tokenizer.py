@@ -26,6 +26,8 @@ __all__ = [
     "tokenize",
     "detokenize",
     "dct_coefficient_matrices",
+    "plane_to_zigzag",
+    "plane_from_zigzag",
     "write_dctk",
     "read_dctk",
 ]
@@ -91,8 +93,8 @@ class TokenArray:
             raise ValueError(f"token matrix shape {self.tokens.shape} != expected {want}")
 
 
-def _zigzag_coeffs(plane: np.ndarray, b: int) -> np.ndarray:
-    """Level-shifted plane -> (grid_h, grid_w, B^2) zigzag-ordered DCT coefficients."""
+def plane_to_zigzag(plane: np.ndarray, b: int) -> np.ndarray:
+    """Plane -> (H/B, W/B, B^2) zigzag-ordered DCT coefficients of its level-shifted BxB blocks."""
     return to_zigzag(dct2(blockify(plane - LEVEL_SHIFT, b)))
 
 
@@ -104,13 +106,13 @@ def tokenize(s: SubsampledImage, cfg: TokenConfig) -> TokenArray:
         )
     b, k, n = cfg.block_size, cfg.kept, cfg.token_count
     # each 2x2 tile of the luma block grid is one token's [TL, TR, BL, BR]
-    parts = [blockify(_zigzag_coeffs(s.y, b)[..., :k], 2).reshape(n, 4 * k)]
-    parts += [_zigzag_coeffs(p, b)[..., :k].reshape(n, k) for p in (s.cb, s.cr)]
+    parts = [blockify(plane_to_zigzag(s.y, b)[..., :k], 2).reshape(n, 4 * k)]
+    parts += [plane_to_zigzag(p, b)[..., :k].reshape(n, k) for p in (s.cb, s.cr)]
     return TokenArray(cfg, np.concatenate(parts, axis=1) / cfg.eta)
 
 
-def _plane_from_zigzag(coeffs: np.ndarray, b: int) -> np.ndarray:
-    """(grid_h, grid_w, k) zigzag coefficients -> plane (level shift restored)."""
+def plane_from_zigzag(coeffs: np.ndarray, b: int) -> np.ndarray:
+    """Invert :func:`plane_to_zigzag`: (H/B, W/B, k) coefficients -> plane, ranks >= k zero."""
     return unblockify(idct2(from_zigzag(coeffs, b))) + LEVEL_SHIFT
 
 
@@ -121,7 +123,7 @@ def detokenize(t: TokenArray) -> SubsampledImage:
     nh, nw = cfg.height // (2 * b), cfg.width // (2 * b)
     segs = (t.tokens * cfg.eta).reshape(nh, nw, 6, k)
     ys = unblockify(segs[:, :, :4].reshape(nh, nw, 2, 2, k))
-    return SubsampledImage(*(_plane_from_zigzag(c, b) for c in (ys, segs[:, :, 4], segs[:, :, 5])))
+    return SubsampledImage(*(plane_from_zigzag(c, b) for c in (ys, segs[:, :, 4], segs[:, :, 5])))
 
 
 def dct_coefficient_matrices(
@@ -135,7 +137,7 @@ def dct_coefficient_matrices(
     """
     ranks = kept_ranks(block_size)
     _check_patch_tiling(s.height, s.width, block_size)
-    return tuple(_zigzag_coeffs(p, block_size).reshape(-1, ranks) for p in (s.y, s.cb, s.cr))
+    return tuple(plane_to_zigzag(p, block_size).reshape(-1, ranks) for p in (s.y, s.cb, s.cr))
 
 
 def write_dctk(path, t: TokenArray) -> None:

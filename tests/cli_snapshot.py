@@ -68,6 +68,12 @@ CASES = [
     ("upsample --method nearest --input in/gray/g0.pgm --output out/nearest.pgm", False),
     ("encode --input in/rgb/i00.ppm --block-size 4 --eta 300", False),
     ("ratio --block-size x --drop 0", False),
+    ("bounds --input in/truncated --block-size 2 --tau 100 --out out/tau100.json", False),
+    ("bounds --input in/truncated --block-size 2 --mode naive --max-samples 0 --out out/ms0.json", False),
+    ("weights --input in/truncated --block-size 2 --bins 10 --out out/bins10.json", False),
+    ("apsd --input in/truncated --block-size 2 --t-list 0,2 --out out/apsd_t2.csv", False),
+    ("apsd --input in/gray --block-size 2 --t-list 0 --channel cb --out out/apsd_gray_cb.csv", False),
+    ("ratio --block-size 4 --drop 0 --threads 0", False),
 ]
 
 

@@ -32,7 +32,7 @@ from dctpipe.schedule import (
     y_integral,
     y_scaled,
 )
-from dctpipe.synth import band_limited_image, power_law_dct_blocks, smooth_cosine_plane
+from dctpipe.synth import band_limited_image, power_law_coefficients, smooth_cosine_plane
 from dctpipe.tokenizer import TokenConfig, detokenize, tokenize
 from dctpipe.upsample import avg_pool2, bilinear_upsample, dct_upsample, psnr
 
@@ -179,9 +179,9 @@ def test_criterion_6_spectral_autoregression():
     start = time.monotonic()
     rng = np.random.default_rng(SEED)
     sched = NoiseSchedule()
-    blocks = power_law_dct_blocks(rng, 100_000, 8, k=3.0, alpha=2.0)
+    coeffs = power_law_coefficients(rng, 100_000, 8, k=3.0, alpha=2.0)
     t = 0.4
-    clean, noisy = apsd(blocks, sched, [0.0, t], seed=7, mode="ve")
+    clean, noisy = apsd(coeffs, sched, [0.0, t], seed=7, mode="ve")
     diff = noisy.powers - clean.powers
     sigma2 = float(y_integral(t, sched))
     flat_dev = np.abs(diff / diff.mean() - 1.0).max()

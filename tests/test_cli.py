@@ -322,6 +322,70 @@ def test_scan_m_checks_gamma_before_reading_images(tmp_path, capsys):
     assert "gamma" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("bounds", "--tau", 100), "--tau"),
+        (("bounds", "--tau", 50), "--tau"),
+        (("bounds", "--mode", "naive", "--max-samples", 0), "--max-samples"),
+        (("weights", "--bins", 10), "--bins"),
+        (("apsd", "--t-list", "0,2"), "--t-list"),
+        (("apsd", "--t-list", "0,nan"), "--t-list"),
+    ],
+)
+def test_numeric_flags_are_checked_before_reading_images(tmp_path, capsys, argv, flag):
+    (tmp_path / "bad.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    cmd, *rest = argv
+    code, _, err = run(
+        capsys, cmd, "--input", tmp_path, "--block-size", 2, *rest, "--out", tmp_path / "x"
+    )
+    assert_single_line_error(code, err)
+    assert flag in err
+    assert "truncated" not in err
+
+
+@pytest.mark.parametrize("channel", ["cb", "cr"])
+def test_apsd_chroma_of_gray_image_is_single_line_error(tmp_path, rng, capsys, channel):
+    from dctpipe.image_io import GrayImage
+
+    gray = tmp_path / "g.pgm"
+    write_image(gray, GrayImage(rng.integers(0, 256, (32, 32), dtype=np.uint8)))
+    out = tmp_path / "p.csv"
+    code, _, err = run(
+        capsys, "apsd", "--input", tmp_path, "--block-size", 2, "--t-list", "0",
+        "--channel", channel, "--out", out,
+    )
+    assert_single_line_error(code, err)
+    assert str(gray) in err and channel in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ratio", "--block-size", 4, "--drop", 0),
+        ("encode", "--input", "x.ppm", "--block-size", 4, "--eta", 100, "--out", "x.dctk"),
+        ("decode", "--input", "x.dctk", "--out", "x.ppm"),
+        ("bounds", "--input", "imgs", "--block-size", 4, "--out", "b.json"),
+    ],
+)
+def test_threads_flag_is_checked_for_every_command(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv, "--threads", 0)
+    assert_single_line_error(code, err)
+    assert "--threads" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_dctk_threads_variable_is_named(capsys, monkeypatch, value):
+    monkeypatch.setenv("DCTK_THREADS", value)
+    code, _, err = run(capsys, "ratio", "--block-size", 4, "--drop", 0)
+    assert_single_line_error(code, err)
+    assert "DCTK_THREADS" in err
+    monkeypatch.setenv("DCTK_THREADS", "abc")
+    assert run(capsys, "ratio", "--block-size", 4, "--drop", 0, "--threads", 1)[0] == 0
+
+
 def test_grid_syntax_variants():
     from dctpipe.cli import _parse_grid
 

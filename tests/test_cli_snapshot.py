@@ -8,6 +8,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = {
     "encode", "decode", "ratio", "bounds", "weights", "scan-m", "diffuse", "apsd", "upsample", "fd",
 }
+# valid cases whose bytes run through BLAS matmuls: both RGB apsd runs, naive bounds,
+# weights, dctstats fd, the B=8 codec round trip and DCT upsampling
+BLAS_CASES = (
+    "out/apsd_y.csv", "out/apsd_cb.csv", "out/naive2.json", "out/w4.json",
+    "--features dctstats --block-size 4", "--out out/b.dctk", "--out out/b.ppm", "out/up_dct.ppm",
+)
 
 
 def test_snapshot_exits_0_or_2_with_one_stderr_line(tmp_path, monkeypatch):
@@ -20,3 +26,22 @@ def test_snapshot_exits_0_or_2_with_one_stderr_line(tmp_path, monkeypatch):
         assert "Traceback" not in entry["stderr"], entry
         if not ok:
             assert len(entry["stderr"].splitlines()) == 1, entry
+
+
+def test_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(SRC))
+    subset = [(argv, ok) for argv, ok in cli_snapshot.CASES if any(k in argv for k in BLAS_CASES)]
+    assert len(subset) == len(BLAS_CASES) and all(ok for _, ok in subset)
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(threads))
+        monkeypatch.setattr(
+            cli_snapshot, "CASES", [(f"{argv} --threads {threads}", ok) for argv, ok in subset]
+        )
+        out = tmp_path / f"blas{threads}"
+        log = cli_snapshot.snapshot(out)
+        assert all(entry["exit"] == 0 for entry in log), log
+        files = {p.name: p.read_bytes() for p in sorted((out / "out").iterdir())}
+        assert len(files) == 7
+        runs.append(([(e["stdout"], e["stderr"]) for e in log], files))
+    assert runs[0] == runs[1]

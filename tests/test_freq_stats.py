@@ -15,8 +15,9 @@ from dctpipe.freq_stats import (
     save_weights,
     snr_threshold_time,
 )
+from dctpipe.block_dct import dct2, to_zigzag
 from dctpipe.schedule import NoiseSchedule, snr, y_integral
-from dctpipe.synth import power_law_dct_blocks
+from dctpipe.synth import power_law_coefficients
 
 from oracles import gaussian_differential_entropy
 
@@ -153,22 +154,22 @@ def test_ebfr_length_mismatch(rng):
 
 def test_apsd_white_noise_is_flat(rng):
     blocks = rng.normal(size=(100_000, 2, 2))
-    (profile,) = apsd(blocks, DEFAULTS, [0.0])
+    (profile,) = apsd(to_zigzag(dct2(blocks)), DEFAULTS, [0.0])
     assert profile.time == 0.0
     assert np.abs(profile.powers - 1.0).max() < 0.03
 
 
 def test_apsd_clean_profile_decays(rng):
-    blocks = power_law_dct_blocks(rng, 20_000, 4, k=3.0, alpha=2.0)
-    (profile,) = apsd(blocks, DEFAULTS, [0.0])
+    coeffs = power_law_coefficients(rng, 20_000, 4, k=3.0, alpha=2.0)
+    (profile,) = apsd(coeffs, DEFAULTS, [0.0])
     inversions = int(np.sum(np.diff(profile.powers) > 0))
     assert inversions <= 0.05 * (profile.powers.size - 1)
 
 
 def test_apsd_ve_noise_floor_matches_theory(rng):
-    blocks = power_law_dct_blocks(rng, 50_000, 4, k=3.0, alpha=2.0)
+    coeffs = power_law_coefficients(rng, 50_000, 4, k=3.0, alpha=2.0)
     t = 0.4
-    clean, noisy = apsd(blocks, DEFAULTS, [0.0, t], seed=11, mode="ve")
+    clean, noisy = apsd(coeffs, DEFAULTS, [0.0, t], seed=11, mode="ve")
     diff = noisy.powers - clean.powers
     sigma2 = float(y_integral(t, DEFAULTS))
     assert np.abs(diff / sigma2 - 1.0).max() < 0.05
@@ -176,25 +177,25 @@ def test_apsd_ve_noise_floor_matches_theory(rng):
 
 def test_apsd_vp_mode_variance_preserving(rng):
     # VP at large t: profile approaches 1 (pure unit noise) at every rank
-    blocks = power_law_dct_blocks(rng, 20_000, 2, k=0.5, alpha=1.0)
-    (noisy,) = apsd(blocks, DEFAULTS, [1.0], seed=3, mode="vp")
+    coeffs = power_law_coefficients(rng, 20_000, 2, k=0.5, alpha=1.0)
+    (noisy,) = apsd(coeffs, DEFAULTS, [1.0], seed=3, mode="vp")
     assert np.abs(noisy.powers - 1.0).max() < 0.1
 
 
 def test_apsd_deterministic(rng):
-    blocks = rng.normal(size=(1000, 2, 2))
-    a = apsd(blocks, DEFAULTS, [0.3], seed=5)[0].powers
-    b = apsd(blocks, DEFAULTS, [0.3], seed=5)[0].powers
+    coeffs = to_zigzag(dct2(rng.normal(size=(1000, 2, 2))))
+    a = apsd(coeffs, DEFAULTS, [0.3], seed=5)[0].powers
+    b = apsd(coeffs, DEFAULTS, [0.3], seed=5)[0].powers
     assert np.array_equal(a, b)
 
 
 def test_apsd_validation(rng):
     with pytest.raises(ValueError):
-        apsd(rng.normal(size=(10, 2, 2)), DEFAULTS, [0.0])
+        apsd(rng.normal(size=(10, 4)), DEFAULTS, [0.0])
     with pytest.raises(ValueError):
-        apsd(rng.normal(size=(2000, 2, 3)), DEFAULTS, [0.0])
+        apsd(rng.normal(size=(2000, 2, 2)), DEFAULTS, [0.0])  # a 3-D array
     with pytest.raises(ValueError):
-        apsd(rng.normal(size=(2000, 2, 2)), DEFAULTS, [0.0], mode="other")
+        apsd(rng.normal(size=(2000, 4)), DEFAULTS, [0.0], mode="other")
 
 
 def test_power_law_fit_exact():
@@ -209,14 +210,14 @@ def test_power_law_fit_exact():
 
 def test_power_law_fit_white_noise_is_flat(rng):
     blocks = rng.normal(size=(200_000, 4, 4))
-    (profile,) = apsd(blocks, DEFAULTS, [0.0])
+    (profile,) = apsd(to_zigzag(dct2(blocks)), DEFAULTS, [0.0])
     _, alpha = power_law_fit(profile)
     assert abs(alpha) < 0.05
 
 
 def test_power_law_fit_recovers_synthetic_alpha(rng):
-    blocks = power_law_dct_blocks(rng, 50_000, 4, k=2.0, alpha=1.5)
-    (profile,) = apsd(blocks, DEFAULTS, [0.0])
+    coeffs = power_law_coefficients(rng, 50_000, 4, k=2.0, alpha=1.5)
+    (profile,) = apsd(coeffs, DEFAULTS, [0.0])
     _, alpha = power_law_fit(profile)
     assert 1.35 <= alpha <= 1.65
 

@@ -4,16 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dctpipe.colorspace import SubsampledImage
-from dctpipe.synth import power_law_dct_blocks
+from dctpipe.synth import power_law_coefficients
 from dctpipe.tokenizer import (
     TokenArray,
     TokenConfig,
     dct_coefficient_matrices,
     detokenize,
+    plane_from_zigzag,
+    plane_to_zigzag,
     read_dctk,
     tokenize,
     write_dctk,
 )
+
+from oracles import naive_dct2_stack, zigzag_by_diagonal_walk
 
 
 def random_subsampled(rng, h, w):
@@ -119,8 +123,8 @@ def test_energy_ordering_on_spectral_synthetic(rng):
     # plane synthesized with per-rank decaying variance; tokenizer statistics
     # must recover a (mostly) non-increasing variance by zigzag rank
     b = 4
-    blocks = power_law_dct_blocks(rng, 4096, b, k=30.0, alpha=1.5) + 128.0
-    plane = blocks.reshape(64, 64, b, b).swapaxes(1, 2).reshape(256, 256)
+    coeffs = power_law_coefficients(rng, 4096, b, k=30.0, alpha=1.5)
+    plane = plane_from_zigzag(coeffs.reshape(64, 64, b * b), b)
     s = SubsampledImage(plane, np.full((128, 128), 128.0), np.full((128, 128), 128.0))
     y_mat, _, _ = dct_coefficient_matrices(s, b)
     variances = y_mat.var(axis=0)
@@ -160,6 +164,23 @@ def test_roundtrip_property(b_exp, seed):
     assert np.abs(out.y - s.y).max() < 1e-9
     assert np.abs(out.cb - s.cb).max() < 1e-9
     assert np.abs(out.cr - s.cr).max() < 1e-9
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_plane_zigzag_transform_matches_direct_evaluation(rng, b):
+    # a 3x2 grid of BxB tiles: each tile's level-shifted DCT, gathered along the zigzag walk
+    plane = rng.uniform(0, 255, (3 * b, 2 * b))
+    coeffs = plane_to_zigzag(plane, b)
+    assert coeffs.shape == (3, 2, b * b)
+    walk = zigzag_by_diagonal_walk(b)
+    for i in range(3):
+        for j in range(2):
+            tile = naive_dct2_stack(plane[i * b : (i + 1) * b, j * b : (j + 1) * b] - 128.0)
+            assert np.allclose(coeffs[i, j], [tile[u, v] for u, v in walk], atol=1e-9)
+    assert np.abs(plane_from_zigzag(coeffs, b) - plane).max() < 1e-9
+    kept = coeffs.copy()
+    kept[..., 1:] = 0.0
+    assert np.array_equal(plane_from_zigzag(coeffs[..., :1], b), plane_from_zigzag(kept, b))
 
 
 def test_dctk_file_roundtrip(tmp_path, rng):
