@@ -10,8 +10,9 @@ import argparse
 
 import numpy as np
 
+from dctpipe.block_dct import avg_pool
 from dctpipe.synth import smooth_cosine_plane
-from dctpipe.upsample import avg_pool2, bilinear_upsample, dct_upsample, psnr
+from dctpipe.upsample import bilinear_upsample, dct_upsample, psnr
 
 
 def main():
@@ -27,7 +28,7 @@ def main():
     rows = []
     for _ in range(args.images):
         truth = smooth_cosine_plane(rng, args.size, args.max_freq)
-        low = avg_pool2(truth)
+        low = avg_pool(truth, 2)
         rows.append(
             (
                 psnr(truth, dct_upsample(low, args.block_size)),

@@ -1,11 +1,9 @@
 """DCT-space image pipeline: codec, scaling, schedules, and spectra."""
 
-from .block_dct import dct2, idct2, zigzag_order
+from .block_dct import avg_pool, dct2, idct2, zigzag_order
 from .colorspace import (
     SubsampledImage,
     assemble_rgb,
-    chroma_downsample,
-    chroma_upsample,
     rgb_to_ycbcr,
     subsample_rgb,
     ycbcr_to_rgb,
@@ -42,6 +40,6 @@ from .schedule import (
     y_scaled,
 )
 from .tokenizer import TokenArray, TokenConfig, detokenize, read_dctk, tokenize, write_dctk
-from .upsample import avg_pool2, bilinear_upsample, dct_upsample, psnr
+from .upsample import bilinear_upsample, dct_upsample, psnr
 
 __version__ = "0.1.0"

@@ -8,8 +8,10 @@ stacks of blocks (shape (..., B, B)) and run as batched matmuls.
 The block-grid geometry of the package lives here once. :func:`kept_ranks`
 checks a block size B and drop count m; :func:`blockify`
 views an (H, W, ...) grid as (H/bh, W/bw, bh, bw, ...) tiles (DCT blocks,
-pooling cells, the 2x2 luma blocks of a token) and :func:`unblockify`
-undoes it; :func:`to_zigzag` gathers (..., B, B) blocks into zigzag rank
+the 2x2 luma blocks of a token) and :func:`unblockify` undoes it;
+:func:`avg_pool` takes the mean of each tile (2x2 chroma subsampling, the
+low-resolution side of DCT upsampling, the 8x8 luma feature grid);
+:func:`to_zigzag` gathers (..., B, B) blocks into zigzag rank
 order and :func:`from_zigzag` scatters truncated rank vectors back,
 zero-filling the dropped ranks.
 """
@@ -21,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "kept_ranks", "basis_matrix", "dct2", "idct2", "zigzag_order", "inverse_zigzag_order",
-    "to_zigzag", "from_zigzag", "blockify", "unblockify",
+    "kept_ranks", "dct2", "idct2", "zigzag_order", "to_zigzag", "from_zigzag",
+    "blockify", "unblockify", "avg_pool",
 ]
 
 
@@ -47,11 +49,6 @@ def _basis(block_size: int) -> np.ndarray:
     t[0, :] = np.sqrt(1.0 / b)
     t.setflags(write=False)
     return t
-
-
-def basis_matrix(block_size: int) -> np.ndarray:
-    """Return the orthonormal 1D DCT-II basis matrix (a fresh copy)."""
-    return _basis(block_size).copy()
 
 
 def _check_square(block: np.ndarray) -> int:
@@ -97,16 +94,6 @@ def zigzag_order(block_size: int) -> np.ndarray:
     return perm
 
 
-@lru_cache(maxsize=None)
-def inverse_zigzag_order(block_size: int) -> np.ndarray:
-    """Inverse permutation: flattened coefficient index -> zigzag rank."""
-    perm = zigzag_order(block_size)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size, dtype=np.intp)
-    inv.setflags(write=False)
-    return inv
-
-
 def to_zigzag(blocks: np.ndarray) -> np.ndarray:
     """Gather (..., B, B) blocks into (..., B^2) coefficients in zigzag rank order."""
     blocks = np.asarray(blocks)
@@ -138,6 +125,11 @@ def blockify(grid: np.ndarray, bh: int, bw: int | None = None) -> np.ndarray:
     if bh < 1 or bw < 1 or h % bh or w % bw:
         raise ValueError(f"grid {w}x{h} is not tiled by {bw}x{bh} blocks")
     return grid.reshape(h // bh, bh, w // bw, bw, *grid.shape[2:]).swapaxes(1, 2)
+
+
+def avg_pool(grid: np.ndarray, bh: int, bw: int | None = None) -> np.ndarray:
+    """Mean of each (bh, bw) tile of an (H, W, ...) grid: (H/bh, W/bw, ...)."""
+    return blockify(grid, bh, bw).mean(axis=(2, 3))
 
 
 def unblockify(blocks: np.ndarray) -> np.ndarray:

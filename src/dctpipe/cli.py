@@ -55,12 +55,17 @@ def _threads(flag: int | None) -> int:
     return n
 
 
-def _check_flag(flag: str, check, value) -> None:
-    """Run the library's own check on a flag's value before any file is read."""
+def _check_flag(flag: str, check, value):
+    """Run the library's own check (or a parse) on a flag's value before any file is read."""
     try:
-        check(value)
+        return check(value)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
+
+
+def _per_file(fn):
+    """Wrap a per-file function so that a ValueError it raises names the file."""
+    return lambda path: _check_flag(path, fn, path)
 
 
 def _pmap(fn, items, threads: int):
@@ -84,7 +89,7 @@ def _image_paths(directory) -> list[Path]:
 def _read_rgb(path) -> RgbImage:
     img = read_image(path)
     if not isinstance(img, RgbImage):
-        raise ValueError(f"{path}: expected a P6 color image")
+        raise ValueError("expected a P6 color image")
     return img
 
 
@@ -112,7 +117,7 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_encode(args) -> int:
-    img = _read_rgb(args.input)
+    img = _per_file(_read_rgb)(args.input)
     if args.eta is not None:
         eta = args.eta
     elif args.bounds is not None:
@@ -149,13 +154,14 @@ def _collect_samples(args):
     def per_image(path):
         return dct_coefficient_matrices(subsample_rgb(_read_rgb(path)), args.block_size)
 
-    triples = _pmap(per_image, _image_paths(args.input), args.threads)
+    triples = _pmap(_per_file(per_image), _image_paths(args.input), args.threads)
     return tuple(np.concatenate([t[i] for t in triples]) for i in range(3))
 
 
 def _cmd_bounds(args) -> int:
     _check_flag("--tau", scaling._check_tau, args.tau)
     _check_flag("--max-samples", scaling._check_limit, args.max_samples)
+    kept_ranks(args.block_size)
     y, cb, cr = _collect_samples(args)
     if args.mode == "ecs":
         dc = scaling.reservoir_sample(y[:, 0], args.max_samples)
@@ -191,8 +197,8 @@ def _cmd_weights(args) -> int:
 
 def _cmd_scan_m(args) -> int:
     result = fd_metric.scan_mstar(
-        map(_read_rgb, _image_paths(args.input)), args.block_size, args.gamma,
-        _parse_grid(args.grid, args.block_size),
+        map(_per_file(_read_rgb), _image_paths(args.input)), args.block_size, args.gamma,
+        _check_flag("--grid", lambda g: _parse_grid(g, args.block_size), args.grid),
         features=args.features, map_fn=lambda fn, it: _pmap(fn, it, args.threads),
     )
     if args.report:
@@ -212,10 +218,11 @@ def _cmd_diffuse(args) -> int:
 
 
 def _cmd_apsd(args) -> int:
-    t_grid = [float(v) for v in args.t_list.split(",")]
+    t_grid = _check_flag("--t-list", lambda text: [float(v) for v in text.split(",")], args.t_list)
     _check_flag("--t-list", _check_t, t_grid)
     sched = _schedule_from(args)
     b = args.block_size
+    kept_ranks(b)
 
     def coeffs_of(path):
         img = read_image(path)
@@ -224,15 +231,10 @@ def _cmd_apsd(args) -> int:
         elif args.channel == "y":
             plane = img.pixels
         else:
-            raise ValueError(
-                f"{path}: a P5 gray image has no {args.channel} channel; use --channel y"
-            )
-        try:
-            return plane_to_zigzag(plane, b).reshape(-1, b * b)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"a P5 gray image has no {args.channel} channel; use --channel y")
+        return plane_to_zigzag(plane, b).reshape(-1, b * b)
 
-    coeffs = np.concatenate(_pmap(coeffs_of, _image_paths(args.input), args.threads))
+    coeffs = np.concatenate(_pmap(_per_file(coeffs_of), _image_paths(args.input), args.threads))
     profiles = freq_stats.apsd(coeffs, sched, t_grid, seed=args.seed, mode=args.mode)
     lines = ["t,rank,power"]
     for prof in profiles:
@@ -254,7 +256,9 @@ def _cmd_fd(args) -> int:
     extract = fd_metric.make_feature_extractor(args.features, args.block_size)
 
     def stats_of(directory):
-        feats = _pmap(lambda p: extract(_read_rgb(p)), _image_paths(directory), args.threads)
+        feats = _pmap(
+            _per_file(lambda p: extract(_read_rgb(p))), _image_paths(directory), args.threads
+        )
         return fd_metric.gaussian_stats(np.stack(feats))
 
     print(_fmt(fd_metric.frechet_distance(stats_of(args.dir_a), stats_of(args.dir_b))))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_dct import blockify
+from .block_dct import avg_pool
 from .image_io import RgbImage
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "SubsampledImage",
     "rgb_to_ycbcr",
     "ycbcr_to_rgb",
-    "chroma_downsample",
-    "chroma_upsample",
     "subsample_rgb",
     "assemble_rgb",
 ]
@@ -101,25 +99,13 @@ def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> RgbImage:
     return RgbImage(np.clip(np.rint(rgb), 0, 255).astype(np.uint8))
 
 
-def chroma_downsample(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> SubsampledImage:
-    """2x2 mean-pool the chroma planes; the Y plane passes through untouched."""
-    y, cb, cr = (np.asarray(p, dtype=np.float64) for p in (y, cb, cr))
-    cb, cr = (blockify(p, 2).mean(axis=(2, 3)) for p in (cb, cr))
-    return SubsampledImage(y, cb, cr)
-
-
-def chroma_upsample(s: SubsampledImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replicate each chroma sample into its 2x2 cell (nearest-neighbor)."""
-    cb = np.repeat(np.repeat(s.cb, 2, axis=0), 2, axis=1)
-    cr = np.repeat(np.repeat(s.cr, 2, axis=0), 2, axis=1)
-    return s.y.copy(), cb, cr
-
-
 def subsample_rgb(img) -> SubsampledImage:
     """RGB image -> subsampled YCbCr representation (encode-side pipeline)."""
-    return chroma_downsample(*rgb_to_ycbcr(img))
+    y, cb, cr = rgb_to_ycbcr(img)
+    return SubsampledImage(y, avg_pool(cb, 2), avg_pool(cr, 2))
 
 
 def assemble_rgb(s: SubsampledImage) -> RgbImage:
     """Subsampled YCbCr representation -> 8-bit RGB image (decode-side pipeline)."""
-    return ycbcr_to_rgb(*chroma_upsample(s))
+    cb, cr = (np.repeat(np.repeat(p, 2, axis=0), 2, axis=1) for p in (s.cb, s.cr))
+    return ycbcr_to_rgb(s.y, cb, cr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_dct import blockify, kept_ranks
+from .block_dct import avg_pool, kept_ranks
 from .colorspace import assemble_rgb, rgb_to_ycbcr, subsample_rgb
 from .image_io import RgbImage
 from .tokenizer import TokenConfig, dct_coefficient_matrices, detokenize, tokenize
@@ -112,7 +112,7 @@ def extract_pixel_features(img: RgbImage) -> np.ndarray:
     h, w = y.shape
     if h % 8 or w % 8:
         raise ValueError(f"plane {w}x{h} is not divisible by the 8x8 feature grid")
-    return blockify(y, h // 8, w // 8).mean(axis=(2, 3)).ravel()
+    return avg_pool(y, h // 8, w // 8).ravel()
 
 
 def extract_dct_stat_features(img: RgbImage, block_size: int) -> np.ndarray:
@@ -128,6 +128,7 @@ def make_feature_extractor(mode: str, block_size: int | None = None):
     if mode == "dctstats":
         if block_size is None:
             raise ValueError("dctstats features need a block size")
+        kept_ranks(block_size)
         return lambda img: extract_dct_stat_features(img, block_size)
     raise ValueError(f"unknown feature mode {mode!r} (want one of {FEATURE_MODES})")
 

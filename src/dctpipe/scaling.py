@@ -50,10 +50,10 @@ def _check_limit(limit: int) -> None:
         raise ValueError(f"limit must be >= 1, got {limit}")
 
 
-def _percentile_bound(samples: np.ndarray, tau: float) -> float:
-    up = np.percentile(samples, tau)
-    low = np.percentile(samples, 100.0 - tau)
-    return float(max(abs(up), abs(low)))
+def _envelope(samples: np.ndarray, tau: float, axis: int | None = None):
+    """max(|P_tau|, |P_{100-tau}|) of ``samples``, over ``axis`` (all values by default)."""
+    up, low = np.percentile(samples, (tau, 100.0 - tau), axis=axis)
+    return np.maximum(np.abs(up), np.abs(low))
 
 
 def estimate_ecs_bound(dc_samples, tau: float = DEFAULT_TAU) -> float:
@@ -67,7 +67,7 @@ def estimate_ecs_bound(dc_samples, tau: float = DEFAULT_TAU) -> float:
         raise ValueError(f"need at least 2 DC samples, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("DC samples contain non-finite values")
-    eta = _percentile_bound(x, tau)
+    eta = float(_envelope(x, tau))
     if eta <= 0:
         raise ValueError("DC percentile bound is zero; dataset has no luma spread")
     return eta
@@ -94,9 +94,7 @@ def estimate_naive_bounds(channel_samples, tau: float = DEFAULT_TAU) -> np.ndarr
             raise ValueError(f"{name} channel needs at least 2 blocks, got {mat.shape[0]}")
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"{name} samples contain non-finite values")
-        up = np.percentile(mat, tau, axis=0)
-        low = np.percentile(mat, 100.0 - tau, axis=0)
-        bounds.append(np.maximum(np.abs(up), np.abs(low)))
+        bounds.append(_envelope(mat, tau, axis=0))
     out = np.concatenate(bounds)
     if np.any(out <= 0):
         bad = int(np.argmax(out <= 0))

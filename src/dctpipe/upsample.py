@@ -21,7 +21,6 @@ from .colorspace import rgb_to_ycbcr, ycbcr_to_rgb
 from .image_io import GrayImage, RgbImage
 
 __all__ = [
-    "avg_pool2",
     "dct_upsample",
     "bilinear_upsample",
     "upsample_plane",
@@ -31,11 +30,6 @@ __all__ = [
 ]
 
 METHODS = ("dct", "bilinear")
-
-
-def avg_pool2(plane: np.ndarray) -> np.ndarray:
-    """2x2 average pooling; the exact adjoint premise of DCT upsampling."""
-    return blockify(np.asarray(plane, dtype=np.float64), 2).mean(axis=(2, 3))
 
 
 def dct_upsample(low: np.ndarray, block_size: int) -> np.ndarray:

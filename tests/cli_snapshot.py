@@ -74,6 +74,12 @@ CASES = [
     ("apsd --input in/truncated --block-size 2 --t-list 0,2 --out out/apsd_t2.csv", False),
     ("apsd --input in/gray --block-size 2 --t-list 0 --channel cb --out out/apsd_gray_cb.csv", False),
     ("ratio --block-size 4 --drop 0 --threads 0", False),
+    ("bounds --input in/truncated --block-size 0 --out out/bs0_trunc.json", False),
+    ("apsd --input in/truncated --block-size 0 --t-list 0 --out out/apsd_bs0.csv", False),
+    ("fd --dir-a in/truncated --dir-b in/truncated --features dctstats --block-size 0", False),
+    ("apsd --input in/truncated --block-size 2 --t-list 0,,1 --out out/apsd_empty_t.csv", False),
+    ("scan-m --input in/truncated --block-size 2 --gamma 1 --grid 0,,3 --features pixels8", False),
+    ("bounds --input in/mixed --block-size 2 --out out/mixed.json", False),
 ]
 
 
@@ -105,6 +111,9 @@ def build_inputs(root: Path, seed: int = 0) -> None:
     (root / "trailing.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(12) + b"EXTRA")
     (root / "truncated").mkdir()
     (root / "truncated" / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    (root / "mixed").mkdir()
+    (root / "mixed" / "a.ppm").write_bytes((root / "rgb" / "i00.ppm").read_bytes())
+    (root / "mixed" / "b.ppm").write_bytes((root / "truncated" / "t.ppm").read_bytes())
 
 
 def snapshot(out: Path) -> list[dict]:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from dctpipe.block_dct import dct2, idct2
+from dctpipe.block_dct import avg_pool, dct2, idct2
 from dctpipe.cli import main
 from dctpipe.colorspace import subsample_rgb
 from dctpipe.fd_metric import (
@@ -34,7 +34,7 @@ from dctpipe.schedule import (
 )
 from dctpipe.synth import band_limited_image, power_law_coefficients, smooth_cosine_plane
 from dctpipe.tokenizer import TokenConfig, detokenize, tokenize
-from dctpipe.upsample import avg_pool2, bilinear_upsample, dct_upsample, psnr
+from dctpipe.upsample import bilinear_upsample, dct_upsample, psnr
 
 from oracles import naive_dct2_loops, naive_dct2_stack
 from synth import cell_chroma_image
@@ -223,13 +223,13 @@ def test_criterion_7_dct_upsampling():
         spec = np.zeros((4, 4, 2 * b, 2 * b))
         spec[..., :b, :b] = rng.normal(size=(4, 4, b, b)) * 10.0
         high = 128.0 + idct2(spec).swapaxes(1, 2).reshape(32, 32)
-        recon = dct_upsample(avg_pool2(high), b)
+        recon = dct_upsample(avg_pool(high, 2), b)
         worst_rel = max(worst_rel, np.linalg.norm(recon - high) / np.linalg.norm(high))
 
     wins = 0
     for _ in range(50):
         truth = smooth_cosine_plane(rng, 64)
-        low = avg_pool2(truth)
+        low = avg_pool(truth, 2)
         if psnr(truth, dct_upsample(low, b)) > psnr(truth, bilinear_upsample(low)):
             wins += 1
     elapsed = time.monotonic() - start

@@ -4,12 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dctpipe.block_dct import (
-    basis_matrix,
+    _basis,
+    avg_pool,
     blockify,
     dct2,
     from_zigzag,
     idct2,
-    inverse_zigzag_order,
     kept_ranks,
     to_zigzag,
     unblockify,
@@ -77,7 +77,7 @@ def test_linearity(rng):
 
 @pytest.mark.parametrize("b", [2, 3, 4, 8, 16])
 def test_orthonormality(b):
-    t = basis_matrix(b)
+    t = _basis(b)
     assert np.abs(t.T @ t - np.eye(b)).max() < 1e-9
 
 
@@ -111,8 +111,6 @@ def test_zigzag_properties(b):
     assert perm.tolist() == [r * b + c for r, c in walk]
     diag = [(idx // b) + (idx % b) for idx in perm]
     assert diag == sorted(diag)
-    inv = inverse_zigzag_order(b)
-    assert np.array_equal(inv[perm], np.arange(b * b))
 
 
 def test_blockify_square_tiles_and_roundtrip(rng):
@@ -132,7 +130,8 @@ def test_blockify_rectangular_tiles(rng):
     assert np.array_equal(tiles[1, 2], grid[3:6, 10:15])
     assert np.array_equal(unblockify(tiles), grid)
     # whole-plane pooling: one tile per output cell
-    pooled = blockify(grid, 3, 5).mean(axis=(2, 3))
+    pooled = avg_pool(grid, 3, 5)
+    assert pooled.shape == (2, 4)
     assert pooled[1, 3] == pytest.approx(grid[3:6, 15:20].mean(), abs=1e-12)
 
 

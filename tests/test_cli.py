@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dctpipe.cli import main
-from dctpipe.image_io import RgbImage, read_image, write_image
+from dctpipe.image_io import GrayImage, RgbImage, read_image, write_image
 from dctpipe.scaling import load_bounds
 from dctpipe.synth import band_limited_image
 from dctpipe.tokenizer import read_dctk
@@ -136,8 +136,6 @@ def test_apsd_csv(dataset, tmp_path, capsys):
 
 def test_upsample_command(tmp_path, rng, capsys):
     src = tmp_path / "lo.pgm"
-    from dctpipe.image_io import GrayImage
-
     write_image(src, GrayImage(rng.integers(0, 256, (16, 16), dtype=np.uint8)))
     out = tmp_path / "hi.pgm"
     code, _, err = run(
@@ -232,15 +230,25 @@ def test_diffuse_of_non_finite_dctk_is_single_line_error(dataset, tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cmd", ["bounds", "weights", "fd"])
-def test_block_size_zero_is_single_line_error(dataset, tmp_path, capsys, cmd):
-    if cmd == "fd":
-        argv = ("fd", "--dir-a", dataset, "--dir-b", dataset, "--features", "dctstats")
-    else:
-        argv = (cmd, "--input", dataset, "--out", tmp_path / "x.json")
-    code, _, err = run(capsys, *argv, "--block-size", 0)
+DIR_COMMANDS = {
+    "bounds": ("bounds", "--input", "{d}", "--block-size", 2, "--out", "{d}/b.json"),
+    "weights": ("weights", "--input", "{d}", "--block-size", 2, "--out", "{d}/w.json"),
+    "apsd": ("apsd", "--input", "{d}", "--block-size", 2, "--t-list", "0", "--out", "{d}/p.csv"),
+    "fd": ("fd", "--dir-a", "{d}", "--dir-b", "{d}", "--features", "dctstats", "--block-size", 2),
+    "scan-m": ("scan-m", "--input", "{d}", "--block-size", 2, "--gamma", 1, "--features", "pixels8"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["bounds", "weights", "apsd", "fd"])
+def test_block_size_zero_is_single_line_error(tmp_path, capsys, cmd):
+    # checked before the first read: the truncated file must not be the error
+    (tmp_path / "bad.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    argv = [str(a).format(d=tmp_path) for a in DIR_COMMANDS[cmd]]
+    argv[argv.index("--block-size") + 1] = "0"
+    code, _, err = run(capsys, *argv)
     assert_single_line_error(code, err)
-    assert "block size" in err
+    assert "block size must be >= 1, got 0" in err
+    assert "truncated" not in err
 
 
 def test_apsd_with_nan_time_is_single_line_error(dataset, tmp_path, capsys):
@@ -344,10 +352,47 @@ def test_numeric_flags_are_checked_before_reading_images(tmp_path, capsys, argv,
     assert "truncated" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, entry",
+    [
+        (("apsd", "--t-list", "0,,1", "--out", "p.csv"), "--t-list", "''"),
+        (("apsd", "--t-list", "0,x", "--out", "p.csv"), "--t-list", "'x'"),
+        (("scan-m", "--gamma", 1, "--grid", "0,,3", "--features", "pixels8"), "--grid", "''"),
+        (("scan-m", "--gamma", 1, "--grid", "a..3", "--features", "pixels8"), "--grid", "'a'"),
+    ],
+)
+def test_bad_list_entry_names_flag_and_entry(tmp_path, capsys, argv, flag, entry):
+    (tmp_path / "bad.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    cmd, *rest = argv
+    code, _, err = run(capsys, cmd, "--input", tmp_path, "--block-size", 2, *rest)
+    assert_single_line_error(code, err)
+    assert f"{flag}: " in err and entry in err
+
+
+@pytest.mark.parametrize(
+    "kind, cmd",
+    [("truncated", cmd) for cmd in DIR_COMMANDS]
+    # a 6x6 image has 3x3 chroma planes, which 2x2 blocks do not tile
+    + [("untiled", cmd) for cmd in ("bounds", "weights", "fd")]
+    + [("gray", cmd) for cmd in ("bounds", "weights", "fd", "scan-m")],
+)
+def test_directory_commands_name_the_bad_file(tmp_path, rng, capsys, kind, cmd):
+    write_image(tmp_path / "a.ppm", cell_chroma_image(rng, 16, 16))
+    path = tmp_path / ("b.pgm" if kind == "gray" else "b.ppm")
+    if kind == "truncated":
+        path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    elif kind == "untiled":
+        write_image(path, cell_chroma_image(rng, 6, 6))
+    else:
+        write_image(path, GrayImage(rng.integers(0, 256, (16, 16), dtype=np.uint8)))
+    code, _, err = run(capsys, *(str(a).format(d=tmp_path) for a in DIR_COMMANDS[cmd]))
+    assert_single_line_error(code, err)
+    assert f"{path}: " in err
+    assert err.count(str(path)) == 1
+
+
 @pytest.mark.parametrize("channel", ["cb", "cr"])
 def test_apsd_chroma_of_gray_image_is_single_line_error(tmp_path, rng, capsys, channel):
-    from dctpipe.image_io import GrayImage
-
     gray = tmp_path / "g.pgm"
     write_image(gray, GrayImage(rng.integers(0, 256, (32, 32), dtype=np.uint8)))
     out = tmp_path / "p.csv"
@@ -406,8 +451,6 @@ def test_apsd_channels_and_gray_input(dataset, tmp_path, rng, capsys):
 
     gray_dir = tmp_path / "gray"
     gray_dir.mkdir()
-    from dctpipe.image_io import GrayImage
-
     for i in range(4):
         write_image(gray_dir / f"g{i}.pgm", GrayImage(rng.integers(0, 256, (32, 32), dtype=np.uint8)))
     out = tmp_path / "p_gray.csv"

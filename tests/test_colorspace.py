@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dctpipe.block_dct import avg_pool
 from dctpipe.colorspace import (
     SubsampledImage,
     assemble_rgb,
-    chroma_downsample,
-    chroma_upsample,
     rgb_to_ycbcr,
     subsample_rgb,
     ycbcr_to_rgb,
@@ -15,6 +14,7 @@ from dctpipe.colorspace import (
 from dctpipe.image_io import RgbImage
 
 from oracles import pool2_loops
+from synth import cell_chroma_image
 
 
 def _triple(r, g, b):
@@ -71,51 +71,70 @@ def test_affine_mixing(values, alpha):
     assert np.abs(mixed - parts).max() < 1e-12
 
 
+def _replicate(plane):
+    # independent nearest-neighbour 2x upsampling: one 2x2 cell per sample
+    return np.kron(plane, np.ones((2, 2)))
+
+
 def test_downsample_constant_and_block_mean():
-    y = np.zeros((2, 2))
-    cb = np.array([[100.0, 104.0], [96.0, 100.0]])
-    cr = np.full((2, 2), 7.0)
-    s = chroma_downsample(y, cb, cr)
-    assert s.cb[0, 0] == pytest.approx(100.0)
-    assert s.cr[0, 0] == pytest.approx(7.0)
+    assert avg_pool(np.array([[100.0, 104.0], [96.0, 100.0]]), 2)[0, 0] == pytest.approx(100.0)
+    assert avg_pool(np.full((2, 2), 7.0), 2)[0, 0] == pytest.approx(7.0)
+    img = RgbImage(np.array([[[255, 0, 0], [0, 255, 0]], [[0, 0, 255], [9, 9, 9]]], np.uint8))
+    y, cb, cr = rgb_to_ycbcr(img)
+    s = subsample_rgb(img)
+    assert s.cb.shape == s.cr.shape == (1, 1)
+    assert s.cb[0, 0] == pytest.approx(cb.mean(), abs=1e-12)
+    assert s.cr[0, 0] == pytest.approx(cr.mean(), abs=1e-12)
+    assert np.array_equal(s.y, y)
 
 
 def test_downsample_matches_bruteforce(rng):
-    cb = rng.uniform(0, 255, (16, 12))
-    s = chroma_downsample(np.zeros((16, 12)), cb, cb)
+    img = RgbImage(rng.integers(0, 256, (16, 12, 3), dtype=np.uint8))
+    _, cb, cr = rgb_to_ycbcr(img)
+    s = subsample_rgb(img)
     assert np.abs(s.cb - pool2_loops(cb)).max() < 1e-12
+    assert np.abs(s.cr - pool2_loops(cr)).max() < 1e-12
 
 
 def test_downsample_rejects_odd():
     with pytest.raises(ValueError):
-        chroma_downsample(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
+        subsample_rgb(np.zeros((3, 4, 3)))
+    with pytest.raises(ValueError):
+        avg_pool(np.zeros((3, 4)), 2)
 
 
-def test_upsample_replicates():
-    s = SubsampledImage(np.zeros((2, 2)), np.array([[42.0]]), np.array([[7.0]]))
-    _, cb, cr = chroma_upsample(s)
-    assert np.array_equal(cb, np.full((2, 2), 42.0))
-    assert np.array_equal(cr, np.full((2, 2), 7.0))
-
-
-def test_down_after_up_is_identity(rng):
+def test_upsample_replicates(rng):
+    s = SubsampledImage(np.full((2, 2), 128.0), np.array([[42.0]]), np.array([[7.0]]))
+    want = ycbcr_to_rgb(s.y, np.full((2, 2), 42.0), np.full((2, 2), 7.0))
+    assert np.array_equal(assemble_rgb(s).pixels, want.pixels)
     s = SubsampledImage(
         rng.uniform(0, 255, (8, 8)), rng.uniform(0, 255, (4, 4)), rng.uniform(0, 255, (4, 4))
     )
-    back = chroma_downsample(*chroma_upsample(s))
+    want = ycbcr_to_rgb(s.y, _replicate(s.cb), _replicate(s.cr))
+    assert np.array_equal(assemble_rgb(s).pixels, want.pixels)
+
+
+def test_down_after_up_is_identity(rng):
+    plane = rng.uniform(0, 255, (4, 6))
+    assert np.array_equal(avg_pool(_replicate(plane), 2), plane)
+    # on images with uniform chroma per 2x2 cell, subsample(assemble(s)) gives s back exactly
+    s = subsample_rgb(cell_chroma_image(rng, 16, 12))
+    back = subsample_rgb(assemble_rgb(s))
     assert np.array_equal(back.cb, s.cb)
     assert np.array_equal(back.cr, s.cr)
     assert np.array_equal(back.y, s.y)
 
 
 def test_up_after_down_is_projection(rng):
-    y = rng.uniform(0, 255, (8, 8))
-    cb = rng.uniform(0, 255, (8, 8))
-    cr = rng.uniform(0, 255, (8, 8))
-    once = chroma_upsample(chroma_downsample(y, cb, cr))
-    twice = chroma_upsample(chroma_downsample(*once))
-    for a, b in zip(once, twice):
-        assert np.abs(a - b).max() < 1e-12
+    plane = rng.uniform(0, 255, (8, 8))
+    once = _replicate(avg_pool(plane, 2))
+    twice = _replicate(avg_pool(once, 2))
+    assert np.abs(once - twice).max() < 1e-12
+    # through the 8-bit pipeline, only the final rounding can move a pixel, by one level
+    img = RgbImage(rng.integers(64, 192, (16, 12, 3), dtype=np.uint8))
+    once = assemble_rgb(subsample_rgb(img)).pixels.astype(int)
+    twice = assemble_rgb(subsample_rgb(RgbImage(once.astype(np.uint8)))).pixels
+    assert np.abs(once - twice).max() <= 1
 
 
 def test_luma_survives_full_pipeline(rng):

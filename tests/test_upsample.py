@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from dctpipe.block_dct import dct2, idct2
+from dctpipe.block_dct import avg_pool, dct2, idct2
 from dctpipe.colorspace import rgb_to_ycbcr
 from dctpipe.image_io import GrayImage, RgbImage
 from dctpipe.synth import smooth_cosine_plane
 from dctpipe.upsample import (
-    avg_pool2,
     bilinear_upsample,
     dct_upsample,
     psnr,
@@ -19,13 +18,13 @@ from oracles import bilinear2x_loops, pool2_loops
 
 
 def test_avg_pool_basics(rng):
-    assert avg_pool2(np.array([[1.0, 2.0], [3.0, 4.0]]))[0, 0] == pytest.approx(2.5)
+    assert avg_pool(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)[0, 0] == pytest.approx(2.5)
     const = np.full((6, 4), 9.25)
-    assert np.abs(avg_pool2(const) - 9.25).max() < 1e-12
+    assert np.abs(avg_pool(const, 2) - 9.25).max() < 1e-12
     plane = rng.uniform(0, 255, (10, 14))
-    assert np.abs(avg_pool2(plane) - pool2_loops(plane)).max() < 1e-12
+    assert np.abs(avg_pool(plane, 2) - pool2_loops(plane)).max() < 1e-12
     with pytest.raises(ValueError):
-        avg_pool2(np.zeros((3, 4)))
+        avg_pool(np.zeros((3, 4)), 2)
 
 
 def test_dct_upsample_constant_is_exact():
@@ -65,7 +64,7 @@ def test_band_limited_reconstruction(rng):
     # since the mirror frequencies carry no energy)
     b = 4
     high = 128.0 + _band_limited_highres(rng, 3, 5, b, live=b)
-    recon = dct_upsample(avg_pool2(high), b)
+    recon = dct_upsample(avg_pool(high, 2), b)
     rel = np.linalg.norm(recon - high) / np.linalg.norm(high)
     assert rel < 0.02
     assert np.abs(recon - high).max() < 1e-9
@@ -94,7 +93,7 @@ def test_roundtrip_pool_of_upsample(rng):
     # upsampled blocks are band-limited by construction, so pooling them
     # back is within the 2% contract (and in fact recovers exactly)
     low = rng.uniform(0, 255, (8, 8))
-    back = avg_pool2(dct_upsample(low, 4))
+    back = avg_pool(dct_upsample(low, 4), 2)
     rel = np.linalg.norm(back - low) / np.linalg.norm(low)
     assert rel < 0.02
     assert np.abs(back - low).max() < 1e-9
@@ -119,7 +118,7 @@ def test_dct_beats_bilinear_on_smooth_images(rng):
     wins = 0
     for _ in range(10):
         truth = smooth_cosine_plane(rng, 64)
-        low = avg_pool2(truth)
+        low = avg_pool(truth, 2)
         up_dct = dct_upsample(low, 4)
         up_bil = bilinear_upsample(low)
         if psnr(truth, up_dct) > psnr(truth, up_bil):
