@@ -32,31 +32,30 @@ def main():
     sched = NoiseSchedule()
     coeffs = power_law_coefficients(rng, args.blocks, args.block_size, args.k, args.alpha)
     t_grid = [float(v) for v in args.t_list.split(",")]
-    profiles = apsd(coeffs, sched, t_grid, seed=args.seed, mode=args.mode)
+    powers = apsd(coeffs, sched, t_grid, seed=args.seed, mode=args.mode)
 
     show = range(0, args.block_size**2, max(1, args.block_size**2 // 16))
     header = "t      " + "".join(f"r{r:<9d}" for r in show)
     print(header)
-    for prof in profiles:
-        row = f"{prof.time:<7.2f}" + "".join(f"{prof.powers[r]:<10.4f}" for r in show)
-        print(row)
-        if prof.time > 0 and args.mode == "ve":
-            floor = float(y_integral(prof.time, sched))
+    for t, row in zip(t_grid, powers):
+        print(f"{t:<7.2f}" + "".join(f"{row[r]:<10.4f}" for r in show))
+        if t > 0 and args.mode == "ve":
+            floor = float(y_integral(t, sched))
             print(f"       expected additive noise floor: {floor:.4f}")
 
-    clean = profiles[0] if t_grid[0] == 0 else apsd(coeffs, sched, [0.0])[0]
+    clean = powers[0] if t_grid[0] == 0 else apsd(coeffs, sched, [0.0])[0]
     k_fit, alpha_fit = power_law_fit(clean)
     print(f"\npower-law fit of the clean spectrum: K={k_fit:.4f} alpha={alpha_fit:.4f}")
 
     print(f"\nSNR={args.gamma} crossing times by rank ({args.mode}):")
     times = [
         snr_threshold_time(s0, args.gamma, sched, mode="vp" if args.mode == "vp" else "ve_const_g")
-        for s0 in clean.powers
+        for s0 in clean
     ]
     for r in show:
-        t, sat = times[r]
-        print(f"  rank {r:3d}: t={t:.4f}{' (saturated)' if sat else ''}")
-    ordered = all(b.time <= a.time + 1e-12 for a, b in zip(times, times[1:]))
+        t = times[r]
+        print(f"  rank {r:3d}: t={t:.4f}{' (saturated)' if t > 1 else ''}")
+    ordered = all(b <= a + 1e-12 for a, b in zip(times, times[1:]))
     print(f"crossing times non-increasing in rank: {ordered}")
 
 

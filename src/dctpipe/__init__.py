@@ -8,7 +8,7 @@ from .colorspace import (
     subsample_rgb,
     ycbcr_to_rgb,
 )
-from .diffuse import PerturbParams, counter_normals, perturb, perturb_params
+from .diffuse import counter_normals, perturb, perturb_params
 from .fd_metric import (
     GaussianStats,
     MStarResult,
@@ -19,7 +19,6 @@ from .fd_metric import (
 )
 from .freq_stats import (
     EntropyWeights,
-    SpectrumProfile,
     apply_ebfr,
     apsd,
     entropy_weights,

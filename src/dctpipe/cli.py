@@ -97,8 +97,9 @@ def _parse_grid(text: str, block_size: int) -> tuple[int, ...]:
     if text == "full":
         return tuple(range(block_size**2))
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(v) for v in text.split("..", 1))
+        kept_ranks(block_size, hi)  # before the range is built, however large hi is
+        return tuple(range(lo, hi + 1))
     return tuple(int(v) for v in text.split(","))
 
 
@@ -117,7 +118,7 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_encode(args) -> int:
-    img = _per_file(_read_rgb)(args.input)
+    kept_ranks(args.block_size, args.drop)
     if args.eta is not None:
         eta = args.eta
     elif args.bounds is not None:
@@ -131,7 +132,7 @@ def _cmd_encode(args) -> int:
         eta = b.eta
     else:
         raise ValueError("encode needs --bounds or --eta")
-    s = subsample_rgb(img)
+    s = subsample_rgb(_per_file(_read_rgb)(args.input))
     cfg = TokenConfig(
         block_size=args.block_size, drop_count=args.drop, eta=eta,
         height=s.height, width=s.width,
@@ -211,6 +212,8 @@ def _cmd_scan_m(args) -> int:
 
 
 def _cmd_diffuse(args) -> int:
+    _check_flag("--t", _check_t, args.t)
+    _schedule_from(args)  # checks --a, --b, --c before the read; the default c needs the size
     tokens = read_dctk(args.input)
     sched = _schedule_from(args, max(tokens.config.height, tokens.config.width))
     write_dctk(args.out, perturb(tokens, args.t, sched, args.seed))
@@ -235,17 +238,16 @@ def _cmd_apsd(args) -> int:
         return plane_to_zigzag(plane, b).reshape(-1, b * b)
 
     coeffs = np.concatenate(_pmap(_per_file(coeffs_of), _image_paths(args.input), args.threads))
-    profiles = freq_stats.apsd(coeffs, sched, t_grid, seed=args.seed, mode=args.mode)
+    powers = freq_stats.apsd(coeffs, sched, t_grid, seed=args.seed, mode=args.mode)
     lines = ["t,rank,power"]
-    for prof in profiles:
-        lines.extend(
-            f"{_fmt(prof.time)},{r},{_fmt(p)}" for r, p in enumerate(prof.powers)
-        )
+    for t, row in zip(t_grid, powers):
+        lines.extend(f"{_fmt(t)},{r},{_fmt(p)}" for r, p in enumerate(row))
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_upsample(args) -> int:
+    kept_ranks(args.block_size)
     img = read_image(args.input)
     up = upsample.upsample_rgb if isinstance(img, RgbImage) else upsample.upsample_gray
     write_image(args.output, up(img, args.method, args.block_size))

@@ -1,4 +1,4 @@
-"""Forward VP perturbation of token arrays with counter-based noise.
+"""The forward diffusion kernel x_t = m(t) x_0 + s(t) eps with counter-based noise.
 
 Noise is keyed by (seed, coefficient counter) rather than drawn from a
 sequential stream, so any parallel or chunked execution order produces
@@ -17,8 +17,6 @@ across implementations (not bit-exactly, since libm cos/log may differ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .schedule import NoiseSchedule, y_scaled
@@ -28,8 +26,8 @@ __all__ = [
     "counter_uniforms",
     "counter_normals",
     "derive_stream",
-    "PerturbParams",
     "perturb_params",
+    "noisy",
     "perturb",
 ]
 
@@ -70,34 +68,41 @@ def derive_stream(seed: int, stream: int) -> int:
         return int(_mix64(_key(seed) ^ np.uint64(int(stream) & 0xFFFFFFFFFFFFFFFF)))
 
 
-@dataclass(frozen=True)
-class PerturbParams:
-    """Mean coefficient and noise std of the VP kernel at one time."""
+def perturb_params(
+    t: float, sched: NoiseSchedule = NoiseSchedule(), mode: str = "vp"
+) -> tuple[float, float]:
+    """Mean coefficient m(t) and noise std s(t) of the forward kernel.
 
-    mean_coef: float
-    std: float
-
-    def __post_init__(self):
-        if not 0 < self.mean_coef <= 1:
-            raise ValueError(f"mean coefficient must lie in (0, 1], got {self.mean_coef}")
-        if abs(self.mean_coef**2 + self.std**2 - 1.0) > 1e-12:
-            raise ValueError("kernel is not variance preserving")
-
-
-def perturb_params(t: float, sched: NoiseSchedule = NoiseSchedule()) -> PerturbParams:
-    """VP kernel coefficients at time t under the (SNR-scaled) schedule."""
+    "vp" is the variance-preserving (e^{-y'/2}, sqrt(1 - e^{-y'})); "ve" is
+    the additive (1, sqrt(y')), under which noisy power = clean power + y'
+    per rank. y' is the SNR-scaled integral :func:`schedule.y_scaled`; at
+    t = 0 the kernel is exactly (1, 0).
+    """
+    if mode not in ("vp", "ve"):
+        raise ValueError(f"mode must be 'vp' or 've', got {mode!r}")
+    if t == 0:
+        return 1.0, 0.0
     yp = float(y_scaled(t, sched))
-    return PerturbParams(mean_coef=np.exp(-0.5 * yp), std=np.sqrt(-np.expm1(-yp)))
+    if mode == "ve":
+        return 1.0, float(np.sqrt(yp))
+    mean = float(np.exp(-0.5 * yp))
+    if not 0 < mean <= 1:
+        raise ValueError(f"mean coefficient must lie in (0, 1], got {mean}")
+    return mean, float(np.sqrt(-np.expm1(-yp)))
+
+
+def noisy(x0: np.ndarray, t: float, sched: NoiseSchedule, seed: int, mode: str = "vp"):
+    """Sample x_t = m(t) x_0 + s(t) eps of :func:`perturb_params`; a copy of x_0 at t = 0.
+
+    Element i of x_0 (in C order) uses counter_normals(seed, x0.size)[i], so
+    the result does not depend on how the work is split across threads.
+    """
+    mean, std = perturb_params(t, sched, mode)
+    if t == 0:
+        return x0.copy()
+    return mean * x0 + std * counter_normals(seed, x0.size).reshape(x0.shape)
 
 
 def perturb(x0: TokenArray, t: float, sched: NoiseSchedule, seed: int) -> TokenArray:
-    """Sample x_t = mean(t) x_0 + std(t) eps with counter-keyed noise.
-
-    Coefficient (token i, column j) uses counter i * width + j, so the
-    result does not depend on how the work is split across threads.
-    """
-    if t == 0:
-        return TokenArray(x0.config, x0.tokens.copy())
-    p = perturb_params(t, sched)
-    eps = counter_normals(seed, x0.tokens.size).reshape(x0.tokens.shape)
-    return TokenArray(x0.config, p.mean_coef * x0.tokens + p.std * eps)
+    """Sample the VP kernel on a token array; token i, column j uses counter i * width + j."""
+    return TokenArray(x0.config, noisy(x0.tokens, t, sched, seed))

@@ -44,7 +44,6 @@ class GaussianStats:
 
     mean: np.ndarray
     cov: np.ndarray
-    n: int
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -60,8 +59,8 @@ class GaussianStats:
         return self.mean.shape[0]
 
 
-def gaussian_stats(features: np.ndarray, ridge: float = _RIDGE) -> GaussianStats:
-    """Mean and unbiased covariance of an (n, d) feature matrix, plus ridge."""
+def gaussian_stats(features: np.ndarray) -> GaussianStats:
+    """Mean and unbiased covariance of an (n, d) feature matrix, plus _RIDGE * I."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be (n, d), got shape {x.shape}")
@@ -71,8 +70,8 @@ def gaussian_stats(features: np.ndarray, ridge: float = _RIDGE) -> GaussianStats
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
-    cov = 0.5 * (cov + cov.T) + ridge * np.eye(d)
-    return GaussianStats(mean, cov, n)
+    cov = 0.5 * (cov + cov.T) + _RIDGE * np.eye(d)
+    return GaussianStats(mean, cov)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

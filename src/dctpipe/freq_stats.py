@@ -12,22 +12,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .block_dct import kept_ranks
-from .diffuse import counter_normals, derive_stream, perturb_params
-from .schedule import NoiseSchedule, _check_t, t_of_lambda, y_scaled
+from .diffuse import derive_stream, noisy
+from .schedule import NoiseSchedule, _check_t, t_of_lambda
 
 __all__ = [
     "EntropyWeights",
     "entropy_weights",
     "apply_ebfr",
-    "SpectrumProfile",
     "apsd",
     "power_law_fit",
-    "ThresholdCrossing",
     "snr_threshold_time",
     "save_weights",
     "load_weights",
@@ -140,65 +137,39 @@ def apply_ebfr(squared_residuals: np.ndarray, w: EntropyWeights) -> float:
     return float(np.sum(sq * per_token))
 
 
-@dataclass
-class SpectrumProfile:
-    """Averaged power per zigzag rank at one diffusion time (t=0 means clean)."""
-
-    powers: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        self.powers = np.asarray(self.powers, dtype=np.float64)
-        if np.any(self.powers < 0):
-            raise ValueError("powers must be nonnegative")
-
-
 def apsd(
     coeffs: np.ndarray,
     sched: NoiseSchedule,
     t_grid,
     seed: int = 0,
     mode: str = "vp",
-) -> list[SpectrumProfile]:
+) -> np.ndarray:
     """Monte-Carlo averaged power spectral density per zigzag rank.
 
     ``coeffs`` is an (n, ranks) matrix of zigzag-ordered DCT coefficients,
-    one row per block, with n >= 1000. For each t the coefficients are
-    perturbed and E[D_r(x_t)^2] is estimated per rank. ``mode`` selects the
-    kernel: "vp" is the variance-preserving x_t = m(t) x_0 + s(t) eps;
-    "ve" is the additive x_t = x_0 + sigma(t) eps with sigma^2 = y'(t), the
-    form under which noisy power = clean power + sigma^2 holds per rank.
+    one row per block, with n >= 1000. Row i of the (len(t_grid), ranks)
+    result estimates E[D_r(x_t)^2] per rank at t = t_grid[i] (t = 0 is the
+    clean power), where x_t is drawn by :func:`diffuse.noisy` with the
+    ``mode`` kernel ("vp" or "ve") and the sub-seed derive_stream(seed, i).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2:
         raise ValueError(f"coeffs must be an (n, ranks) matrix, got shape {coeffs.shape}")
     if coeffs.shape[0] < 1000:
         raise ValueError(f"need at least 1000 blocks, got {coeffs.shape[0]}")
-    if mode not in ("vp", "ve"):
-        raise ValueError(f"mode must be 'vp' or 've', got {mode!r}")
-
-    profiles = []
-    for ti, t in enumerate(np.atleast_1d(_check_t(t_grid))):
-        if t == 0:
-            xt = coeffs
-        else:
-            eps = counter_normals(derive_stream(seed, ti), coeffs.size).reshape(coeffs.shape)
-            if mode == "vp":
-                p = perturb_params(t, sched)
-                xt = p.mean_coef * coeffs + p.std * eps
-            else:
-                xt = coeffs + np.sqrt(float(y_scaled(t, sched))) * eps
-        profiles.append(SpectrumProfile(np.mean(xt * xt, axis=0), float(t)))
-    return profiles
+    return np.array([
+        np.mean(np.square(noisy(coeffs, t, sched, derive_stream(seed, i), mode)), axis=0)
+        for i, t in enumerate(np.atleast_1d(_check_t(t_grid)))
+    ])
 
 
-def power_law_fit(profile: SpectrumProfile) -> tuple[float, float]:
+def power_law_fit(powers) -> tuple[float, float]:
     """Fit power ~ K rank^-alpha over ranks >= 1 by least squares in log-log.
 
-    Returns (K, alpha). All fitted powers must be positive and there must be
-    at least 4 of them.
+    ``powers`` is one row of :func:`apsd`. Returns (K, alpha). All fitted
+    powers must be positive and there must be at least 4 of them.
     """
-    powers = profile.powers[1:]
+    powers = np.asarray(powers, dtype=np.float64)[1:]
     if powers.size < 4:
         raise ValueError(f"need at least 4 ranks beyond DC, got {powers.size}")
     if np.any(powers <= 0):
@@ -208,27 +179,20 @@ def power_law_fit(profile: SpectrumProfile) -> tuple[float, float]:
     return float(np.exp(intercept)), float(-slope)
 
 
-class ThresholdCrossing(NamedTuple):
-    """Crossing time plus a flag for frequencies that never reach the threshold."""
-
-    time: float
-    saturated: bool
-
-
 def snr_threshold_time(
     s0: float,
     gamma: float,
     sched: NoiseSchedule = NoiseSchedule(),
     mode: str = "vp",
     g: float = 1.0,
-) -> ThresholdCrossing:
+) -> float:
     """Time at which a frequency with clean power ``s0`` reaches SNR = gamma.
 
     mode "ve_const_g": SNR(t) = s0 / (t g^2), so t = s0 / (gamma g^2).
     mode "vp": the kernel sampled by :func:`apsd` gives SNR(t) = s0 snr(t),
     with snr the schedule's SNR scaled by c. The crossing sits at the
     half-log-SNR lambda = 0.5 ln(gamma / s0), and t = t_of_lambda(lambda).
-    A crossing with t > 1 is flagged as saturated.
+    A time t > 1 means the frequency never reaches the threshold on [0, 1].
     """
     if s0 <= 0 or gamma <= 0:
         raise ValueError("s0 and gamma must be positive")
@@ -238,7 +202,7 @@ def snr_threshold_time(
         t = t_of_lambda(0.5 * np.log(gamma / s0), sched)
     else:
         raise ValueError(f"mode must be 've_const_g' or 'vp', got {mode!r}")
-    return ThresholdCrossing(float(t), bool(t > 1.0))
+    return float(t)
 
 
 def save_weights(path, w: EntropyWeights) -> None:

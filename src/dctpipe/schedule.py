@@ -42,8 +42,8 @@ class NoiseSchedule:
     c: float = 1.0
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
-            raise ValueError(f"a, b, c must all be positive, got {self}")
+        if not all(0 < v < np.inf for v in (self.a, self.b, self.c)):
+            raise ValueError(f"a, b, c must all be positive and finite, got {self}")
 
 
 def snr_factor_for_resolution(resolution: int) -> float:
@@ -128,10 +128,6 @@ class DiscreteSchedule:
             raise ValueError("alpha_bar must lie in (0, 1)")
         if np.any(np.diff(self.alpha_bar) >= 0):
             raise ValueError("alpha_bar must be strictly decreasing")
-
-    @property
-    def steps(self) -> int:
-        return self.beta.size
 
 
 def discrete_schedule(

@@ -80,6 +80,14 @@ CASES = [
     ("apsd --input in/truncated --block-size 2 --t-list 0,,1 --out out/apsd_empty_t.csv", False),
     ("scan-m --input in/truncated --block-size 2 --gamma 1 --grid 0,,3 --features pixels8", False),
     ("bounds --input in/mixed --block-size 2 --out out/mixed.json", False),
+    ("encode --input in/truncated/t.ppm --block-size 0 --eta 10 --out out/enc_bs0.dctk", False),
+    ("encode --input in/truncated/t.ppm --block-size 2 --out out/enc_no_eta.dctk", False),
+    ("upsample --method dct --block-size 0 --input in/truncated/t.ppm --output out/up_bs0.ppm", False),
+    ("diffuse --input in/short.dctk --t 2 --out out/t2.dctk", False),
+    ("diffuse --input in/short.dctk --t 0.5 --c -1 --out out/c_neg.dctk", False),
+    ("diffuse --input out/a.dctk --t 0.5 --c inf --out out/c_inf.dctk", False),
+    ("diffuse --input out/a.dctk --t 0.5 --a 1e308 --b 1e308 --out out/mean0.dctk", False),
+    ("scan-m --input in/truncated --block-size 2 --gamma 1 --grid 0..100000 --features pixels8", False),
 ]
 
 
@@ -111,6 +119,7 @@ def build_inputs(root: Path, seed: int = 0) -> None:
     (root / "trailing.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(12) + b"EXTRA")
     (root / "truncated").mkdir()
     (root / "truncated" / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    (root / "short.dctk").write_bytes(b"DCTK" + bytes(6))
     (root / "mixed").mkdir()
     (root / "mixed" / "a.ppm").write_bytes((root / "rgb" / "i00.ppm").read_bytes())
     (root / "mixed" / "b.ppm").write_bytes((root / "truncated" / "t.ppm").read_bytes())

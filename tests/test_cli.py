@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from dctpipe.synth import band_limited_image
 from dctpipe.tokenizer import read_dctk
 
 from synth import cell_chroma_image
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -350,6 +357,68 @@ def test_numeric_flags_are_checked_before_reading_images(tmp_path, capsys, argv,
     assert_single_line_error(code, err)
     assert flag in err
     assert "truncated" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("encode", "--input", "{d}/t.ppm", "--block-size", 0, "--eta", 10, "--out", "{d}/x"),
+         "block size must be >= 1, got 0"),
+        (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--drop", 4, "--eta", 10,
+          "--out", "{d}/x"), "drop count must be in [0, 3]"),
+        (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--out", "{d}/x"),
+         "encode needs --bounds or --eta"),
+        (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--bounds", "{d}/none.json",
+          "--out", "{d}/x"), "none.json"),
+        (("upsample", "--method", "dct", "--block-size", 0, "--input", "{d}/t.ppm",
+          "--output", "{d}/x"), "block size must be >= 1, got 0"),
+        (("diffuse", "--input", "{d}/t.dctk", "--t", 2, "--out", "{d}/x"),
+         "--t: t must lie in [0, 1]"),
+        (("diffuse", "--input", "{d}/t.dctk", "--t", 0.5, "--c", -1, "--out", "{d}/x"),
+         "a, b, c must all be positive"),
+        (("diffuse", "--input", "{d}/t.dctk", "--t", 0.5, "--a", "inf", "--out", "{d}/x"),
+         "a, b, c must all be positive and finite"),
+    ],
+)
+def test_single_file_flags_are_checked_before_reading(tmp_path, capsys, argv, message):
+    (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    (tmp_path / "t.dctk").write_bytes(b"DCTK" + bytes(6))
+    code, _, err = run(capsys, *(str(a).format(d=tmp_path) for a in argv))
+    assert_single_line_error(code, err)
+    assert message in err
+    assert "truncated" not in err and "t.ppm" not in err and "t.dctk" not in err
+
+
+@pytest.mark.parametrize("flags", [("--c", "inf"), ("--a", "1e308", "--b", "1e308")])
+def test_diffuse_rejects_degenerate_schedule_in_one_line(dataset, tmp_path, flags):
+    # numpy warnings go to stderr only outside pytest's capture, so run the real process
+    dctk = tmp_path / "x.dctk"
+    assert main(["encode", "--input", str(sorted(dataset.iterdir())[0]), "--block-size", "4",
+                 "--eta", "100", "--out", str(dctk)]) == 0
+    out = tmp_path / "y.dctk"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dctpipe.cli", "diffuse", "--input", str(dctk), "--t", "0.5",
+         *flags, "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert_single_line_error(proc.returncode, proc.stderr)
+    assert not out.exists()
+
+
+def test_huge_grid_range_is_rejected_before_it_is_built(tmp_path):
+    # under a 1 GB address-space cap a materialised 0..1e9 grid (8 GB) cannot exist
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dctpipe.cli", "scan-m", "--input", str(tmp_path),
+         "--block-size", "2", "--gamma", "1", "--grid", "0..1000000000", "--features", "pixels8"],
+        capture_output=True, text=True, preexec_fn=cap_memory, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert_single_line_error(proc.returncode, proc.stderr)
+    assert "--grid: drop count must be in [0, 3] for B=2, got 1000000000" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from dctpipe.diffuse import (
-    PerturbParams,
     counter_normals,
     counter_uniforms,
     derive_stream,
+    noisy,
     perturb,
     perturb_params,
 )
+from dctpipe.freq_stats import apsd
 from dctpipe.schedule import NoiseSchedule
 from dctpipe.tokenizer import TokenArray, TokenConfig
 
@@ -23,24 +24,32 @@ def make_tokens(rng, h=32, w=32, b=4):
 
 
 def test_params_at_zero_and_one():
-    p = perturb_params(0.0, DEFAULTS)
-    assert (p.mean_coef, p.std) == (1.0, 0.0)
-    p = perturb_params(1.0, DEFAULTS)
-    assert p.std == pytest.approx(math.sqrt(1.0 - math.exp(-10.05)), rel=1e-12)
-    assert p.std == pytest.approx(0.999978, abs=1e-6)
+    assert perturb_params(0.0, DEFAULTS) == (1.0, 0.0)
+    assert perturb_params(0.0, NoiseSchedule(c=1e-300), "ve") == (1.0, 0.0)
+    _, std = perturb_params(1.0, DEFAULTS)
+    assert std == pytest.approx(math.sqrt(1.0 - math.exp(-10.05)), rel=1e-12)
+    assert std == pytest.approx(0.999978, abs=1e-6)
 
 
 def test_variance_preservation_identity():
     for t in np.linspace(0.0, 1.0, 1000):
-        p = perturb_params(float(t), NoiseSchedule(c=4.0))
-        assert abs(p.mean_coef**2 + p.std**2 - 1.0) < 1e-12
+        mean, std = perturb_params(float(t), NoiseSchedule(c=4.0))
+        assert 0 < mean <= 1
+        assert abs(mean**2 + std**2 - 1.0) < 1e-12
 
 
 def test_params_validation():
+    with pytest.raises(ValueError, match="mode"):
+        perturb_params(0.5, DEFAULTS, mode="other")
+    with pytest.raises(ValueError, match="mode"):
+        perturb_params(0.0, DEFAULTS, mode="other")
+    # the VP mean leaves (0, 1] when it underflows, or when y'(t) rounds below 0
+    with pytest.raises(ValueError, match="mean coefficient"):
+        perturb_params(0.5, NoiseSchedule(a=1e308, b=1e308))
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match="mean"):
+        perturb_params(1e-300, NoiseSchedule(c=1e-300))
     with pytest.raises(ValueError):
-        PerturbParams(mean_coef=0.5, std=0.5)
-    with pytest.raises(ValueError):
-        PerturbParams(mean_coef=1.5, std=0.0)
+        perturb_params(float("nan"), DEFAULTS)
 
 
 def test_t0_is_bitwise_identity(rng):
@@ -67,7 +76,7 @@ def test_deterministic_across_runs_and_chunkings(rng):
 
 def test_monte_carlo_moments(rng):
     t = 0.3
-    p = perturb_params(t, DEFAULTS)
+    mean, std = perturb_params(t, DEFAULTS)
     cfg = TokenConfig(2, 0, 1.0, 16, 16)
     n_draws = 100_000 // cfg.token_width + 1
     x0 = np.full((cfg.token_count, cfg.token_width), 2.0)
@@ -77,8 +86,8 @@ def test_monte_carlo_moments(rng):
         samples.append(out.tokens.ravel())
     xt = np.concatenate(samples)
     assert xt.size >= 100_000
-    assert xt.mean() == pytest.approx(2.0 * p.mean_coef, rel=0.01)
-    assert xt.std() == pytest.approx(p.std, rel=0.01)
+    assert xt.mean() == pytest.approx(2.0 * mean, rel=0.01)
+    assert xt.std() == pytest.approx(std, rel=0.01)
 
 
 def test_counter_uniforms_are_open_interval_and_uniform():
@@ -103,9 +112,9 @@ def test_isotropy_across_coefficients(rng):
     rows = np.stack(
         [perturb(x0, 0.5, DEFAULTS, seed=s).tokens.reshape(-1) for s in range(2000)]
     )
-    p = perturb_params(0.5, DEFAULTS)
+    _, std = perturb_params(0.5, DEFAULTS)
     per_coeff_var = rows.var(axis=0)
-    assert np.abs(per_coeff_var / p.std**2 - 1.0).max() < 0.15
+    assert np.abs(per_coeff_var / std**2 - 1.0).max() < 0.15
 
 
 def test_derive_stream_distinct():
@@ -113,3 +122,40 @@ def test_derive_stream_distinct():
     assert len(seeds) == 100
     assert derive_stream(1, 5) == derive_stream(1, 5)
     assert derive_stream(2, 5) != derive_stream(1, 5)
+
+
+def kernel_oracle(t, sched, mode):
+    # (mean, std) from the schedule's SNR alone: alpha' = c SNR / (1 + c SNR) with
+    # SNR = e^-y / (1 - e^-y), y = a t + b t^2 / 2; vp is (sqrt(alpha'), sqrt(1 - alpha')),
+    # ve is (1, sqrt(y')) with y' = -ln alpha'
+    if t == 0:
+        return 1.0, 0.0
+    y = sched.a * t + 0.5 * sched.b * t * t
+    snr_scaled = sched.c * math.exp(-y) / -math.expm1(-y)
+    alpha = snr_scaled / (1.0 + snr_scaled)
+    if mode == "vp":
+        return math.sqrt(alpha), math.sqrt(1.0 / (1.0 + snr_scaled))
+    return 1.0, math.sqrt(math.log1p(1.0 / snr_scaled))
+
+
+@pytest.mark.parametrize("mode", ["vp", "ve"])
+@pytest.mark.parametrize("c", [1.0, 4.0, 0.25])
+def test_kernel_matches_schedule_oracle_and_apsd_samples_it(rng, mode, c):
+    sched = NoiseSchedule(c=c)
+    t_grid = [0.0, 0.01, 0.3, 1.0]
+    x0 = rng.normal(size=(1000, 3)) * [4.0, 1.0, 0.25]
+    powers = apsd(x0, sched, t_grid, seed=9, mode=mode)
+    assert powers.shape == (len(t_grid), 3)
+    for i, t in enumerate(t_grid):
+        mean, std = perturb_params(t, sched, mode)
+        want_mean, want_std = kernel_oracle(t, sched, mode)
+        assert mean == pytest.approx(want_mean, rel=1e-9)
+        assert std == pytest.approx(want_std, rel=1e-9)
+        xt = noisy(x0, t, sched, seed=i, mode=mode)
+        eps = counter_normals(i, x0.size).reshape(x0.shape)
+        np.testing.assert_allclose(xt, want_mean * x0 + want_std * eps, rtol=1e-9, atol=1e-12)
+        if t == 0:
+            assert np.array_equal(xt, x0) and xt is not x0
+        # row i of apsd is the mean square of the kernel under the sub-seed of time i
+        xt = noisy(x0, t, sched, derive_stream(9, i), mode)
+        assert np.array_equal(powers[i], np.mean(xt * xt, axis=0))

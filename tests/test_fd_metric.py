@@ -19,8 +19,8 @@ from oracles import covariance_twopass
 from synth import cell_chroma_image
 
 
-def stats_1d(mean, var, n=100):
-    return GaussianStats(np.array([mean]), np.array([[var]]), n)
+def stats_1d(mean, var):
+    return GaussianStats(np.array([mean]), np.array([[var]]))
 
 
 def test_identical_rows_give_ridge_only_cov(rng):
@@ -30,17 +30,20 @@ def test_identical_rows_give_ridge_only_cov(rng):
 
 
 def test_two_point_1d():
-    s = gaussian_stats(np.array([[0.0], [2.0]]), ridge=0.0)
+    x = np.array([[0.0], [2.0]])
+    s = gaussian_stats(x)
     assert s.mean[0] == pytest.approx(1.0)
-    assert s.cov[0, 0] == pytest.approx(2.0)  # unbiased
+    assert s.cov[0, 0] == pytest.approx(2.0 + 1e-6, rel=1e-12)  # unbiased, plus the ridge
+    assert s.cov[0, 0] == pytest.approx(np.cov(x.T) + 1e-6, rel=1e-12)
 
 
 def test_covariance_matches_two_pass_oracle(rng):
     x = rng.normal(size=(1000, 8))
-    s = gaussian_stats(x, ridge=0.0)
+    s = gaussian_stats(x)
     mean_o, cov_o = covariance_twopass(x)
     assert np.abs(s.mean - mean_o).max() < 1e-10
-    assert np.abs(s.cov - cov_o).max() < 1e-10
+    assert np.abs(s.cov - (cov_o + 1e-6 * np.eye(8))).max() < 1e-10
+    assert np.abs(s.cov - (np.cov(x, rowvar=False) + 1e-6 * np.eye(8))).max() < 1e-10
 
 
 def test_gaussian_stats_validation(rng):
@@ -79,7 +82,7 @@ def test_frechet_dimension_mismatch(rng):
 
 
 def test_frechet_rejects_indefinite_covariance(rng):
-    bad = GaussianStats(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]), 10)
+    bad = GaussianStats(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]))
     good = gaussian_stats(rng.normal(size=(50, 2)))
     with pytest.raises(ValueError, match="PSD"):
         frechet_distance(bad, good)

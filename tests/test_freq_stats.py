@@ -6,7 +6,6 @@ import pytest
 
 from dctpipe.freq_stats import (
     EntropyWeights,
-    SpectrumProfile,
     apply_ebfr,
     apsd,
     entropy_weights,
@@ -154,23 +153,23 @@ def test_ebfr_length_mismatch(rng):
 
 def test_apsd_white_noise_is_flat(rng):
     blocks = rng.normal(size=(100_000, 2, 2))
-    (profile,) = apsd(to_zigzag(dct2(blocks)), DEFAULTS, [0.0])
-    assert profile.time == 0.0
-    assert np.abs(profile.powers - 1.0).max() < 0.03
+    powers = apsd(to_zigzag(dct2(blocks)), DEFAULTS, [0.0])
+    assert powers.shape == (1, 4)  # one row per time, one column per rank
+    assert np.abs(powers[0] - 1.0).max() < 0.03
 
 
 def test_apsd_clean_profile_decays(rng):
     coeffs = power_law_coefficients(rng, 20_000, 4, k=3.0, alpha=2.0)
-    (profile,) = apsd(coeffs, DEFAULTS, [0.0])
-    inversions = int(np.sum(np.diff(profile.powers) > 0))
-    assert inversions <= 0.05 * (profile.powers.size - 1)
+    (powers,) = apsd(coeffs, DEFAULTS, [0.0])
+    inversions = int(np.sum(np.diff(powers) > 0))
+    assert inversions <= 0.05 * (powers.size - 1)
 
 
 def test_apsd_ve_noise_floor_matches_theory(rng):
     coeffs = power_law_coefficients(rng, 50_000, 4, k=3.0, alpha=2.0)
     t = 0.4
     clean, noisy = apsd(coeffs, DEFAULTS, [0.0, t], seed=11, mode="ve")
-    diff = noisy.powers - clean.powers
+    diff = noisy - clean
     sigma2 = float(y_integral(t, DEFAULTS))
     assert np.abs(diff / sigma2 - 1.0).max() < 0.05
 
@@ -179,13 +178,13 @@ def test_apsd_vp_mode_variance_preserving(rng):
     # VP at large t: profile approaches 1 (pure unit noise) at every rank
     coeffs = power_law_coefficients(rng, 20_000, 2, k=0.5, alpha=1.0)
     (noisy,) = apsd(coeffs, DEFAULTS, [1.0], seed=3, mode="vp")
-    assert np.abs(noisy.powers - 1.0).max() < 0.1
+    assert np.abs(noisy - 1.0).max() < 0.1
 
 
 def test_apsd_deterministic(rng):
     coeffs = to_zigzag(dct2(rng.normal(size=(1000, 2, 2))))
-    a = apsd(coeffs, DEFAULTS, [0.3], seed=5)[0].powers
-    b = apsd(coeffs, DEFAULTS, [0.3], seed=5)[0].powers
+    a = apsd(coeffs, DEFAULTS, [0.3], seed=5)
+    b = apsd(coeffs, DEFAULTS, [0.3], seed=5)
     assert np.array_equal(a, b)
 
 
@@ -200,45 +199,42 @@ def test_apsd_validation(rng):
 
 def test_power_law_fit_exact():
     ranks = np.arange(1, 16, dtype=float)
-    profile = SpectrumProfile(
-        np.concatenate(([10.0], 3.0 * ranks**-2.0)), time=0.0
-    )
-    k, alpha = power_law_fit(profile)
+    k, alpha = power_law_fit(np.concatenate(([10.0], 3.0 * ranks**-2.0)))
     assert k == pytest.approx(3.0, abs=1e-9)
     assert alpha == pytest.approx(2.0, abs=1e-9)
 
 
 def test_power_law_fit_white_noise_is_flat(rng):
     blocks = rng.normal(size=(200_000, 4, 4))
-    (profile,) = apsd(to_zigzag(dct2(blocks)), DEFAULTS, [0.0])
-    _, alpha = power_law_fit(profile)
+    (powers,) = apsd(to_zigzag(dct2(blocks)), DEFAULTS, [0.0])
+    _, alpha = power_law_fit(powers)
     assert abs(alpha) < 0.05
 
 
 def test_power_law_fit_recovers_synthetic_alpha(rng):
     coeffs = power_law_coefficients(rng, 50_000, 4, k=2.0, alpha=1.5)
-    (profile,) = apsd(coeffs, DEFAULTS, [0.0])
-    _, alpha = power_law_fit(profile)
+    (powers,) = apsd(coeffs, DEFAULTS, [0.0])
+    _, alpha = power_law_fit(powers)
     assert 1.35 <= alpha <= 1.65
 
 
 def test_power_law_fit_validation():
     with pytest.raises(ValueError):
-        power_law_fit(SpectrumProfile(np.ones(4), 0.0))
+        power_law_fit(np.ones(4))
     with pytest.raises(ValueError):
-        power_law_fit(SpectrumProfile(np.zeros(10), 0.0))
+        power_law_fit(np.zeros(10))
 
 
 def test_threshold_time_ve_direct():
-    t, saturated = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="ve_const_g", g=1.0)
+    t = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="ve_const_g", g=1.0)
     assert t == pytest.approx(1.0)
-    assert not saturated
+    assert snr_threshold_time(2.0, 1.0, DEFAULTS, mode="ve_const_g", g=0.5) == pytest.approx(8.0)
 
 
 def test_threshold_time_vp_value():
-    t, saturated = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="vp")
+    t = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="vp")
+    assert isinstance(t, float)
     assert t == pytest.approx(0.2590, abs=5e-5)
-    assert not saturated
     # verify the crossing: SNR at the returned t equals gamma
     y = y_integral(t, DEFAULTS)
     assert math.exp(-y) * 1.0 / (1.0 - math.exp(-y)) == pytest.approx(1.0, rel=1e-9)
@@ -248,21 +244,21 @@ def test_threshold_time_vp_value():
 @pytest.mark.parametrize("s0,gamma", [(1.0, 1.0), (3.0, 0.05), (0.01, 2.0)])
 def test_threshold_time_vp_honours_snr_scale(c, s0, gamma):
     sched = NoiseSchedule(c=c)
-    t, saturated = snr_threshold_time(s0, gamma, sched, mode="vp")
-    assert 0 < t < 1 and not saturated
+    t = snr_threshold_time(s0, gamma, sched, mode="vp")
+    assert 0 < t < 1
     # the vp kernel perturbs coefficients with SNR s0 * snr(t), snr scaled by c
     assert s0 * snr(t, sched) == pytest.approx(gamma, rel=1e-9)
 
 
 def test_threshold_time_monotonicity():
-    t_base = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="vp").time
-    assert snr_threshold_time(1.0, 2.0, DEFAULTS, mode="vp").time < t_base
-    assert snr_threshold_time(2.0, 1.0, DEFAULTS, mode="vp").time > t_base
+    t_base = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="vp")
+    assert snr_threshold_time(1.0, 2.0, DEFAULTS, mode="vp") < t_base
+    assert snr_threshold_time(2.0, 1.0, DEFAULTS, mode="vp") > t_base
 
 
 def test_threshold_time_saturation_flag():
-    crossing = snr_threshold_time(1e9, 1e-9, DEFAULTS, mode="vp")
-    assert crossing.saturated
+    # a frequency that never reaches the threshold on [0, 1] crosses after t = 1
+    assert snr_threshold_time(1e9, 1e-9, DEFAULTS, mode="vp") > 1
     with pytest.raises(ValueError):
         snr_threshold_time(-1.0, 1.0, DEFAULTS)
     with pytest.raises(ValueError):

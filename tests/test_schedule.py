@@ -198,6 +198,13 @@ def test_schedule_invariants():
         NoiseSchedule(c=-1.0)
 
 
+@pytest.mark.parametrize("field", ["a", "b", "c"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_schedule_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        NoiseSchedule(**{field: value})
+
+
 def test_resolution_keyed_factor():
     assert snr_factor_for_resolution(64) == 4.0
     assert snr_factor_for_resolution(256) == 4.0
