@@ -26,6 +26,7 @@ from .image_io import RgbImage, read_image, write_image
 from .schedule import NoiseSchedule, _check_t, snr_factor_for_resolution
 from .tokenizer import (
     TokenConfig,
+    _check_eta,
     dct_coefficient_matrices,
     detokenize,
     plane_to_zigzag,
@@ -93,13 +94,14 @@ def _read_rgb(path) -> RgbImage:
     return img
 
 
-def _parse_grid(text: str, block_size: int) -> tuple[int, ...]:
+def _parse_grid(text: str, block_size: int) -> range | tuple[int, ...]:
+    # ranges stay lazy: scan_mstar checks them by their ends, however large B or hi is
     if text == "full":
-        return tuple(range(block_size**2))
+        return range(block_size**2)
     if ".." in text:
         lo, hi = (int(v) for v in text.split("..", 1))
-        kept_ranks(block_size, hi)  # before the range is built, however large hi is
-        return tuple(range(lo, hi + 1))
+        kept_ranks(block_size, hi)
+        return range(lo, hi + 1)
     return tuple(int(v) for v in text.split(","))
 
 
@@ -120,6 +122,7 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_encode(args) -> int:
     kept_ranks(args.block_size, args.drop)
     if args.eta is not None:
+        _check_flag("--eta", _check_eta, args.eta)
         eta = args.eta
     elif args.bounds is not None:
         b = scaling.load_bounds(args.bounds)

@@ -7,7 +7,9 @@ Uses the ITU-R BT.601 full-range matrix (the JPEG convention):
     Cr =  0.5 R - 0.418688 G - 0.081312 B + 128
 
 All arithmetic is double precision; quantization happens only when
-converting back to 8-bit RGB. Downsampling is 2x2 mean pooling and
+converting back to 8-bit RGB. Pixels are converted planar: each direction
+is one (3, 3) @ (3, h w) GEMM, and ``rgb_to_ycbcr`` returns C-contiguous
+planes. Downsampling is 2x2 mean pooling and
 upsampling is nearest-neighbor replication, so down(up(s)) == s exactly.
 """
 
@@ -72,21 +74,31 @@ class SubsampledImage:
         return self.y.shape[1]
 
 
-def _as_pixel_array(img) -> np.ndarray:
-    pixels = img.pixels if isinstance(img, RgbImage) else np.asarray(img)
-    if pixels.ndim != 3 or pixels.shape[2] != 3:
-        raise ValueError(f"expected (h, w, 3) pixels, got shape {pixels.shape}")
-    return pixels.astype(np.float64)
-
-
 def rgb_to_ycbcr(img) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Convert an RgbImage (or raw (h, w, 3) array) to full-resolution Y, Cb, Cr planes.
 
-    Purely affine: no clamping, no rounding.
+    Purely affine: no clamping, no rounding. One (3, 3) @ (3, h w) GEMM
+    yields the three planes as C-contiguous rows of one (3, h, w) array.
     """
-    pixels = _as_pixel_array(img)
-    planes = pixels @ RGB_TO_YCBCR.T + YCBCR_OFFSET
-    return planes[..., 0], planes[..., 1], planes[..., 2]
+    pixels = img.pixels if isinstance(img, RgbImage) else np.asarray(img)
+    if pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise ValueError(f"expected (h, w, 3) pixels, got shape {pixels.shape}")
+    planes = RGB_TO_YCBCR @ np.asarray(pixels.reshape(-1, 3).T, np.float64, order="C")
+    planes += YCBCR_OFFSET[:, None]
+    return tuple(planes.reshape(3, *pixels.shape[:2]))
+
+
+def _planes_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, cell: int) -> RgbImage:
+    """Y plus Cb/Cr at 1/``cell`` of its size -> RGB via one (3, h, w) buffer and one GEMM."""
+    h, w = y.shape
+    planes = np.empty((3, h, w))
+    planes[0] = y
+    for dst, src, off in zip(planes[1:], (cb, cr), YCBCR_OFFSET[1:]):
+        np.subtract(src[:, None, :, None], off, out=dst.reshape(h // cell, cell, w // cell, cell))
+    rgb = _YCBCR_TO_RGB @ planes.reshape(3, h * w)
+    np.rint(rgb, out=rgb)
+    np.clip(rgb, 0, 255, out=rgb)
+    return RgbImage(rgb.reshape(3, h, w).transpose(1, 2, 0).astype(np.uint8, order="C"))
 
 
 def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> RgbImage:
@@ -94,9 +106,7 @@ def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> RgbImage:
     y, cb, cr = (np.asarray(p, dtype=np.float64) for p in (y, cb, cr))
     if not (y.shape == cb.shape == cr.shape):
         raise ValueError(f"plane shapes differ: {y.shape}, {cb.shape}, {cr.shape}")
-    stacked = np.stack([y, cb, cr], axis=-1) - YCBCR_OFFSET
-    rgb = stacked @ _YCBCR_TO_RGB.T
-    return RgbImage(np.clip(np.rint(rgb), 0, 255).astype(np.uint8))
+    return _planes_to_rgb(y, cb, cr, 1)
 
 
 def subsample_rgb(img) -> SubsampledImage:
@@ -107,5 +117,4 @@ def subsample_rgb(img) -> SubsampledImage:
 
 def assemble_rgb(s: SubsampledImage) -> RgbImage:
     """Subsampled YCbCr representation -> 8-bit RGB image (decode-side pipeline)."""
-    cb, cr = (np.repeat(np.repeat(p, 2, axis=0), 2, axis=1) for p in (s.cb, s.cr))
-    return ycbcr_to_rgb(s.y, cb, cr)
+    return _planes_to_rgb(s.y, s.cb, s.cr, 2)

@@ -155,7 +155,8 @@ def scan_mstar(
 ) -> MStarResult:
     """Find the largest drop count in ``m_grid`` whose distance stays under ``gamma``.
 
-    ``m_grid`` must be strictly ascending within [0, B^2 - 1]. For each m
+    ``m_grid`` must be strictly ascending within [0, B^2 - 1]; a ``range``
+    is checked by its ends and never materialised. For each m
     the dataset is reconstructed through the codec, ``features`` are
     extracted from originals and reconstructions, and the Frechet distance
     between the two feature distributions is recorded. ``map_fn`` may be
@@ -163,8 +164,9 @@ def scan_mstar(
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    grid = [int(m) for m in m_grid]
-    if not grid or grid != sorted(set(grid)):
+    lazy = isinstance(m_grid, range) and m_grid.step > 0  # ascending by construction
+    grid = m_grid if lazy else [int(m) for m in m_grid]
+    if not grid or not (lazy or grid == sorted(set(grid))):
         raise ValueError("m_grid must be a nonempty, strictly ascending list of drop counts")
     kept_ranks(block_size, grid[0])
     kept_ranks(block_size, grid[-1])

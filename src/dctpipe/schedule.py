@@ -63,13 +63,15 @@ def _check_t(t, allow_zero: bool = True):
 def y_integral(t, sched: NoiseSchedule = NoiseSchedule()):
     """Integral of the base beta over [0, t]: a t + 0.5 b t^2."""
     t = _check_t(t)
-    return sched.a * t + 0.5 * sched.b * t * t
+    with np.errstate(over="ignore"):  # an overflow to inf is left to the caller to reject
+        return sched.a * t + 0.5 * sched.b * t * t
 
 
 def y_scaled(t, sched: NoiseSchedule = NoiseSchedule()):
     """Integral of beta'(.; c) over [0, t]; equals y_integral when c = 1."""
     y = y_integral(t, sched)
-    return y - np.log(sched.c) + np.log1p((sched.c - 1.0) * np.exp(-y))
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf when c e^{-y} underflows
+        return y - np.log(sched.c) + np.log1p((sched.c - 1.0) * np.exp(-y))
 
 
 def snr(t, sched: NoiseSchedule = NoiseSchedule()):

@@ -45,6 +45,11 @@ def _check_patch_tiling(height: int, width: int, b: int) -> None:
         raise ValueError(f"image {width}x{height} is not tiled by the {2 * b}x{2 * b} patch")
 
 
+def _check_eta(eta: float) -> None:
+    if not (eta > 0 and np.isfinite(eta)):
+        raise ValueError(f"eta must be a positive finite real, got {eta}")
+
+
 @dataclass(frozen=True)
 class TokenConfig:
     """Geometry and scaling of a token array.
@@ -61,8 +66,7 @@ class TokenConfig:
 
     def __post_init__(self):
         kept_ranks(self.block_size, self.drop_count)
-        if not (self.eta > 0 and np.isfinite(self.eta)):
-            raise ValueError(f"eta must be a positive finite real, got {self.eta}")
+        _check_eta(self.eta)
         _check_patch_tiling(self.height, self.width, self.block_size)
 
     @property

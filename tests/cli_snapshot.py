@@ -88,6 +88,14 @@ CASES = [
     ("diffuse --input out/a.dctk --t 0.5 --c inf --out out/c_inf.dctk", False),
     ("diffuse --input out/a.dctk --t 0.5 --a 1e308 --b 1e308 --out out/mean0.dctk", False),
     ("scan-m --input in/truncated --block-size 2 --gamma 1 --grid 0..100000 --features pixels8", False),
+    ("diffuse --input out/a.dctk --t 1 --a 1.7e308 --b 1.7e308 --out out/y_inf.dctk", False),
+    ("diffuse --input out/a.dctk --t 1e-300 --c 1e-300 --out out/yp_neg_inf.dctk", False),
+    ("encode --input in/truncated/t.ppm --block-size 2 --eta -1 --out out/eta_neg.dctk", False),
+    # a 24x40 image: h != w, so a transposed height and width cannot pass unseen
+    ("encode --input in/rect.ppm --block-size 2 --eta 300 --out out/rect.dctk", True),
+    ("decode --input out/rect.dctk --out out/rect.ppm", True),
+    ("upsample --method dct --block-size 4 --input in/rect.ppm --output out/rect_up_dct.ppm", True),
+    ("upsample --method bilinear --input in/rect.ppm --output out/rect_up_bil.ppm", True),
 ]
 
 
@@ -123,6 +131,7 @@ def build_inputs(root: Path, seed: int = 0) -> None:
     (root / "mixed").mkdir()
     (root / "mixed" / "a.ppm").write_bytes((root / "rgb" / "i00.ppm").read_bytes())
     (root / "mixed" / "b.ppm").write_bytes((root / "truncated" / "t.ppm").read_bytes())
+    _pnm(root / "rect.ppm", _smooth_rgb(rng, 40)[:24])  # last draw: earlier inputs stay put
 
 
 def snapshot(out: Path) -> list[dict]:

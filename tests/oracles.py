@@ -162,3 +162,30 @@ def covariance_twopass(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gaussian_differential_entropy(sigma: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e * sigma * sigma)
+
+
+# BT.601 full-range matrix, written out again so the oracles below share no
+# code with dctpipe.colorspace
+_BT601 = np.array(
+    [[0.299, 0.587, 0.114], [-0.168736, -0.331264, 0.5], [0.5, -0.418688, -0.081312]]
+)
+_BT601_OFFSET = np.array([0.0, 128.0, 128.0])
+
+
+def interleaved_rgb_to_ycbcr(pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward map on (h, w, 3) interleaved pixels: ``pixels @ M.T + offset``."""
+    planes = np.asarray(pixels).astype(np.float64) @ _BT601.T + _BT601_OFFSET
+    return planes[..., 0], planes[..., 1], planes[..., 2]
+
+
+def interleaved_ycbcr_to_rgb(y, cb, cr) -> np.ndarray:
+    """Inverse map on a stacked (h, w, 3) array, then round, clamp and cast to uint8."""
+    stacked = np.stack([y, cb, cr], axis=-1) - _BT601_OFFSET
+    rgb = stacked @ np.linalg.inv(_BT601).T
+    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+
+
+def repeat_assemble_rgb(y, cb, cr) -> np.ndarray:
+    """Half-size chroma replicated 2x2 with ``np.repeat``, then the inverse map."""
+    cb, cr = (np.repeat(np.repeat(p, 2, axis=0), 2, axis=1) for p in (cb, cr))
+    return interleaved_ycbcr_to_rgb(y, cb, cr)

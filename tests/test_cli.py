@@ -378,6 +378,10 @@ def test_numeric_flags_are_checked_before_reading_images(tmp_path, capsys, argv,
          "a, b, c must all be positive"),
         (("diffuse", "--input", "{d}/t.dctk", "--t", 0.5, "--a", "inf", "--out", "{d}/x"),
          "a, b, c must all be positive and finite"),
+        (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--eta", -1, "--out", "{d}/x"),
+         "--eta: eta must be a positive finite real, got -1.0"),
+        (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--eta", "nan", "--out", "{d}/x"),
+         "--eta: eta must be a positive finite real, got nan"),
     ],
 )
 def test_single_file_flags_are_checked_before_reading(tmp_path, capsys, argv, message):
@@ -389,7 +393,15 @@ def test_single_file_flags_are_checked_before_reading(tmp_path, capsys, argv, me
     assert "truncated" not in err and "t.ppm" not in err and "t.dctk" not in err
 
 
-@pytest.mark.parametrize("flags", [("--c", "inf"), ("--a", "1e308", "--b", "1e308")])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--t", "0.5", "--c", "inf"),
+        ("--t", "0.5", "--a", "1e308", "--b", "1e308"),
+        ("--t", "1", "--a", "1.7e308", "--b", "1.7e308"),  # y(t) overflows to inf
+        ("--t", "1e-300", "--c", "1e-300"),  # y'(t) = -inf through log1p(-1)
+    ],
+)
 def test_diffuse_rejects_degenerate_schedule_in_one_line(dataset, tmp_path, flags):
     # numpy warnings go to stderr only outside pytest's capture, so run the real process
     dctk = tmp_path / "x.dctk"
@@ -397,8 +409,8 @@ def test_diffuse_rejects_degenerate_schedule_in_one_line(dataset, tmp_path, flag
                  "--eta", "100", "--out", str(dctk)]) == 0
     out = tmp_path / "y.dctk"
     proc = subprocess.run(
-        [sys.executable, "-m", "dctpipe.cli", "diffuse", "--input", str(dctk), "--t", "0.5",
-         *flags, "--out", str(out)],
+        [sys.executable, "-m", "dctpipe.cli", "diffuse", "--input", str(dctk), *flags,
+         "--out", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert_single_line_error(proc.returncode, proc.stderr)
@@ -419,6 +431,23 @@ def test_huge_grid_range_is_rejected_before_it_is_built(tmp_path):
     )
     assert_single_line_error(proc.returncode, proc.stderr)
     assert "--grid: drop count must be in [0, 3] for B=2, got 1000000000" in proc.stderr
+
+
+def test_full_grid_is_not_built_before_the_images_bound_the_block_size(tmp_path):
+    # the default --grid full of B=1e5 has 1e10 entries (80 GB as a list); under a 1 GB cap
+    # the command must still reach the image read and report the truncated file
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dctpipe.cli", "scan-m", "--input", str(tmp_path),
+         "--block-size", "100000", "--gamma", "1", "--features", "pixels8"],
+        capture_output=True, text=True, preexec_fn=cap_memory, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert_single_line_error(proc.returncode, proc.stderr)
+    assert "t.ppm: truncated payload" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -503,9 +532,10 @@ def test_bad_dctk_threads_variable_is_named(capsys, monkeypatch, value):
 def test_grid_syntax_variants():
     from dctpipe.cli import _parse_grid
 
-    assert _parse_grid("0..3", 4) == (0, 1, 2, 3)
+    assert _parse_grid("0..3", 4) == range(0, 4)
     assert _parse_grid("0,4,8", 4) == (0, 4, 8)
-    assert _parse_grid("full", 2) == (0, 1, 2, 3)
+    assert _parse_grid("full", 2) == range(0, 4)
+    assert _parse_grid("full", 10**9) == range(10**18)  # lazy: never built
 
 
 def test_apsd_channels_and_gray_input(dataset, tmp_path, rng, capsys):

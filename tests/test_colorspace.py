@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dctpipe.block_dct import avg_pool
@@ -13,7 +13,12 @@ from dctpipe.colorspace import (
 )
 from dctpipe.image_io import RgbImage
 
-from oracles import pool2_loops
+from oracles import (
+    interleaved_rgb_to_ycbcr,
+    interleaved_ycbcr_to_rgb,
+    pool2_loops,
+    repeat_assemble_rgb,
+)
 from synth import cell_chroma_image
 
 
@@ -69,6 +74,34 @@ def test_affine_mixing(values, alpha):
         rgb_to_ycbcr(q), axis=-1
     )
     assert np.abs(mixed - parts).max() < 1e-12
+
+
+@given(
+    st.integers(1, 24).map(lambda n: 2 * n),
+    st.integers(1, 24).map(lambda n: 2 * n),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 2, 0)
+@example(24, 40, 1)
+@example(40, 6, 2)
+@settings(max_examples=60, deadline=None)
+def test_planar_conversion_matches_interleaved_oracle_bit_for_bit(h, w, seed):
+    rng = np.random.default_rng(seed)
+    img = RgbImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    planes = rgb_to_ycbcr(img)
+    for got, want in zip(planes, interleaved_rgb_to_ycbcr(img.pixels), strict=True):
+        assert got.shape == (h, w) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+    # inverse inputs reach past [0, 255] so the clamp is exercised on both sides
+    y, cb, cr = rng.uniform(-60, 320, (3, h, w))
+    assert np.array_equal(ycbcr_to_rgb(y, cb, cr).pixels, interleaved_ycbcr_to_rgb(y, cb, cr))
+    assert np.array_equal(ycbcr_to_rgb(*planes).pixels, interleaved_ycbcr_to_rgb(*planes))
+    s = SubsampledImage(y, cb[: h // 2, : w // 2], cr[: h // 2, : w // 2])
+    got = assemble_rgb(s).pixels
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, repeat_assemble_rgb(s.y, s.cb, s.cr))
+    s = subsample_rgb(img)
+    assert np.array_equal(assemble_rgb(s).pixels, repeat_assemble_rgb(s.y, s.cb, s.cr))
 
 
 def _replicate(plane):
