@@ -25,7 +25,6 @@ from .diffuse import perturb
 from .image_io import RgbImage, read_image, write_image
 from .schedule import NoiseSchedule, _check_t, snr_factor_for_resolution
 from .tokenizer import (
-    TokenConfig,
     _check_eta,
     dct_coefficient_matrices,
     detokenize,
@@ -136,11 +135,7 @@ def _cmd_encode(args) -> int:
     else:
         raise ValueError("encode needs --bounds or --eta")
     s = subsample_rgb(_per_file(_read_rgb)(args.input))
-    cfg = TokenConfig(
-        block_size=args.block_size, drop_count=args.drop, eta=eta,
-        height=s.height, width=s.width,
-    )
-    write_dctk(args.out, tokenize(s, cfg))
+    write_dctk(args.out, tokenize(s, args.block_size, args.drop, eta))
     return 0
 
 

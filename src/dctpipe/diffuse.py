@@ -84,6 +84,8 @@ def perturb_params(
         return 1.0, 0.0
     yp = float(y_scaled(t, sched))
     if mode == "ve":
+        if not 0 <= yp < np.inf:
+            raise ValueError(f"y'(t) must lie in [0, inf), got {yp}")
         return 1.0, float(np.sqrt(yp))
     mean = float(np.exp(-0.5 * yp))
     if not 0 < mean <= 1:

@@ -17,7 +17,7 @@ import numpy as np
 from .block_dct import avg_pool, kept_ranks
 from .colorspace import assemble_rgb, rgb_to_ycbcr, subsample_rgb
 from .image_io import RgbImage
-from .tokenizer import TokenConfig, dct_coefficient_matrices, detokenize, tokenize
+from .tokenizer import dct_coefficient_matrices, detokenize, tokenize
 
 __all__ = [
     "GaussianStats",
@@ -134,11 +134,7 @@ def make_feature_extractor(mode: str, block_size: int | None = None):
 
 def reconstruct_rgb(img: RgbImage, block_size: int, drop_count: int) -> RgbImage:
     """Round-trip an image through the full codec at the given drop count."""
-    s = subsample_rgb(img)
-    cfg = TokenConfig(
-        block_size=block_size, drop_count=drop_count, eta=1.0, height=s.height, width=s.width
-    )
-    return assemble_rgb(detokenize(tokenize(s, cfg)))
+    return assemble_rgb(detokenize(tokenize(subsample_rgb(img), block_size, drop_count, 1.0)))
 
 
 @dataclass

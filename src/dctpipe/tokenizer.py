@@ -6,6 +6,9 @@ Each token packs the four Y blocks covering one 2B x 2B luma patch with
 the Cb and Cr blocks covering the same patch at half resolution, laid
 out as [Y_TL | Y_TR | Y_BL | Y_BR | Cb | Cr]. Decoding inverts every
 step; with m = 0 the codec is lossless to floating-point rounding.
+
+``tokenize`` takes plain (B, m, eta) and the image fixes the token grid.
+Every token matrix passes ``TokenArray``'s shape and finiteness checks.
 """
 
 from __future__ import annotations
@@ -95,6 +98,8 @@ class TokenArray:
         want = (self.config.token_count, self.config.token_width)
         if self.tokens.shape != want:
             raise ValueError(f"token matrix shape {self.tokens.shape} != expected {want}")
+        if not np.isfinite(self.tokens).all():
+            raise ValueError("token matrix contains non-finite values")
 
 
 def plane_to_zigzag(plane: np.ndarray, b: int) -> np.ndarray:
@@ -102,17 +107,16 @@ def plane_to_zigzag(plane: np.ndarray, b: int) -> np.ndarray:
     return to_zigzag(dct2(blockify(plane - LEVEL_SHIFT, b)))
 
 
-def tokenize(s: SubsampledImage, cfg: TokenConfig) -> TokenArray:
-    """Encode a subsampled image into a scaled token matrix."""
-    if (s.height, s.width) != (cfg.height, cfg.width):
-        raise ValueError(
-            f"image is {s.width}x{s.height} but config says {cfg.width}x{cfg.height}"
-        )
-    b, k, n = cfg.block_size, cfg.kept, cfg.token_count
+def tokenize(s: SubsampledImage, block_size: int, drop_count: int, eta: float) -> TokenArray:
+    """Encode a subsampled image into a scaled token matrix; the image fixes the token grid."""
+    cfg = TokenConfig(block_size, drop_count, eta, s.height, s.width)
+    b, k, n = block_size, cfg.kept, cfg.token_count
     # each 2x2 tile of the luma block grid is one token's [TL, TR, BL, BR]
     parts = [blockify(plane_to_zigzag(s.y, b)[..., :k], 2).reshape(n, 4 * k)]
     parts += [plane_to_zigzag(p, b)[..., :k].reshape(n, k) for p in (s.cb, s.cr)]
-    return TokenArray(cfg, np.concatenate(parts, axis=1) / cfg.eta)
+    with np.errstate(over="ignore"):  # TokenArray rejects a token that overflows
+        tokens = np.concatenate(parts, axis=1) / eta
+    return TokenArray(cfg, tokens)
 
 
 def plane_from_zigzag(coeffs: np.ndarray, b: int) -> np.ndarray:
@@ -125,7 +129,10 @@ def detokenize(t: TokenArray) -> SubsampledImage:
     cfg = t.config
     b, k = cfg.block_size, cfg.kept
     nh, nw = cfg.height // (2 * b), cfg.width // (2 * b)
-    segs = (t.tokens * cfg.eta).reshape(nh, nw, 6, k)
+    with np.errstate(over="ignore"):
+        segs = (t.tokens * cfg.eta).reshape(nh, nw, 6, k)
+    if not np.isfinite(segs).all():  # checked before idct2 turns an inf into NaNs
+        raise ValueError(f"tokens scaled by eta {cfg.eta} overflow to non-finite coefficients")
     ys = unblockify(segs[:, :, :4].reshape(nh, nw, 2, 2, k))
     return SubsampledImage(*(plane_from_zigzag(c, b) for c in (ys, segs[:, :, 4], segs[:, :, 5])))
 
@@ -177,6 +184,4 @@ def read_dctk(path) -> TokenArray:
         what = "truncated DCTK payload" if have < need else "trailing bytes after DCTK payload"
         raise ValueError(f"{what}: need {need} bytes, have {have}")
     tokens = np.frombuffer(data, dtype="<f8", count=n * cfg.token_width, offset=offset)
-    if not np.isfinite(tokens).all():
-        raise ValueError("DCTK payload contains non-finite values")
     return TokenArray(cfg, tokens.reshape(n, cfg.token_width).astype(np.float64))

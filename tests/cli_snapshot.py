@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,10 @@ CASES = [
     ("decode --input out/rect.dctk --out out/rect.ppm", True),
     ("upsample --method dct --block-size 4 --input in/rect.ppm --output out/rect_up_dct.ppm", True),
     ("upsample --method bilinear --input in/rect.ppm --output out/rect_up_bil.ppm", True),
+    ("apsd --input in/rgb --block-size 4 --t-list 1e-300 --c 1e-300 --mode ve --out out/ve_nan.csv", False),
+    ("apsd --input in/rgb --block-size 4 --t-list 1 --a 1.7e308 --b 1.7e308 --mode ve --out out/ve_inf.csv", False),
+    ("decode --input in/overflow.dctk --out out/overflow.ppm", False),
+    ("encode --input in/rgb/i00.ppm --block-size 4 --eta 1e-320 --out out/eta_tiny.dctk", False),
 ]
 
 
@@ -128,6 +133,9 @@ def build_inputs(root: Path, seed: int = 0) -> None:
     (root / "truncated").mkdir()
     (root / "truncated" / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
     (root / "short.dctk").write_bytes(b"DCTK" + bytes(6))
+    # a valid 8x8 DCTK at B=2 whose tokens times eta overflow float64
+    header = struct.pack("<HIIHHdQ", 1, 8, 8, 2, 0, 1e300, 4)
+    (root / "overflow.dctk").write_bytes(b"DCTK" + header + np.full(96, 1e10, "<f8").tobytes())
     (root / "mixed").mkdir()
     (root / "mixed" / "a.ppm").write_bytes((root / "rgb" / "i00.ppm").read_bytes())
     (root / "mixed" / "b.ppm").write_bytes((root / "truncated" / "t.ppm").read_bytes())

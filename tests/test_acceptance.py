@@ -33,7 +33,7 @@ from dctpipe.schedule import (
     y_scaled,
 )
 from dctpipe.synth import band_limited_image, power_law_coefficients, smooth_cosine_plane
-from dctpipe.tokenizer import TokenConfig, detokenize, tokenize
+from dctpipe.tokenizer import detokenize, tokenize
 from dctpipe.upsample import bilinear_upsample, dct_upsample, psnr
 
 from oracles import naive_dct2_loops, naive_dct2_stack
@@ -82,8 +82,7 @@ def test_criterion_2_pipeline_losslessness(tmp_path):
     for i in range(100):
         img = cell_chroma_image(rng, 64, 64)
         s = subsample_rgb(img)
-        cfg = TokenConfig(block_size=4, drop_count=0, eta=250.0, height=64, width=64)
-        back = detokenize(tokenize(s, cfg))
+        back = detokenize(tokenize(s, 4, 0, 250.0))
         worst_y = max(worst_y, np.abs(back.y - s.y).max())
         if i < 10:  # file-level round trip through the CLI for a subset
             src = tmp_path / f"in_{i}.ppm"

@@ -282,6 +282,19 @@ def test_encode_beyond_dctk_header_range_is_single_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_encode_with_eta_that_overflows_the_tokens_is_single_line_error(dataset, tmp_path):
+    # numpy warnings go to stderr only outside pytest's capture, so run the real process
+    src, out = sorted(dataset.iterdir())[0], tmp_path / "x.dctk"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dctpipe.cli", "encode", "--input", str(src), "--block-size", "4",
+         "--eta", "1e-320", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert_single_line_error(proc.returncode, proc.stderr)
+    assert "non-finite" in proc.stderr
+    assert not out.exists()
+
+
 def test_encode_with_bounds_missing_tau_is_single_line_error(dataset, tmp_path, capsys):
     bounds = tmp_path / "b.json"
     bounds.write_text(json.dumps({"mode": "ecs", "block_size": 4, "eta": 50.0}))

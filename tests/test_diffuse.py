@@ -52,6 +52,19 @@ def test_params_validation():
         perturb_params(float("nan"), DEFAULTS)
 
 
+@pytest.mark.parametrize(
+    "t, sched",
+    [
+        (1e-300, NoiseSchedule(c=1e-300)),  # y'(t) = -inf through log1p(-1)
+        (1.0, NoiseSchedule(a=1.7e308, b=1.7e308)),  # y(t) overflows to inf
+    ],
+)
+def test_ve_rejects_y_prime_outside_zero_to_inf(t, sched):
+    message = r"y'\(t\) must lie in \[0, inf\)"
+    with np.errstate(all="raise", under="ignore"), pytest.raises(ValueError, match=message):
+        perturb_params(t, sched, "ve")
+
+
 def test_t0_is_bitwise_identity(rng):
     x = make_tokens(rng)
     out = perturb(x, 0.0, DEFAULTS, seed=7)

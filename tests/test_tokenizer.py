@@ -30,16 +30,16 @@ def random_subsampled(rng, h, w):
 
 def test_token_counts_match_reference_geometries(rng):
     s = random_subsampled(rng, 64, 64)
-    t = tokenize(s, TokenConfig(2, 0, 1.0, 64, 64))
+    t = tokenize(s, 2, 0, 1.0)
     assert t.tokens.shape == (256, 24)
     s = random_subsampled(rng, 256, 256)
-    t = tokenize(s, TokenConfig(4, 8, 1.0, 256, 256))
+    t = tokenize(s, 4, 8, 1.0)
     assert t.tokens.shape == (1024, 48)
 
 
 def test_constant_gray_image_is_all_zero(rng):
     s = SubsampledImage(np.full((16, 16), 128.0), np.full((8, 8), 128.0), np.full((8, 8), 128.0))
-    t = tokenize(s, TokenConfig(2, 1, 3.0, 16, 16))
+    t = tokenize(s, 2, 1, 3.0)
     assert np.abs(t.tokens).max() < 1e-12
 
 
@@ -54,8 +54,7 @@ def test_all_zero_tokens_decode_to_flat_128():
 def test_lossless_roundtrip_m0(rng, b, eta):
     h = w = 8 * b
     s = random_subsampled(rng, h, w)
-    cfg = TokenConfig(b, 0, eta, h, w)
-    out = detokenize(tokenize(s, cfg))
+    out = detokenize(tokenize(s, b, 0, eta))
     assert np.abs(out.y - s.y).max() < 1e-9
     assert np.abs(out.cb - s.cb).max() < 1e-9
     assert np.abs(out.cr - s.cr).max() < 1e-9
@@ -67,21 +66,20 @@ def test_band_limited_roundtrip_with_drop(rng):
     cfg = TokenConfig(b, m, 1.0, 32, 32)
     tokens = rng.normal(size=(cfg.token_count, cfg.token_width)) * 5.0
     s = detokenize(TokenArray(cfg, tokens))
-    cfg0 = TokenConfig(b, 0, 1.0, 32, 32)
-    full = tokenize(s, cfg0)
+    full = tokenize(s, b, 0, 1.0)
     # the construction really zeroed those slots
     kept = b * b - m
     segs = full.tokens.reshape(-1, 6, b * b)
     assert np.abs(segs[:, :, kept:]).max() < 1e-9
-    out = detokenize(tokenize(s, cfg))
+    out = detokenize(tokenize(s, b, m, 1.0))
     assert np.abs(out.y - s.y).max() < 1e-9
     assert np.abs(out.cb - s.cb).max() < 1e-9
 
 
 def test_scaling_divides_every_coefficient(rng):
     s = random_subsampled(rng, 16, 16)
-    t1 = tokenize(s, TokenConfig(2, 0, 1.0, 16, 16))
-    t9 = tokenize(s, TokenConfig(2, 0, 9.0, 16, 16))
+    t1 = tokenize(s, 2, 0, 1.0)
+    t9 = tokenize(s, 2, 0, 9.0)
     assert np.abs(t1.tokens / 9.0 - t9.tokens).max() < 1e-12
 
 
@@ -94,7 +92,7 @@ def test_geometry_single_patch_hits_single_token():
     y[8:16, 16:24] = 200.0
     cb[4:8, 8:12] = 60.0
     cr[4:8, 8:12] = 190.0
-    t = tokenize(SubsampledImage(y, cb, cr), TokenConfig(b, 0, 1.0, 32, 32))
+    t = tokenize(SubsampledImage(y, cb, cr), b, 0, 1.0)
     nonzero = np.where(np.abs(t.tokens).max(axis=1) > 1e-9)[0]
     assert nonzero.tolist() == [1 * 4 + 2]
 
@@ -106,7 +104,7 @@ def test_top_right_luma_block_fills_only_the_y_tr_segment():
     flat = np.full((16, 16), 128.0)
     # token (1, 2) covers luma rows 8:16, cols 16:24; its top-right block is rows 8:12, cols 20:24
     y[8:12, 20:24] = 200.0
-    t = tokenize(SubsampledImage(y, flat, flat), TokenConfig(b, m, 1.0, 32, 32))
+    t = tokenize(SubsampledImage(y, flat, flat), b, m, 1.0)
     rows, cols = np.nonzero(np.abs(t.tokens) > 1e-9)
     assert set(rows.tolist()) == {1 * 4 + 2}
     assert cols.min() >= k and cols.max() < 2 * k
@@ -143,10 +141,38 @@ def test_config_invariants():
         TokenConfig(4, -1, 1.0, 32, 32)
 
 
-def test_tokenize_rejects_mismatched_planes(rng):
-    s = random_subsampled(rng, 32, 32)
-    with pytest.raises(ValueError):
-        tokenize(s, TokenConfig(4, 0, 1.0, 64, 64))
+@pytest.mark.parametrize(
+    "b, m, eta, h, w",
+    [(0, 0, 1.0, 32, 32), (4, 16, 1.0, 32, 32), (4, 0, 0.0, 32, 32), (4, 0, np.nan, 32, 32),
+     (4, 0, 1.0, 36, 32)],
+)
+def test_tokenize_raises_the_config_errors(rng, b, m, eta, h, w):
+    with pytest.raises(ValueError) as config_error:
+        TokenConfig(b, m, eta, h, w)
+    with pytest.raises(ValueError) as tokenize_error:
+        tokenize(random_subsampled(rng, h, w), b, m, eta)
+    assert str(tokenize_error.value) == str(config_error.value)
+
+
+def test_tokenize_rejects_an_eta_that_overflows_the_tokens(rng):
+    with np.errstate(all="raise", under="ignore"), pytest.raises(ValueError, match="non-finite"):
+        tokenize(random_subsampled(rng, 16, 16), 2, 0, 1e-320)
+
+
+def test_detokenize_rejects_tokens_that_overflow_when_scaled():
+    cfg = TokenConfig(2, 0, 1e300, 8, 8)
+    t = TokenArray(cfg, np.full((cfg.token_count, cfg.token_width), 1e10))
+    with np.errstate(all="raise", under="ignore"), pytest.raises(ValueError, match="overflow"):
+        detokenize(t)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_token_array_rejects_non_finite_tokens(value):
+    cfg = TokenConfig(2, 0, 1.0, 8, 8)
+    tokens = np.zeros((cfg.token_count, cfg.token_width))
+    tokens[-1, -1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        TokenArray(cfg, tokens)
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
@@ -160,7 +186,7 @@ def test_roundtrip_property(b_exp, seed):
         gen.uniform(0, 255, (h // 2, w // 2)),
         gen.uniform(0, 255, (h // 2, w // 2)),
     )
-    out = detokenize(tokenize(s, TokenConfig(b, 0, 7.5, h, w)))
+    out = detokenize(tokenize(s, b, 0, 7.5))
     assert np.abs(out.y - s.y).max() < 1e-9
     assert np.abs(out.cb - s.cb).max() < 1e-9
     assert np.abs(out.cr - s.cr).max() < 1e-9
@@ -185,12 +211,20 @@ def test_plane_zigzag_transform_matches_direct_evaluation(rng, b):
 
 def test_dctk_file_roundtrip(tmp_path, rng):
     s = random_subsampled(rng, 32, 32)
-    t = tokenize(s, TokenConfig(4, 3, 2.5, 32, 32))
+    t = tokenize(s, 4, 3, 2.5)
     path = tmp_path / "tokens.dctk"
     write_dctk(path, t)
     back = read_dctk(path)
     assert back.config == t.config
     assert np.array_equal(back.tokens, t.tokens)
+
+
+def test_config_built_by_tokenize_survives_the_dctk_file(tmp_path, rng):
+    # h != w, so a transposed grid cannot pass unseen
+    t = tokenize(random_subsampled(rng, 24, 40), 2, 1, 0.75)
+    assert t.config == TokenConfig(block_size=2, drop_count=1, eta=0.75, height=24, width=40)
+    write_dctk(tmp_path / "t.dctk", t)
+    assert read_dctk(tmp_path / "t.dctk").config == t.config
 
 
 def test_dctk_rejects_garbage(tmp_path):
@@ -205,7 +239,7 @@ def test_dctk_rejects_garbage(tmp_path):
 
 def test_dctk_truncation_detected(tmp_path, rng):
     s = random_subsampled(rng, 16, 16)
-    t = tokenize(s, TokenConfig(2, 0, 1.0, 16, 16))
+    t = tokenize(s, 2, 0, 1.0)
     path = tmp_path / "t.dctk"
     write_dctk(path, t)
     data = path.read_bytes()
@@ -215,7 +249,7 @@ def test_dctk_truncation_detected(tmp_path, rng):
 
 
 def test_dctk_trailing_bytes_rejected(tmp_path, rng):
-    t = tokenize(random_subsampled(rng, 16, 16), TokenConfig(2, 0, 1.0, 16, 16))
+    t = tokenize(random_subsampled(rng, 16, 16), 2, 0, 1.0)
     path = tmp_path / "t.dctk"
     write_dctk(path, t)
     path.write_bytes(path.read_bytes() + bytes(8))
