@@ -4,7 +4,7 @@ Noise is keyed by (seed, coefficient counter) rather than drawn from a
 sequential stream, so any parallel or chunked execution order produces
 identical output. The generator is SplitMix64 used in counter mode:
 
-    word(seed, n) = mix64(mix64(seed) + (n + 1) * 0x9E3779B97F4A7C15)
+    word(seed, n) = mix64(key + (n + 1) * G),  key = mix64(seed + G),  G = 0x9E3779B97F4A7C15
 
 Each standard normal consumes two words via Box-Muller:
 
@@ -13,6 +13,11 @@ Each standard normal consumes two words via Box-Muller:
 where coefficient i uses counters 2i and 2i+1. The scheme is fixed so
 that outputs are reproducible across runs and comparable in distribution
 across implementations (not bit-exactly, since libm cos/log may differ).
+
+Noise is generated in place, in fixed chunks of 2^15 normals: the words,
+uniforms and Box-Muller steps overwrite a constant scratch, and :func:`noisy`
+draws and applies one chunk at a time. Peak memory is therefore the output
+plus a constant (about 2 MB), whatever the count.
 """
 
 from __future__ import annotations
@@ -34,38 +39,80 @@ __all__ = [
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_CHUNK = 2**15  # normals per chunk of counter_normals and noisy: bounds their scratch
 
 
-def _mix64(x):
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+def _mix64(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, in place on the uint64 array x; s is uint64 scratch of x's shape."""
+    np.right_shift(x, 30, out=s)
+    x ^= s
+    x *= _MIX1
+    np.right_shift(x, 27, out=s)
+    x ^= s
+    x *= _MIX2
+    np.right_shift(x, 31, out=s)
+    x ^= s
+    return x
 
 
-def _key(seed: int) -> np.uint64:
-    return _mix64(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
+def _mix64_int(v: int) -> int:
+    x = np.array([v & _MASK], dtype=np.uint64)
+    return int(_mix64(x, np.empty_like(x))[0])
+
+
+def _key(seed: int) -> int:
+    return _mix64_int(int(seed) + int(_GOLDEN))
+
+
+def _uniforms(c: np.ndarray, key: int, out: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Write the uniforms of counters c + offset to out (float64, c's shape).
+
+    Overwrites the uint64 buffer c with the counters' SplitMix64 words, using
+    out as the mixer's scratch, so nothing else is allocated.
+    """
+    c += np.uint64((offset + 1) & _MASK)
+    c *= _GOLDEN
+    c += np.uint64(key)
+    _mix64(c, out.view(np.uint64))
+    c >>= np.uint64(11)
+    np.add(c, 1.0, out=out)
+    out *= 2.0**-53
+    return out
 
 
 def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniforms in (0, 1], one per counter value, independent of call order."""
-    counters = np.asarray(counters, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        words = _mix64(_key(seed) + (counters + np.uint64(1)) * _GOLDEN)
-    return ((words >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    c = np.array(counters, dtype=np.uint64)
+    return _uniforms(c, _key(seed), np.empty(c.shape))
 
 
 def counter_normals(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Standard normals for coefficient indices start..start+count-1."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    u1 = counter_uniforms(seed, idx * np.uint64(2))
-    u2 = counter_uniforms(seed, idx * np.uint64(2) + np.uint64(1))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """Standard normals for coefficient indices start..start+count-1.
+
+    Fills one output array in chunks of ``_CHUNK`` normals; the only other
+    memory is a fixed scratch of three chunk-sized buffers.
+    """
+    key, out = _key(seed), np.empty(count)
+    u, v = np.empty(2 * min(count, _CHUNK)), np.empty(min(count, _CHUNK))
+    for lo in range(0, count, _CHUNK):
+        z = out[lo : lo + _CHUNK]
+        n = z.size
+        # coefficient i uses counters 2i and 2i+1, so u1 and u2 come interleaved
+        u12 = _uniforms(np.arange(2 * n, dtype=np.uint64), key, u[: 2 * n], 2 * (start + lo))
+        np.copyto(z, u12[0::2])
+        np.log(z, out=z)
+        z *= -2.0
+        np.sqrt(z, out=z)
+        cos = np.multiply(u12[1::2], 2.0 * np.pi, out=v[:n])
+        np.cos(cos, out=cos)
+        z *= cos
+    return out
 
 
 def derive_stream(seed: int, stream: int) -> int:
     """Derive an independent sub-seed, e.g. one per time point of a sweep."""
-    with np.errstate(over="ignore"):
-        return int(_mix64(_key(seed) ^ np.uint64(int(stream) & 0xFFFFFFFFFFFFFFFF)))
+    return _mix64_int(_key(seed) ^ int(stream))
 
 
 def perturb_params(
@@ -97,12 +144,25 @@ def noisy(x0: np.ndarray, t: float, sched: NoiseSchedule, seed: int, mode: str =
     """Sample x_t = m(t) x_0 + s(t) eps of :func:`perturb_params`; a copy of x_0 at t = 0.
 
     Element i of x_0 (in C order) uses counter_normals(seed, x0.size)[i], so
-    the result does not depend on how the work is split across threads.
+    the result does not depend on how the work is split across threads. The
+    noise is drawn and applied in chunks, so the result is the only
+    full-size allocation.
     """
     mean, std = perturb_params(t, sched, mode)
     if t == 0:
         return x0.copy()
-    return mean * x0 + std * counter_normals(seed, x0.size).reshape(x0.shape)
+    # x_t takes x0's memory order: apsd's axis-0 mean sums in memory order, so that sets its last bits
+    out, lo = np.empty_like(x0, dtype=np.float64), 0
+    with np.nditer(
+        [x0, out], flags=["external_loop", "buffered", "zerosize_ok"],
+        op_flags=[["readonly"], ["writeonly"]], order="C", buffersize=_CHUNK,
+    ) as chunks:
+        for x, xt in chunks:  # runs of at most _CHUNK elements in C order
+            xt[...] = counter_normals(seed, x.size, start=lo)
+            xt *= std
+            xt += mean * x
+            lo += x.size
+    return out
 
 
 def perturb(x0: TokenArray, t: float, sched: NoiseSchedule, seed: int) -> TokenArray:

@@ -157,10 +157,12 @@ def apsd(
         raise ValueError(f"coeffs must be an (n, ranks) matrix, got shape {coeffs.shape}")
     if coeffs.shape[0] < 1000:
         raise ValueError(f"need at least 1000 blocks, got {coeffs.shape[0]}")
-    return np.array([
-        np.mean(np.square(noisy(coeffs, t, sched, derive_stream(seed, i), mode)), axis=0)
-        for i, t in enumerate(np.atleast_1d(_check_t(t_grid)))
-    ])
+    powers = []
+    for i, t in enumerate(np.atleast_1d(_check_t(t_grid))):
+        xt = noisy(coeffs, t, sched, derive_stream(seed, i), mode)
+        powers.append(np.mean(np.square(xt, out=xt), axis=0))
+        del xt  # so at most one x_t buffer is alive
+    return np.array(powers)
 
 
 def power_law_fit(powers) -> tuple[float, float]:

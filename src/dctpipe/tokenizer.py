@@ -134,7 +134,9 @@ def detokenize(t: TokenArray) -> SubsampledImage:
     if not np.isfinite(segs).all():  # checked before idct2 turns an inf into NaNs
         raise ValueError(f"tokens scaled by eta {cfg.eta} overflow to non-finite coefficients")
     ys = unblockify(segs[:, :, :4].reshape(nh, nw, 2, 2, k))
-    return SubsampledImage(*(plane_from_zigzag(c, b) for c in (ys, segs[:, :, 4], segs[:, :, 5])))
+    with np.errstate(over="ignore", invalid="ignore"):  # SubsampledImage rejects a plane that overflows
+        planes = [plane_from_zigzag(c, b) for c in (ys, segs[:, :, 4], segs[:, :, 5])]
+    return SubsampledImage(*planes)
 
 
 def dct_coefficient_matrices(

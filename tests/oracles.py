@@ -189,3 +189,27 @@ def repeat_assemble_rgb(y, cb, cr) -> np.ndarray:
     """Half-size chroma replicated 2x2 with ``np.repeat``, then the inverse map."""
     cb, cr = (np.repeat(np.repeat(p, 2, axis=0), 2, axis=1) for p in (cb, cr))
     return interleaved_ycbcr_to_rgb(y, cb, cr)
+
+
+_U64 = (1 << 64) - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z: int) -> int:
+    """SplitMix64's finaliser (Steele, Lea & Flood 2014) on a Python int, mod 2^64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
+def splitmix64_uniform(seed: int, counter: int) -> float:
+    """Uniform in (0, 1] of ``counter`` under ``seed``: the top 53 bits of its word, plus one."""
+    key = splitmix64_mix((seed + _GOLDEN64) & _U64)
+    word = splitmix64_mix((key + (counter + 1) * _GOLDEN64) & _U64)
+    return ((word >> 11) + 1) * 2.0**-53
+
+
+def box_muller_normal(seed: int, index: int) -> float:
+    """Normal ``index`` from counters 2 index and 2 index + 1, through libm's log and cos."""
+    u1, u2 = splitmix64_uniform(seed, 2 * index), splitmix64_uniform(seed, 2 * index + 1)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

@@ -12,7 +12,7 @@ from dctpipe.cli import main
 from dctpipe.image_io import GrayImage, RgbImage, read_image, write_image
 from dctpipe.scaling import load_bounds
 from dctpipe.synth import band_limited_image
-from dctpipe.tokenizer import read_dctk
+from dctpipe.tokenizer import TokenArray, TokenConfig, read_dctk, write_dctk
 
 from synth import cell_chroma_image
 
@@ -117,6 +117,20 @@ def test_diffuse_writes_perturbed_tokens(dataset, tmp_path, capsys):
     assert not np.array_equal(before.tokens, after.tokens)
 
 
+def test_second_main_call_in_a_process_keeps_no_flag_of_the_first(dataset, tmp_path, capsys):
+    src = sorted(dataset.iterdir())[0]
+    dctk, first, second, fresh = (tmp_path / f"{n}.dctk" for n in ("x", "c2", "default", "fresh"))
+    run(capsys, "encode", "--input", src, "--block-size", 4, "--eta", 100, "--out", dctk)
+    assert run(capsys, "diffuse", "--input", dctk, "--t", 0.3, "--c", 2, "--out", first)[0] == 0
+    assert run(capsys, "diffuse", "--input", dctk, "--t", 0.3, "--out", second)[0] == 0
+    subprocess.run(
+        [sys.executable, "-m", "dctpipe.cli", "diffuse", "--input", str(dctk), "--t", "0.3",
+         "--out", str(fresh)],
+        check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert second.read_bytes() == fresh.read_bytes() != first.read_bytes()
+
+
 def test_weights_command(dataset, tmp_path, capsys):
     out = tmp_path / "w.json"
     code, _, err = run(
@@ -198,6 +212,20 @@ def test_decode_of_short_dctk_is_single_line_error(tmp_path, capsys):
     code, _, err = run(capsys, "decode", "--input", dctk, "--out", tmp_path / "x.ppm")
     assert_single_line_error(code, err)
     assert "truncated" in err
+
+
+def test_decode_of_tokens_whose_inverse_dct_overflows_is_single_line_error(tmp_path):
+    # finite coefficients (eta = 1) that overflow only inside idct2; warnings need a real process
+    cfg = TokenConfig(2, 0, 1.0, 8, 8)
+    dctk, out = tmp_path / "big.dctk", tmp_path / "x.ppm"
+    write_dctk(dctk, TokenArray(cfg, np.full((cfg.token_count, cfg.token_width), 1e308)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dctpipe.cli", "decode", "--input", str(dctk), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert_single_line_error(proc.returncode, proc.stderr)
+    assert "non-finite" in proc.stderr
+    assert not out.exists()
 
 
 def test_decode_of_dctk_with_trailing_bytes_is_single_line_error(dataset, tmp_path, capsys):

@@ -15,7 +15,12 @@ from dctpipe.freq_stats import apsd
 from dctpipe.schedule import NoiseSchedule
 from dctpipe.tokenizer import TokenArray, TokenConfig
 
+from oracles import box_muller_normal, splitmix64_uniform
+
 DEFAULTS = NoiseSchedule()
+# counts around the 2^15-normal chunk of counter_normals, and starts past 32 bits
+EDGE_COUNTS = (0, 1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 5)
+STARTS = (0, 7, 2**32 + 3)
 
 
 def make_tokens(rng, h=32, w=32, b=4):
@@ -85,6 +90,41 @@ def test_deterministic_across_runs_and_chunkings(rng):
     whole = counter_normals(123, n)
     split = np.concatenate([counter_normals(123, n // 3), counter_normals(123, n - n // 3, start=n // 3)])
     assert np.array_equal(whole, split)
+    offsets = (0, 1, 2**15 - 1, 2**15 + 3)
+    whole = counter_normals(123, max(offsets) + max(EDGE_COUNTS))
+    for a in offsets:
+        for n in EDGE_COUNTS:
+            assert np.array_equal(whole[a : a + n], counter_normals(123, n, start=a))
+
+
+@pytest.mark.parametrize("start", STARTS)
+def test_counter_noise_matches_pure_python_splitmix64(start):
+    seed, n = 0xDC7, max(EDGE_COUNTS)
+    counters = np.arange(2 * start, 2 * (start + n), dtype=np.uint64)
+    assert np.array_equal(
+        counter_uniforms(seed, counters), [splitmix64_uniform(seed, int(c)) for c in counters]
+    )
+    # numpy's log and cos may differ from libm's in the last bits
+    want = np.array([box_muller_normal(seed, start + i) for i in range(n)])
+    ulp = np.array([math.ulp(w) for w in want])
+    for count in EDGE_COUNTS:
+        got = counter_normals(seed, count, start=start)
+        assert got.shape == (count,)
+        assert np.all(np.abs(got - want[:count]) <= 4 * ulp[:count])
+
+
+def test_noisy_keeps_the_memory_order_of_x0(rng):
+    # apsd's axis-0 mean sums in memory order, so x_t's layout fixes its last bits
+    x = np.asfortranarray(rng.normal(size=(1000, 16)))
+    xt = noisy(x, 0.5, DEFAULTS, seed=1)
+    assert xt.flags.f_contiguous
+    assert np.array_equal(xt, noisy(np.ascontiguousarray(x), 0.5, DEFAULTS, seed=1))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_noisy_memory_is_its_output_plus_constant_scratch(rng, traced_peak, order):
+    x = np.asarray(rng.normal(size=(65536, 16)), order=order)
+    assert traced_peak(lambda: noisy(x, 0.5, DEFAULTS, seed=1)) < 1.5 * x.nbytes
 
 
 def test_monte_carlo_moments(rng):

@@ -263,3 +263,9 @@ def test_threshold_time_saturation_flag():
         snr_threshold_time(-1.0, 1.0, DEFAULTS)
     with pytest.raises(ValueError):
         snr_threshold_time(1.0, 1.0, DEFAULTS, mode="other")
+
+
+@pytest.mark.parametrize("order", ["C", "F"])  # the apsd CLI concatenates into F order
+def test_apsd_memory_is_one_noisy_matrix_plus_constant_scratch(rng, traced_peak, order):
+    x = np.asarray(rng.normal(size=(65536, 16)), order=order)
+    assert traced_peak(lambda: apsd(x, DEFAULTS, [0.0, 0.1, 0.5])) < 1.5 * x.nbytes
