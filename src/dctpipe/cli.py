@@ -56,6 +56,20 @@ def _threads(flag: int | None) -> int:
     return n
 
 
+def _flag(parse, check):
+    """An argparse ``type=``: parse a flag's text, then run the library's own check on it."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+        return value
+
+    return convert
+
+
 def _check_flag(flag: str, check, value):
     """Run the library's own check (or a parse) on a flag's value before any file is read."""
     try:
@@ -113,28 +127,24 @@ def _schedule_from(args, resolution: int | None = None) -> NoiseSchedule:
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, default=0.1, help="beta intercept")
-    p.add_argument("--b", type=float, default=19.9, help="beta slope")
-    p.add_argument("--c", type=float, default=None,
+    p.add_argument("--a", type=_flag(float, lambda a: NoiseSchedule(a=a)), default=0.1,
+                   help="beta intercept")
+    p.add_argument("--b", type=_flag(float, lambda b: NoiseSchedule(b=b)), default=19.9,
+                   help="beta slope")
+    p.add_argument("--c", type=_flag(float, lambda c: NoiseSchedule(c=c)), default=None,
                    help="SNR scale factor (default keyed to resolution)")
 
 
 def _cmd_encode(args) -> int:
     kept_ranks(args.block_size, args.drop)
-    if args.eta is not None:
-        _check_flag("--eta", _check_eta, args.eta)
-        eta = args.eta
-    elif args.bounds is not None:
+    eta = args.eta
+    if args.bounds is not None:
         b = scaling.load_bounds(args.bounds)
         if b.mode != "ecs":
             raise ValueError("encode needs an ecs bounds file (one global eta)")
         if b.block_size != args.block_size:
-            raise ValueError(
-                f"bounds were estimated for B={b.block_size}, not B={args.block_size}"
-            )
+            raise ValueError(f"bounds were estimated for B={b.block_size}, not B={args.block_size}")
         eta = b.eta
-    else:
-        raise ValueError("encode needs --bounds or --eta")
     s = subsample_rgb(_per_file(_read_rgb)(args.input))
     write_dctk(args.out, tokenize(s, args.block_size, args.drop, eta))
     return 0
@@ -159,9 +169,6 @@ def _collect_samples(args):
 
 
 def _cmd_bounds(args) -> int:
-    _check_flag("--tau", scaling._check_tau, args.tau)
-    _check_flag("--max-samples", scaling._check_limit, args.max_samples)
-    kept_ranks(args.block_size)
     y, cb, cr = _collect_samples(args)
     if args.mode == "ecs":
         dc = scaling.reservoir_sample(y[:, 0], args.max_samples)
@@ -188,7 +195,6 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_weights(args) -> int:
     kept = kept_ranks(args.block_size, args.drop)
-    _check_flag("--bins", freq_stats._check_bins, args.bins)
     mats = tuple(m[:, :kept] for m in _collect_samples(args))
     w = freq_stats.entropy_weights(mats, args.block_size, args.drop, bins=args.bins)
     freq_stats.save_weights(args.out, w)
@@ -211,8 +217,6 @@ def _cmd_scan_m(args) -> int:
 
 
 def _cmd_diffuse(args) -> int:
-    _check_flag("--t", _check_t, args.t)
-    _schedule_from(args)  # checks --a, --b, --c before the read; the default c needs the size
     tokens = read_dctk(args.input)
     sched = _schedule_from(args, max(tokens.config.height, tokens.config.width))
     write_dctk(args.out, perturb(tokens, args.t, sched, args.seed))
@@ -220,11 +224,8 @@ def _cmd_diffuse(args) -> int:
 
 
 def _cmd_apsd(args) -> int:
-    t_grid = _check_flag("--t-list", lambda text: [float(v) for v in text.split(",")], args.t_list)
-    _check_flag("--t-list", _check_t, t_grid)
     sched = _schedule_from(args)
     b = args.block_size
-    kept_ranks(b)
 
     def coeffs_of(path):
         img = read_image(path)
@@ -237,16 +238,15 @@ def _cmd_apsd(args) -> int:
         return plane_to_zigzag(plane, b).reshape(-1, b * b)
 
     coeffs = np.concatenate(_pmap(_per_file(coeffs_of), _image_paths(args.input), args.threads))
-    powers = freq_stats.apsd(coeffs, sched, t_grid, seed=args.seed, mode=args.mode)
+    powers = freq_stats.apsd(coeffs, sched, args.t_list, seed=args.seed, mode=args.mode)
     lines = ["t,rank,power"]
-    for t, row in zip(t_grid, powers):
+    for t, row in zip(args.t_list, powers):
         lines.extend(f"{_fmt(t)},{r},{_fmt(p)}" for r, p in enumerate(row))
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_upsample(args) -> int:
-    kept_ranks(args.block_size)
     img = read_image(args.input)
     up = upsample.upsample_rgb if isinstance(img, RgbImage) else upsample.upsample_gray
     write_image(args.output, up(img, args.method, args.block_size))
@@ -288,37 +288,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("encode", _cmd_encode, "image -> DCTK token file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--block-size", type=int, required=True)
+    p.add_argument("--block-size", type=_flag(int, kept_ranks), required=True)
     p.add_argument("--drop", type=int, default=0)
-    p.add_argument("--bounds", default=None, help="ecs bounds JSON supplying eta")
-    p.add_argument("--eta", type=float, default=None, help="explicit scale bound")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--bounds", help="ecs bounds JSON supplying eta")
+    source.add_argument("--eta", type=_flag(float, _check_eta), help="explicit scale bound")
 
     p = add("decode", _cmd_decode, "DCTK token file -> image")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
 
     p = add("ratio", _cmd_ratio, "print the compression ratio for (B, m)")
-    p.add_argument("--block-size", type=int, required=True)
+    p.add_argument("--block-size", type=_flag(int, kept_ranks), required=True)
     p.add_argument("--drop", type=int, required=True)
 
     p = add("bounds", _cmd_bounds, "estimate scaling bounds over an image directory")
     p.add_argument("--input", required=True)
-    p.add_argument("--block-size", type=int, required=True)
+    p.add_argument("--block-size", type=_flag(int, kept_ranks), required=True)
     p.add_argument("--mode", choices=("ecs", "naive"), default="ecs")
-    p.add_argument("--tau", type=float, default=scaling.DEFAULT_TAU)
-    p.add_argument("--max-samples", type=int, default=scaling.MAX_SAMPLES_PER_RANK)
+    p.add_argument("--tau", type=_flag(float, scaling._check_tau), default=scaling.DEFAULT_TAU)
+    p.add_argument("--max-samples", type=_flag(int, scaling._check_limit),
+                   default=scaling.MAX_SAMPLES_PER_RANK)
     p.add_argument("--out", required=True)
 
     p = add("weights", _cmd_weights, "estimate entropy weights over an image directory")
     p.add_argument("--input", required=True)
-    p.add_argument("--block-size", type=int, required=True)
+    p.add_argument("--block-size", type=_flag(int, kept_ranks), required=True)
     p.add_argument("--drop", type=int, default=0)
-    p.add_argument("--bins", type=int, default=256)
+    p.add_argument("--bins", type=_flag(int, freq_stats._check_bins), default=256)
     p.add_argument("--out", required=True)
 
     p = add("scan-m", _cmd_scan_m, "scan drop counts for the largest m under gamma")
     p.add_argument("--input", required=True)
-    p.add_argument("--block-size", type=int, required=True)
+    p.add_argument("--block-size", type=_flag(int, kept_ranks), required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--grid", default="full", help="e.g. 0..15 or 0,4,8 (default: full)")
     p.add_argument("--features", choices=fd_metric.FEATURE_MODES, required=True)
@@ -327,14 +329,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("diffuse", _cmd_diffuse, "forward-perturb a DCTK token file")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_flag(float, _check_t), required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_schedule_flags(p)
 
     p = add("apsd", _cmd_apsd, "averaged power spectral density over a directory")
     p.add_argument("--input", required=True)
-    p.add_argument("--block-size", type=int, required=True)
-    p.add_argument("--t-list", required=True, help="comma-separated times, e.g. 0,0.1,0.5")
+    p.add_argument("--block-size", type=_flag(int, kept_ranks), required=True)
+    p.add_argument("--t-list", type=_flag(lambda s: [float(v) for v in s.split(",")], _check_t),
+                   required=True, help="comma-separated times, e.g. 0,0.1,0.5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("vp", "ve"), default="vp")
     p.add_argument("--channel", choices=("y", "cb", "cr"), default="y")
@@ -343,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("upsample", _cmd_upsample, "2x upsample an image (dct or bilinear)")
     p.add_argument("--method", choices=upsample.METHODS, required=True)
-    p.add_argument("--block-size", type=int, default=4)
+    p.add_argument("--block-size", type=_flag(int, kept_ranks), default=4)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
@@ -351,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir-a", required=True)
     p.add_argument("--dir-b", required=True)
     p.add_argument("--features", choices=fd_metric.FEATURE_MODES, required=True)
-    p.add_argument("--block-size", type=int, default=None)
+    p.add_argument("--block-size", type=_flag(int, kept_ranks), default=None)
 
     return parser
 
@@ -364,7 +367,7 @@ def main(argv=None) -> int:
     try:
         args.threads = _threads(args.threads)
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"dctpipe {args.command}: {exc}", file=sys.stderr)
         return 2
 

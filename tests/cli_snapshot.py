@@ -101,6 +101,9 @@ CASES = [
     ("apsd --input in/rgb --block-size 4 --t-list 1 --a 1.7e308 --b 1.7e308 --mode ve --out out/ve_inf.csv", False),
     ("decode --input in/overflow.dctk --out out/overflow.ppm", False),
     ("encode --input in/rgb/i00.ppm --block-size 4 --eta 1e-320 --out out/eta_tiny.dctk", False),
+    ("fd --dir-a in/rgb --dir-b in/rgb2 --features pixels8 --block-size 0", False),
+    ("encode --input in/rgb/i00.ppm --block-size 4 --bounds out/ecs4.json --eta 300 --out out/both.dctk", False),
+    ("diffuse --input in/short.dctk --t 0.5 --a -1 --out out/a_neg.dctk", False),
 ]
 
 

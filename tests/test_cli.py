@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dctpipe.cli import main
+from dctpipe.cli import _build_parser, main
 from dctpipe.image_io import GrayImage, RgbImage, read_image, write_image
 from dctpipe.scaling import load_bounds
 from dctpipe.synth import band_limited_image
@@ -17,6 +18,14 @@ from dctpipe.tokenizer import TokenArray, TokenConfig, read_dctk, write_dctk
 from synth import cell_chroma_image
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SUBCOMMANDS = next(
+    a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+)
+
+
+def cap_memory():
+    # a 1 GB address-space cap, for the cases whose work must never be attempted uncapped
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.fixture()
@@ -361,7 +370,7 @@ def test_argparse_error_is_single_line(capsys, argv):
     assert "usage:" not in err
 
 
-@pytest.mark.parametrize("argv", [("--help",), ("ratio", "--help")])
+@pytest.mark.parametrize("argv", [("--help",)] + [(c, "--help") for c in SUBCOMMANDS])
 def test_help_exits_0(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -408,7 +417,7 @@ def test_numeric_flags_are_checked_before_reading_images(tmp_path, capsys, argv,
         (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--drop", 4, "--eta", 10,
           "--out", "{d}/x"), "drop count must be in [0, 3]"),
         (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--out", "{d}/x"),
-         "encode needs --bounds or --eta"),
+         "one of the arguments --bounds --eta is required"),
         (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--bounds", "{d}/none.json",
           "--out", "{d}/x"), "none.json"),
         (("upsample", "--method", "dct", "--block-size", 0, "--input", "{d}/t.ppm",
@@ -432,6 +441,82 @@ def test_single_file_flags_are_checked_before_reading(tmp_path, capsys, argv, me
     assert_single_line_error(code, err)
     assert message in err
     assert "truncated" not in err and "t.ppm" not in err and "t.dctk" not in err
+
+
+# A valid command line per subcommand whose every input is truncated: t.ppm, its
+# directory, or t.dctk. Each run must stop at its input, so a bad flag value added
+# to it must be reported before any read.
+VALID_ARGV = {
+    "encode": ("--input", "{d}/t.ppm", "--block-size", 2, "--eta", 10, "--out", "{d}/x"),
+    "decode": ("--input", "{d}/t.dctk", "--out", "{d}/x"),
+    "ratio": ("--block-size", 2, "--drop", 0),
+    "bounds": ("--input", "{d}", "--block-size", 2, "--out", "{d}/x"),
+    "weights": ("--input", "{d}", "--block-size", 2, "--out", "{d}/x"),
+    "scan-m": ("--input", "{d}", "--block-size", 2, "--gamma", 1, "--features", "pixels8"),
+    "diffuse": ("--input", "{d}/t.dctk", "--t", 0.5, "--out", "{d}/x"),
+    "apsd": ("--input", "{d}", "--block-size", 2, "--t-list", 0, "--out", "{d}/x"),
+    "upsample": ("--method", "dct", "--input", "{d}/t.ppm", "--output", "{d}/x"),
+    "fd": ("--dir-a", "{d}", "--dir-b", "{d}", "--features", "dctstats", "--block-size", 2),
+}
+# (bad value, the library's message) for every flag whose argparse type runs a library check
+BAD_FLAG_VALUES = {
+    "--block-size": [("0", "block size must be >= 1, got 0")],
+    "--eta": [("-1", "eta must be a positive finite real, got -1.0"),
+              ("nan", "eta must be a positive finite real, got nan")],
+    "--tau": [("100", "tau must lie in (50, 100), got 100.0"),
+              ("50", "tau must lie in (50, 100), got 50.0")],
+    "--max-samples": [("0", "limit must be >= 1, got 0")],
+    "--bins": [("10", "need at least 16 histogram bins, got 10")],
+    "--t": [("2", "t must lie in [0, 1]")],
+    "--t-list": [("0,2", "t must lie in [0, 1]"), ("0,nan", "t must lie in [0, 1]")],
+    "--a": [("inf", "a, b, c must all be positive and finite")],
+    "--b": [("0", "a, b, c must all be positive and finite")],
+    "--c": [("-1", "a, b, c must all be positive and finite")],
+}
+CHECKED_FLAGS = [
+    (cmd, flag)
+    for cmd, parser in SUBCOMMANDS.items()
+    for action in parser._actions
+    for flag in action.option_strings[-1:]
+    if flag in BAD_FLAG_VALUES or getattr(action.type, "__qualname__", "").startswith("_flag.")
+]
+
+
+@pytest.mark.parametrize("cmd, flag", CHECKED_FLAGS)
+def test_every_checked_flag_is_rejected_by_name_before_reading(tmp_path, capsys, cmd, flag):
+    (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    (tmp_path / "t.dctk").write_bytes(b"DCTK" + bytes(6))
+    valid = [str(a).format(d=tmp_path) for a in VALID_ARGV[cmd]]
+    code, _, err = run(capsys, cmd, *valid)
+    assert code == 0 or "truncated" in err, err
+    assert BAD_FLAG_VALUES.get(flag), f"{flag} of {cmd} runs a check but has no bad value here"
+    for bad, message in BAD_FLAG_VALUES[flag]:
+        code, _, err = run(capsys, cmd, *valid, flag, bad)  # the last value of a flag wins
+        assert_single_line_error(code, err)
+        assert f"argument {flag}: {message}" in err
+        assert "truncated" not in err and "t.ppm" not in err and "t.dctk" not in err
+
+
+def test_checked_flags_keep_their_parsed_types():
+    parse = _build_parser().parse_args
+    args = parse(["apsd", "--input", "d", "--block-size", "4", "--t-list", "0,.5", "--out", "o"])
+    assert type(args.block_size) is int and args.block_size == 4
+    assert args.t_list == [0.0, 0.5] and all(type(t) is float for t in args.t_list)
+    args = parse(["diffuse", "--input", "i", "--t", "1", "--c", "4", "--out", "o"])
+    assert type(args.t) is float and type(args.c) is float
+
+
+def test_memory_error_is_single_line_error(dataset, tmp_path):
+    # 1e9 histogram bins need 8 GB of bin edges; never run this case without the cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "dctpipe.cli", "weights", "--input", str(dataset),
+         "--block-size", "2", "--bins", "1000000000", "--out", str(tmp_path / "w.json")],
+        capture_output=True, text=True, preexec_fn=cap_memory, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert_single_line_error(proc.returncode, proc.stderr)
+    assert proc.stderr.startswith("dctpipe weights: Unable to allocate")
+    assert not (tmp_path / "w.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -460,9 +545,6 @@ def test_diffuse_rejects_degenerate_schedule_in_one_line(dataset, tmp_path, flag
 
 def test_huge_grid_range_is_rejected_before_it_is_built(tmp_path):
     # under a 1 GB address-space cap a materialised 0..1e9 grid (8 GB) cannot exist
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
     proc = subprocess.run(
         [sys.executable, "-m", "dctpipe.cli", "scan-m", "--input", str(tmp_path),
@@ -477,9 +559,6 @@ def test_huge_grid_range_is_rejected_before_it_is_built(tmp_path):
 def test_full_grid_is_not_built_before_the_images_bound_the_block_size(tmp_path):
     # the default --grid full of B=1e5 has 1e10 entries (80 GB as a list); under a 1 GB cap
     # the command must still reach the image read and report the truncated file
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
     proc = subprocess.run(
         [sys.executable, "-m", "dctpipe.cli", "scan-m", "--input", str(tmp_path),
