@@ -136,7 +136,7 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_encode(args) -> int:
-    kept_ranks(args.block_size, args.drop)
+    _check_flag("--drop", lambda m: kept_ranks(args.block_size, m), args.drop)
     eta = args.eta
     if args.bounds is not None:
         b = scaling.load_bounds(args.bounds)
@@ -156,6 +156,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
+    _check_flag("--drop", lambda m: kept_ranks(args.block_size, m), args.drop)
     print(_fmt(fd_metric.compression_ratio(args.block_size, args.drop)))
     return 0
 
@@ -194,7 +195,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    kept = kept_ranks(args.block_size, args.drop)
+    kept = _check_flag("--drop", lambda m: kept_ranks(args.block_size, m), args.drop)
     mats = tuple(m[:, :kept] for m in _collect_samples(args))
     w = freq_stats.entropy_weights(mats, args.block_size, args.drop, bins=args.bins)
     freq_stats.save_weights(args.out, w)
@@ -321,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("scan-m", _cmd_scan_m, "scan drop counts for the largest m under gamma")
     p.add_argument("--input", required=True)
     p.add_argument("--block-size", type=_flag(int, kept_ranks), required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", type=_flag(float, fd_metric._check_gamma), required=True)
     p.add_argument("--grid", default="full", help="e.g. 0..15 or 0,4,8 (default: full)")
     p.add_argument("--features", choices=fd_metric.FEATURE_MODES, required=True)
     p.add_argument("--report", default=None, help="CSV path for the (m, distance) curve")

@@ -16,8 +16,8 @@ across implementations (not bit-exactly, since libm cos/log may differ).
 
 Noise is generated in place, in fixed chunks of 2^15 normals: the words,
 uniforms and Box-Muller steps overwrite a constant scratch, and :func:`noisy`
-draws and applies one chunk at a time. Peak memory is therefore the output
-plus a constant (about 2 MB), whatever the count.
+adds one chunk at a time to a C-ordered float64 copy of x_0, whatever x_0's
+layout. Peak memory is the output plus a constant (about 2 MB), whatever the count.
 """
 
 from __future__ import annotations
@@ -143,25 +143,20 @@ def perturb_params(
 def noisy(x0: np.ndarray, t: float, sched: NoiseSchedule, seed: int, mode: str = "vp"):
     """Sample x_t = m(t) x_0 + s(t) eps of :func:`perturb_params`; a copy of x_0 at t = 0.
 
-    Element i of x_0 (in C order) uses counter_normals(seed, x0.size)[i], so
-    the result does not depend on how the work is split across threads. The
-    noise is drawn and applied in chunks, so the result is the only
-    full-size allocation.
+    x_t is C-ordered float64 whatever x_0's layout, and element i of x_0 (in
+    C order) uses counter_normals(seed, x0.size)[i], so its bytes depend on
+    x_0's values only, not on its layout or on how the work is split. The
+    noise is drawn and added in chunks, so x_t is the only full-size
+    allocation.
     """
     mean, std = perturb_params(t, sched, mode)
+    out = np.array(x0, dtype=np.float64, order="C")
     if t == 0:
-        return x0.copy()
-    # x_t takes x0's memory order: apsd's axis-0 mean sums in memory order, so that sets its last bits
-    out, lo = np.empty_like(x0, dtype=np.float64), 0
-    with np.nditer(
-        [x0, out], flags=["external_loop", "buffered", "zerosize_ok"],
-        op_flags=[["readonly"], ["writeonly"]], order="C", buffersize=_CHUNK,
-    ) as chunks:
-        for x, xt in chunks:  # runs of at most _CHUNK elements in C order
-            xt[...] = counter_normals(seed, x.size, start=lo)
-            xt *= std
-            xt += mean * x
-            lo += x.size
+        return out
+    out *= mean
+    for lo in range(0, out.size, _CHUNK):
+        xt = out.reshape(-1)[lo : lo + _CHUNK]
+        xt += std * counter_normals(seed, xt.size, start=lo)
     return out
 
 

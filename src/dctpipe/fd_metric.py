@@ -146,6 +146,11 @@ class MStarResult:
     saturated: bool
 
 
+def _check_gamma(gamma: float) -> None:
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+
+
 def scan_mstar(
     images, block_size: int, gamma: float, m_grid, features: str = "pixels8", map_fn=map
 ) -> MStarResult:
@@ -158,8 +163,7 @@ def scan_mstar(
     between the two feature distributions is recorded. ``map_fn`` may be
     an order-preserving parallel map.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     lazy = isinstance(m_grid, range) and m_grid.step > 0  # ascending by construction
     grid = m_grid if lazy else [int(m) for m in m_grid]
     if not grid or not (lazy or grid == sorted(set(grid))):

@@ -283,18 +283,6 @@ DIR_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("cmd", ["bounds", "weights", "apsd", "fd"])
-def test_block_size_zero_is_single_line_error(tmp_path, capsys, cmd):
-    # checked before the first read: the truncated file must not be the error
-    (tmp_path / "bad.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
-    argv = [str(a).format(d=tmp_path) for a in DIR_COMMANDS[cmd]]
-    argv[argv.index("--block-size") + 1] = "0"
-    code, _, err = run(capsys, *argv)
-    assert_single_line_error(code, err)
-    assert "block size must be >= 1, got 0" in err
-    assert "truncated" not in err
-
-
 def test_apsd_with_nan_time_is_single_line_error(dataset, tmp_path, capsys):
     out = tmp_path / "p.csv"
     code, _, err = run(
@@ -377,61 +365,15 @@ def test_help_exits_0(capsys, argv):
     assert out.startswith("usage: dctpipe")
 
 
-def test_scan_m_checks_gamma_before_reading_images(tmp_path, capsys):
-    (tmp_path / "bad.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
-    code, _, err = run(
-        capsys, "scan-m", "--input", tmp_path, "--block-size", 2, "--gamma", 0,
-        "--features", "pixels8",
-    )
-    assert_single_line_error(code, err)
-    assert "gamma" in err
-
-
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (("bounds", "--tau", 100), "--tau"),
-        (("bounds", "--tau", 50), "--tau"),
-        (("bounds", "--mode", "naive", "--max-samples", 0), "--max-samples"),
-        (("weights", "--bins", 10), "--bins"),
-        (("apsd", "--t-list", "0,2"), "--t-list"),
-        (("apsd", "--t-list", "0,nan"), "--t-list"),
-    ],
-)
-def test_numeric_flags_are_checked_before_reading_images(tmp_path, capsys, argv, flag):
-    (tmp_path / "bad.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
-    cmd, *rest = argv
-    code, _, err = run(
-        capsys, cmd, "--input", tmp_path, "--block-size", 2, *rest, "--out", tmp_path / "x"
-    )
-    assert_single_line_error(code, err)
-    assert flag in err
-    assert "truncated" not in err
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("encode", "--input", "{d}/t.ppm", "--block-size", 0, "--eta", 10, "--out", "{d}/x"),
-         "block size must be >= 1, got 0"),
         (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--drop", 4, "--eta", 10,
           "--out", "{d}/x"), "drop count must be in [0, 3]"),
         (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--out", "{d}/x"),
          "one of the arguments --bounds --eta is required"),
         (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--bounds", "{d}/none.json",
           "--out", "{d}/x"), "none.json"),
-        (("upsample", "--method", "dct", "--block-size", 0, "--input", "{d}/t.ppm",
-          "--output", "{d}/x"), "block size must be >= 1, got 0"),
-        (("diffuse", "--input", "{d}/t.dctk", "--t", 2, "--out", "{d}/x"),
-         "--t: t must lie in [0, 1]"),
-        (("diffuse", "--input", "{d}/t.dctk", "--t", 0.5, "--c", -1, "--out", "{d}/x"),
-         "a, b, c must all be positive"),
-        (("diffuse", "--input", "{d}/t.dctk", "--t", 0.5, "--a", "inf", "--out", "{d}/x"),
-         "a, b, c must all be positive and finite"),
-        (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--eta", -1, "--out", "{d}/x"),
-         "--eta: eta must be a positive finite real, got -1.0"),
-        (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--eta", "nan", "--out", "{d}/x"),
-         "--eta: eta must be a positive finite real, got nan"),
     ],
 )
 def test_single_file_flags_are_checked_before_reading(tmp_path, capsys, argv, message):
@@ -472,6 +414,7 @@ BAD_FLAG_VALUES = {
     "--a": [("inf", "a, b, c must all be positive and finite")],
     "--b": [("0", "a, b, c must all be positive and finite")],
     "--c": [("-1", "a, b, c must all be positive and finite")],
+    "--gamma": [("0", "gamma must be positive, got 0.0")],
 }
 CHECKED_FLAGS = [
     (cmd, flag)
@@ -495,6 +438,17 @@ def test_every_checked_flag_is_rejected_by_name_before_reading(tmp_path, capsys,
         assert_single_line_error(code, err)
         assert f"argument {flag}: {message}" in err
         assert "truncated" not in err and "t.ppm" not in err and "t.dctk" not in err
+
+
+@pytest.mark.parametrize("cmd", ["encode", "weights", "ratio"])
+def test_drop_beyond_the_block_is_rejected_by_name_before_reading(tmp_path, capsys, cmd):
+    # --drop's range depends on --block-size, so the command checks it, before any read
+    (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    valid = [str(a).format(d=tmp_path) for a in VALID_ARGV[cmd]]
+    code, _, err = run(capsys, cmd, *valid, "--drop", 4)  # B^2 at B = 2
+    assert_single_line_error(code, err)
+    assert f"dctpipe {cmd}: --drop: drop count must be in [0, 3] for B=2, got 4" in err
+    assert "truncated" not in err and str(tmp_path) not in err
 
 
 def test_checked_flags_keep_their_parsed_types():

@@ -113,12 +113,29 @@ def test_counter_noise_matches_pure_python_splitmix64(start):
         assert np.all(np.abs(got - want[:count]) <= 4 * ulp[:count])
 
 
-def test_noisy_keeps_the_memory_order_of_x0(rng):
-    # apsd's axis-0 mean sums in memory order, so x_t's layout fixes its last bits
-    x = np.asfortranarray(rng.normal(size=(1000, 16)))
-    xt = noisy(x, 0.5, DEFAULTS, seed=1)
-    assert xt.flags.f_contiguous
-    assert np.array_equal(xt, noisy(np.ascontiguousarray(x), 0.5, DEFAULTS, seed=1))
+def layouts(x):
+    """x in C order, in F order and as a strided view."""
+    wide = np.zeros((x.shape[0], 2 * x.shape[1]), dtype=x.dtype)
+    wide[:, ::2] = x
+    return [np.ascontiguousarray(x), np.asfortranarray(x), wide[:, ::2]]
+
+
+@pytest.mark.parametrize("mode", ["vp", "ve"])
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_noisy_returns_c_ordered_float64_whatever_the_layout_of_x0(rng, t, mode):
+    x = rng.normal(size=(1000, 16)).astype(np.float32).astype(np.float64)  # exact in float32
+    want = noisy(x, t, DEFAULTS, seed=1, mode=mode).tobytes()
+    for x0 in layouts(x) + layouts(x.astype(np.float32)):
+        xt = noisy(x0, t, DEFAULTS, seed=1, mode=mode)
+        assert xt.dtype == np.float64 and xt.flags.c_contiguous
+        assert not np.shares_memory(xt, x0)
+        assert xt.tobytes() == want
+
+
+def test_apsd_bits_do_not_depend_on_the_layout_of_coeffs(rng):
+    x = rng.normal(size=(2000, 16))
+    runs = {apsd(c, DEFAULTS, [0.0, 0.1, 0.5], seed=2).tobytes() for c in layouts(x)}
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
