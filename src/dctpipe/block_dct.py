@@ -3,7 +3,9 @@
 The transform matrix T has rows T[u, x] = alpha(u) * cos((2x+1)u*pi / 2B)
 with alpha(0) = sqrt(1/B) and alpha(u>0) = sqrt(2/B), so the 2D transform
 is the separable product T A T^T and its inverse is T^T D T. Both accept
-stacks of blocks (shape (..., B, B)) and run as batched matmuls.
+stacks of blocks (shape (..., B, B)) and lay the stack out as planes of
+tile rows, so each runs as one GEMM per tile row and one (N*B, B) @ (B, B)
+GEMM rather than two GEMMs per block.
 
 The block-grid geometry of the package lives here once. :func:`kept_ranks`
 checks a block size B and drop count m; :func:`blockify`
@@ -18,6 +20,7 @@ zero-filling the dropped ranks.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +54,18 @@ def _basis(block_size: int) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=None)
+def _factors(block_size: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """C-ordered (left, right) of the separable product: (T, T^T), or (T^T, T) to invert.
+
+    A transposed view would send the right-hand GEMM through a slower kernel.
+    """
+    t = _basis(block_size)
+    tt = np.ascontiguousarray(t.T)
+    tt.setflags(write=False)
+    return (tt, t) if inverse else (t, tt)
+
+
 def _check_square(block: np.ndarray) -> int:
     block = np.asarray(block)
     if block.ndim < 2 or block.shape[-1] != block.shape[-2]:
@@ -58,21 +73,40 @@ def _check_square(block: np.ndarray) -> int:
     return block.shape[-1]
 
 
+def _separable(x: np.ndarray, inverse: bool) -> np.ndarray:
+    """(left @ X) @ right for every (B, B) block X of a (..., B, B) stack.
+
+    Swapping the tile-column axis next to the row axis lays each (gw, B, B)
+    row of tiles out as one (B, gw*B) plane; for a :func:`blockify` view of
+    a C-ordered plane that is the plane itself, with no copy. The left
+    product is then one GEMM per tile row and the right product one
+    (N*B, B) @ (B, B) GEMM. Each coefficient is the same length-B dot
+    product, with the same factors in the same order, as in the per-block
+    product; its bits match wherever BLAS sums a dot product in one order at
+    every matrix size (numpy's OpenBLAS does for B <= 16). The result is a
+    view in the plane layout, so :func:`unblockify` of it needs no copy.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    b = _check_square(x)
+    left, right = _factors(b, inverse)
+    lead = x.shape[:-2]
+    n, gw = math.prod(lead[:-1]), math.prod(lead[-1:])
+    planes = x.reshape(n, gw, b, b).swapaxes(1, 2).reshape(n, b, gw * b)
+    out = (left @ planes).reshape(n * b * gw, b) @ right
+    return out.reshape(n, b, gw, b).swapaxes(1, 2).reshape(x.shape)
+
+
 def dct2(block: np.ndarray) -> np.ndarray:
     """Forward 2D DCT-II of one block or a stack of blocks.
 
     The caller is responsible for level shifting (zero-centering) the input.
     """
-    block = np.asarray(block, dtype=np.float64)
-    t = _basis(_check_square(block))
-    return t @ block @ t.T
+    return _separable(block, inverse=False)
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dct2` (exact up to floating-point rounding)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    t = _basis(_check_square(coeffs))
-    return t.T @ coeffs @ t
+    return _separable(coeffs, inverse=True)
 
 
 @lru_cache(maxsize=None)
@@ -95,21 +129,30 @@ def zigzag_order(block_size: int) -> np.ndarray:
 
 
 def to_zigzag(blocks: np.ndarray) -> np.ndarray:
-    """Gather (..., B, B) blocks into (..., B^2) coefficients in zigzag rank order."""
+    """Gather (..., B, B) blocks into (..., B^2) coefficients in zigzag rank order.
+
+    Indexing rows and columns gathers straight from a strided stack, such as
+    the plane-layout views that :func:`dct2` returns, without a copy first.
+    """
     blocks = np.asarray(blocks)
     b = _check_square(blocks)
-    return blocks.reshape(*blocks.shape[:-2], b * b)[..., zigzag_order(b)]
+    rows, cols = np.divmod(zigzag_order(b), b)
+    return blocks[..., rows, cols]
 
 
 def from_zigzag(coeffs: np.ndarray, block_size: int) -> np.ndarray:
     """Scatter (..., k) zigzag-ordered coefficients into (..., B, B) blocks.
 
-    Ranks k..B^2-1 (the truncated high frequencies) are zero-filled.
+    Ranks k..B^2-1 (the truncated high frequencies) are zero-filled. The
+    blocks are a view of planes of tile rows, the layout :func:`idct2`
+    works in, so it reads them without a copy.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     b, lead, k = block_size, coeffs.shape[:-1], coeffs.shape[-1]
-    blocks = np.zeros((*lead, b * b))
-    blocks[..., zigzag_order(b)[:k]] = coeffs
+    n, gw = math.prod(lead[:-1]), math.prod(lead[-1:])
+    rows, cols = np.divmod(zigzag_order(b)[:k], b)
+    blocks = np.zeros((n, b, gw, b)).swapaxes(1, 2)
+    blocks[..., rows, cols] = coeffs.reshape(n, gw, k)
     return blocks.reshape(*lead, b, b)
 
 
@@ -128,8 +171,29 @@ def blockify(grid: np.ndarray, bh: int, bw: int | None = None) -> np.ndarray:
 
 
 def avg_pool(grid: np.ndarray, bh: int, bw: int | None = None) -> np.ndarray:
-    """Mean of each (bh, bw) tile of an (H, W, ...) grid: (H/bh, W/bw, ...)."""
-    return blockify(grid, bh, bw).mean(axis=(2, 3))
+    """Mean of each (bh, bw) tile of an (H, W, ...) grid: (H/bh, W/bw, ...).
+
+    The mean is taken over a C-ordered float64 copy, so its bits depend on
+    the grid's values only, not on its memory layout.
+    """
+    grid = np.asarray(grid, dtype=np.float64, order="C")
+    tiles = blockify(grid, bh, bw)
+    gw, bh, bw = tiles.shape[1:4]
+    # numpy's mean over a C-ordered 2-D grid two or more tiles wide adds each
+    # tile row left to right, adds the row sums onto 0 top to bottom, then
+    # divides. It sums rows of 8 or more pairwise, runs a one-tile-wide grid
+    # as one sequence and walks trailing axes innermost, so those shapes keep
+    # numpy's own mean; the strided adds below repeat its order for the rest.
+    if grid.ndim != 2 or gw < 2 or bw >= 8:
+        return tiles.mean(axis=(2, 3))
+    total = np.zeros(tiles.shape[:2])
+    for r in range(bh):
+        row = tiles[:, :, r, 0].copy()
+        for c in range(1, bw):
+            row += tiles[:, :, r, c]
+        total += row
+    total /= bh * bw
+    return total
 
 
 def unblockify(blocks: np.ndarray) -> np.ndarray:

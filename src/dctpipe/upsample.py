@@ -38,7 +38,8 @@ def dct_upsample(low: np.ndarray, block_size: int) -> np.ndarray:
     coeffs = dct2(blockify(np.asarray(low, dtype=np.float64), b))
 
     k = np.cos(np.arange(b) * np.pi / (4 * b))
-    big = np.zeros((*coeffs.shape[:2], 2 * b, 2 * b))
+    gh, gw = coeffs.shape[:2]
+    big = np.zeros((gh, 2 * b, gw, 2 * b)).swapaxes(1, 2)  # the plane layout idct2 reads
     big[..., :b, :b] = coeffs * (2.0 / np.outer(k, k))
     return unblockify(idct2(big))
 

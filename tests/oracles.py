@@ -79,6 +79,27 @@ def naive_dct2_stack(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def dct_basis(b: int) -> np.ndarray:
+    """T[u, x] = alpha(u) cos((2x+1) u pi / 2B), evaluated in the same order as the package."""
+    x = np.arange(b)
+    u = np.arange(b)[:, None]
+    t = np.cos((2 * x + 1) * u * np.pi / (2 * b)) * np.sqrt(2.0 / b)
+    t[0, :] = np.sqrt(1.0 / b)
+    return t
+
+
+def per_block_dct2(blocks: np.ndarray) -> np.ndarray:
+    """T X T^T through numpy's stacked matmul: two small products per block."""
+    t = dct_basis(np.shape(blocks)[-1])
+    return t @ np.asarray(blocks, dtype=float) @ t.T
+
+
+def per_block_idct2(coeffs: np.ndarray) -> np.ndarray:
+    """T^T D T through numpy's stacked matmul: two small products per block."""
+    t = dct_basis(np.shape(coeffs)[-1])
+    return t.T @ np.asarray(coeffs, dtype=float) @ t
+
+
 def zigzag_by_diagonal_walk(b: int) -> list[tuple[int, int]]:
     """Enumerate the zigzag path by literally walking the grid."""
     coords = []

@@ -20,7 +20,14 @@ from dctpipe.fd_metric import compression_ratio, scan_mstar
 from dctpipe.freq_stats import EntropyWeights
 from dctpipe.tokenizer import TokenConfig
 
-from oracles import naive_dct2_loops, naive_dct2_stack, naive_idct2_loops, zigzag_by_diagonal_walk
+from oracles import (
+    naive_dct2_loops,
+    naive_dct2_stack,
+    naive_idct2_loops,
+    per_block_dct2,
+    per_block_idct2,
+    zigzag_by_diagonal_walk,
+)
 
 
 def test_constant_block_has_only_dc():
@@ -79,6 +86,60 @@ def test_linearity(rng):
 def test_orthonormality(b):
     t = _basis(b)
     assert np.abs(t.T @ t - np.eye(b)).max() < 1e-9
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _layouts(rng, b: int) -> dict[str, np.ndarray]:
+    """One set of BxB tiles as a single block and as stacks in every layout the kernels meet."""
+    view = blockify(rng.normal(size=(4 * b, 6 * b)) * 100, b)
+    return {
+        "2-D": view[1, 2].copy(),
+        "3-D": view.reshape(24, b, b),
+        "blockify view": view,
+        "contiguous": np.ascontiguousarray(view),
+        "fortran": np.asfortranarray(view),
+        "5-D": np.ascontiguousarray(view).reshape(2, 2, 6, b, b),
+    }
+
+
+@pytest.mark.parametrize("b", range(1, 17))
+def test_dct_pair_is_bitwise_the_per_block_product(rng, b):
+    for name, x in _layouts(rng, b).items():
+        for fast, per_block in ((dct2, per_block_dct2), (idct2, per_block_idct2)):
+            got = fast(x)
+            assert got.shape == x.shape, (name, fast.__name__)
+            assert _bits(got) == _bits(per_block(x)), (name, fast.__name__)
+
+
+@pytest.mark.parametrize("b", [*range(1, 17), 32])
+def test_dct_pair_matches_direct_evaluation(rng, b):
+    # a dot product of b^2 terms in float64, with room for every summation order
+    tol = b**3 * np.finfo(float).eps
+    for name, x in _layouts(rng, b).items():
+        scale = np.abs(x).max()
+        assert np.abs(dct2(x) - naive_dct2_stack(x)).max() <= tol * scale, name
+        assert np.abs(naive_dct2_stack(idct2(x)) - x).max() <= tol * scale, name
+
+
+@pytest.mark.parametrize("tile", [*range(1, 10), 16, 32])
+def test_avg_pool_is_bitwise_numpys_mean(rng, tile):
+    for bh, bw, tiles_wide in ((tile, tile, 2), (tile, tile, 5), (3, tile, 3), (tile, 2, 4)):
+        grid = rng.normal(size=(3 * bh, tiles_wide * bw)) * 100
+        want = blockify(grid, bh, bw).mean(axis=(2, 3))
+        assert _bits(avg_pool(grid, bh, bw)) == _bits(want), (bh, bw, tiles_wide)
+
+
+@pytest.mark.parametrize("tile", [2, 8, 32])
+@pytest.mark.parametrize("size", [64, 256])
+def test_avg_pool_bytes_do_not_depend_on_layout(rng, size, tile):
+    grid = rng.normal(size=(size, size)) * 100
+    spaced = np.zeros((size + 2, 2 * size))
+    spaced[1:-1, ::2] = grid
+    layouts = (grid, np.asfortranarray(grid), spaced[1:-1, ::2])
+    assert len({_bits(avg_pool(g, tile)) for g in layouts}) == 1
 
 
 def test_non_square_rejected():

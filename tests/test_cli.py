@@ -368,8 +368,6 @@ def test_help_exits_0(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--drop", 4, "--eta", 10,
-          "--out", "{d}/x"), "drop count must be in [0, 3]"),
         (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--out", "{d}/x"),
          "one of the arguments --bounds --eta is required"),
         (("encode", "--input", "{d}/t.ppm", "--block-size", 2, "--bounds", "{d}/none.json",
