@@ -11,7 +11,6 @@ single line on stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -42,18 +41,9 @@ def _fmt(x: float) -> str:
     return f"{x:#.6g}"
 
 
-def _threads(flag: int | None) -> int:
-    """Worker threads from --threads, else DCTK_THREADS, else 1."""
-    name, n = "--threads", flag
-    if flag is None:
-        name, raw = "DCTK_THREADS", os.environ.get("DCTK_THREADS", "1")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+def _check_threads(n: int) -> None:
     if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
-    return n
+        raise ValueError(f"thread count must be >= 1, got {n}")
 
 
 def _flag(parse, check):
@@ -119,20 +109,12 @@ def _parse_grid(text: str, block_size: int) -> range | tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _schedule_from(args, resolution: int | None = None) -> NoiseSchedule:
-    c = args.c
-    if c is None:
-        c = snr_factor_for_resolution(resolution) if resolution else 1.0
-    return NoiseSchedule(a=args.a, b=args.b, c=c)
-
-
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=_flag(float, lambda a: NoiseSchedule(a=a)), default=0.1,
+    """--a and --b; each command states its own --c default."""
+    p.add_argument("--a", type=_flag(float, lambda a: NoiseSchedule(a=a)), default=NoiseSchedule.a,
                    help="beta intercept")
-    p.add_argument("--b", type=_flag(float, lambda b: NoiseSchedule(b=b)), default=19.9,
+    p.add_argument("--b", type=_flag(float, lambda b: NoiseSchedule(b=b)), default=NoiseSchedule.b,
                    help="beta slope")
-    p.add_argument("--c", type=_flag(float, lambda c: NoiseSchedule(c=c)), default=None,
-                   help="SNR scale factor (default keyed to resolution)")
 
 
 def _cmd_encode(args) -> int:
@@ -219,13 +201,16 @@ def _cmd_scan_m(args) -> int:
 
 def _cmd_diffuse(args) -> int:
     tokens = read_dctk(args.input)
-    sched = _schedule_from(args, max(tokens.config.height, tokens.config.width))
+    c = args.c
+    if c is None:
+        c = snr_factor_for_resolution(max(tokens.config.height, tokens.config.width))
+    sched = NoiseSchedule(a=args.a, b=args.b, c=c)
     write_dctk(args.out, perturb(tokens, args.t, sched, args.seed))
     return 0
 
 
 def _cmd_apsd(args) -> int:
-    sched = _schedule_from(args)
+    sched = NoiseSchedule(a=args.a, b=args.b, c=args.c)
     b = args.block_size
 
     def coeffs_of(path):
@@ -249,8 +234,7 @@ def _cmd_apsd(args) -> int:
 
 def _cmd_upsample(args) -> int:
     img = read_image(args.input)
-    up = upsample.upsample_rgb if isinstance(img, RgbImage) else upsample.upsample_gray
-    write_image(args.output, up(img, args.method, args.block_size))
+    write_image(args.output, upsample.upsample_image(img, args.method, args.block_size))
     return 0
 
 
@@ -282,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: DCTK_THREADS or 1)")
+        p.add_argument("--threads", type=_flag(int, _check_threads), default=1,
+                       help="worker threads")
         return p
 
     p = add("encode", _cmd_encode, "image -> DCTK token file")
@@ -316,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--block-size", type=_flag(int, kept_ranks), required=True)
     p.add_argument("--drop", type=int, default=0)
-    p.add_argument("--bins", type=_flag(int, freq_stats._check_bins), default=256)
+    p.add_argument("--bins", type=_flag(int, freq_stats._check_bins),
+                   default=freq_stats.DEFAULT_BINS)
     p.add_argument("--out", required=True)
 
     p = add("scan-m", _cmd_scan_m, "scan drop counts for the largest m under gamma")
@@ -333,6 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_flag(float, _check_t), required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_schedule_flags(p)
+    p.add_argument("--c", type=_flag(float, lambda c: NoiseSchedule(c=c)), default=None,
+                   help="SNR scale factor (default 4 up to 256 px on the larger side, else 12)")
 
     p = add("apsd", _cmd_apsd, "averaged power spectral density over a directory")
     p.add_argument("--input", required=True)
@@ -344,6 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=("y", "cb", "cr"), default="y")
     p.add_argument("--out", required=True)
     _add_schedule_flags(p)
+    p.add_argument("--c", type=_flag(float, lambda c: NoiseSchedule(c=c)), default=NoiseSchedule.c,
+                   help="SNR scale factor (default %(default)s at every resolution)")
 
     p = add("upsample", _cmd_upsample, "2x upsample an image (dct or bilinear)")
     p.add_argument("--method", choices=upsample.METHODS, required=True)
@@ -366,7 +355,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.threads = _threads(args.threads)
         return args.fn(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"dctpipe {args.command}: {exc}", file=sys.stderr)

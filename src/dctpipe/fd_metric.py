@@ -96,13 +96,14 @@ def frechet_distance(s1: GaussianStats, s2: GaussianStats) -> float:
     nuclear norm of root2 @ root1: the singular values of that product are
     exactly the square roots of the eigenvalues of S1^{1/2} S2 S1^{1/2},
     and the SVD keeps ridge-level eigenvalues from drowning in rounding
-    noise when the covariances are nearly singular.
+    noise when the covariances are nearly singular. Rounding can still take
+    the sum of a distance near 0 below it, so the result is clipped at 0.
     """
     if s1.dim != s2.dim:
         raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
     cross = np.linalg.svd(_psd_sqrt(s2.cov) @ _psd_sqrt(s1.cov), compute_uv=False).sum()
     diff = s1.mean - s2.mean
-    return float(diff @ diff + np.trace(s1.cov) + np.trace(s2.cov) - 2.0 * cross)
+    return max(0.0, float(diff @ diff + np.trace(s1.cov) + np.trace(s2.cov) - 2.0 * cross))
 
 
 def extract_pixel_features(img: RgbImage) -> np.ndarray:

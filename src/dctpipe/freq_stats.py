@@ -31,6 +31,29 @@ __all__ = [
 ]
 
 _CHANNELS = ("Y", "Cb", "Cr")
+DEFAULT_BINS = 256
+
+
+def _sample_matrices(channel_samples, min_rows: int, width: int | None = None) -> list[np.ndarray]:
+    """Check a (y, cb, cr) triple of coefficient samples and return it as float64.
+
+    Each channel must be a finite 2-D (n, width) matrix with n >= ``min_rows``;
+    without ``width`` the channels need only share theirs.
+    """
+    mats = [np.asarray(m, dtype=np.float64) for m in channel_samples]
+    if len(mats) != 3:
+        raise ValueError(f"expected (y, cb, cr) sample matrices, got {len(mats)}")
+    for name, mat in zip(_CHANNELS, mats):
+        # Y is checked for 2-D before any channel reads its width
+        if mat.ndim != 2 or mat.shape[1] != (mats[0].shape[1] if width is None else width):
+            want = "one shared width" if width is None else f"{width} columns"
+            raise ValueError(f"{name} samples must be 2-D with {want}, got shape {mat.shape}")
+        if mat.shape[0] < min_rows:
+            raise ValueError(f"{name} channel needs >= {min_rows} samples per rank, got {len(mat)}")
+        # min and max carry any NaN through and expose an infinity, without a mask array
+        if mat.size and not np.isfinite([mat.min(), mat.max()]).all():
+            raise ValueError(f"{name} samples contain non-finite values")
+    return mats
 
 
 @dataclass(frozen=True)
@@ -77,12 +100,12 @@ def entropy_weights(
     channel_samples,
     block_size: int,
     drop_count: int = 0,
-    bins: int = 256,
+    bins: int = DEFAULT_BINS,
 ) -> EntropyWeights:
     """Estimate per-frequency entropy weights from coefficient samples.
 
     ``channel_samples`` is a (y, cb, cr) triple of (n_blocks, kept) matrices
-    of zigzag-ordered coefficients (n >= 1000 per channel). Each rank's
+    of finite zigzag-ordered coefficients (n >= 1000 per channel). Each rank's
     differential entropy comes from a ``bins``-bin histogram over its own
     empirical range. Normalization to mean 1 is additive (H - mean(H) + 1):
     a global rescale of the samples shifts every entropy by the same ln k,
@@ -90,16 +113,10 @@ def entropy_weights(
     """
     _check_bins(bins)
     kept = kept_ranks(block_size, drop_count)
-    mats = [np.asarray(m, dtype=np.float64) for m in channel_samples]
-    if len(mats) != 3:
-        raise ValueError(f"expected (y, cb, cr) sample matrices, got {len(mats)}")
+    mats = _sample_matrices(channel_samples, 1000, kept)
     raw = np.empty(3 * kept)
     degenerate = np.zeros(3 * kept, dtype=bool)
-    for ci, (name, mat) in enumerate(zip(_CHANNELS, mats)):
-        if mat.ndim != 2 or mat.shape[1] != kept:
-            raise ValueError(f"{name} samples must have {kept} columns, got {mat.shape}")
-        if mat.shape[0] < 1000:
-            raise ValueError(f"{name} channel needs >= 1000 samples per rank, got {mat.shape[0]}")
+    for ci, mat in enumerate(mats):
         for r in range(kept):
             h = _hist_entropy(mat[:, r], bins)
             pos = ci * kept + r
@@ -186,11 +203,10 @@ def snr_threshold_time(
     gamma: float,
     sched: NoiseSchedule = NoiseSchedule(),
     mode: str = "vp",
-    g: float = 1.0,
 ) -> float:
     """Time at which a frequency with clean power ``s0`` reaches SNR = gamma.
 
-    mode "ve_const_g": SNR(t) = s0 / (t g^2), so t = s0 / (gamma g^2).
+    mode "ve_const_g": SNR(t) = s0 / t (VE with g = 1), so t = s0 / gamma.
     mode "vp": the kernel sampled by :func:`apsd` gives SNR(t) = s0 snr(t),
     with snr the schedule's SNR scaled by c. The crossing sits at the
     half-log-SNR lambda = 0.5 ln(gamma / s0), and t = t_of_lambda(lambda).
@@ -199,7 +215,7 @@ def snr_threshold_time(
     if s0 <= 0 or gamma <= 0:
         raise ValueError("s0 and gamma must be positive")
     if mode == "ve_const_g":
-        t = s0 / (gamma * g * g)
+        t = s0 / gamma
     elif mode == "vp":
         t = t_of_lambda(0.5 * np.log(gamma / s0), sched)
     else:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .block_dct import kept_ranks
 from .diffuse import counter_uniforms
+from .freq_stats import _sample_matrices
 
 __all__ = [
     "DEFAULT_TAU",
@@ -82,20 +83,9 @@ def estimate_naive_bounds(channel_samples, tau: float = DEFAULT_TAU) -> np.ndarr
     column) is an error because it cannot scale anything.
     """
     tau = _check_tau(tau)
-    mats = [np.asarray(m, dtype=np.float64) for m in channel_samples]
-    if len(mats) != 3:
-        raise ValueError(f"expected (y, cb, cr) sample matrices, got {len(mats)}")
-    width = mats[0].shape[1] if mats[0].ndim == 2 else -1
-    bounds = []
-    for name, mat in zip(("Y", "Cb", "Cr"), mats):
-        if mat.ndim != 2 or mat.shape[1] != width:
-            raise ValueError(f"{name} samples must be (n, B^2) with a shared B^2")
-        if mat.shape[0] < 2:
-            raise ValueError(f"{name} channel needs at least 2 blocks, got {mat.shape[0]}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"{name} samples contain non-finite values")
-        bounds.append(_envelope(mat, tau, axis=0))
-    out = np.concatenate(bounds)
+    mats = _sample_matrices(channel_samples, 2)
+    out = np.concatenate([_envelope(mat, tau, axis=0) for mat in mats])
+    width = mats[0].shape[1]
     if np.any(out <= 0):
         bad = int(np.argmax(out <= 0))
         raise ValueError(f"rank {bad % width} of channel {bad // width} has zero spread")

@@ -20,14 +20,7 @@ from .block_dct import blockify, dct2, idct2, kept_ranks, unblockify
 from .colorspace import rgb_to_ycbcr, ycbcr_to_rgb
 from .image_io import GrayImage, RgbImage
 
-__all__ = [
-    "dct_upsample",
-    "bilinear_upsample",
-    "upsample_plane",
-    "upsample_gray",
-    "upsample_rgb",
-    "psnr",
-]
+__all__ = ["dct_upsample", "bilinear_upsample", "upsample_image", "psnr"]
 
 METHODS = ("dct", "bilinear")
 
@@ -63,29 +56,22 @@ def bilinear_upsample(low: np.ndarray) -> np.ndarray:
     return top * (1 - fr)[:, None] + bot * fr[:, None]
 
 
-def upsample_plane(low: np.ndarray, method: str, block_size: int = 4) -> np.ndarray:
-    """2x upsample one plane by a method of METHODS; ``block_size`` is the low-res DCT block."""
+def upsample_image(img: GrayImage | RgbImage, method: str, block_size: int = 4):
+    """2x upsample an image by a method of METHODS; ``block_size`` is the low-res DCT block.
+
+    A color image is upsampled per YCbCr plane, then converted back to RGB.
+    """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     kept_ranks(block_size)
-    if method == "dct":
-        return dct_upsample(low, block_size)
-    return bilinear_upsample(low)
+    up = bilinear_upsample if method == "bilinear" else lambda p: dct_upsample(p, block_size)
+    if isinstance(img, RgbImage):
+        return ycbcr_to_rgb(*(up(p) for p in rgb_to_ycbcr(img)))
+    return GrayImage(np.clip(np.rint(up(img.pixels)), 0, 255).astype(np.uint8))
 
 
-def upsample_gray(img: GrayImage, method: str, block_size: int = 4) -> GrayImage:
-    out = upsample_plane(img.pixels.astype(np.float64), method, block_size)
-    return GrayImage(np.clip(np.rint(out), 0, 255).astype(np.uint8))
-
-
-def upsample_rgb(img: RgbImage, method: str, block_size: int = 4) -> RgbImage:
-    """Upsample a color image per YCbCr plane, then convert back to RGB."""
-    planes = rgb_to_ycbcr(img)
-    return ycbcr_to_rgb(*(upsample_plane(p, method, block_size) for p in planes))
-
-
-def psnr(reference: np.ndarray, test: np.ndarray, peak: float = 255.0) -> float:
-    """Peak signal-to-noise ratio in dB (inf for identical inputs)."""
+def psnr(reference: np.ndarray, test: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB against the 8-bit peak 255 (inf for identical inputs)."""
     reference = np.asarray(reference, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
@@ -93,4 +79,4 @@ def psnr(reference: np.ndarray, test: np.ndarray, peak: float = 255.0) -> float:
     mse = np.mean((reference - test) ** 2)
     if mse == 0:
         return float("inf")
-    return float(10.0 * np.log10(peak * peak / mse))
+    return float(10.0 * np.log10(255.0 * 255.0 / mse))

@@ -284,18 +284,14 @@ def test_criterion_9_mstar_scan():
     )
 
 
-def _run_cli_bytes(tmp_path, tag, argv, outputs, monkeypatch, capsys, threads=None):
-    if threads is not None:
-        monkeypatch.setenv("DCTK_THREADS", str(threads))
-    else:
-        monkeypatch.delenv("DCTK_THREADS", raising=False)
+def _run_cli_bytes(tag, argv, outputs, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0, f"{tag}: {captured.err}"
     return (captured.out.encode(),) + tuple(p.read_bytes() for p in outputs)
 
 
-def test_criterion_10_cli_determinism(tmp_path, monkeypatch, capsys):
+def test_criterion_10_cli_determinism(tmp_path, capsys):
     rng = np.random.default_rng(SEED)
     data = tmp_path / "imgs"
     data.mkdir()
@@ -362,15 +358,10 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch, capsys):
     all_ok = True
     detail = []
     for tag, (argv, outputs) in commands.items():
-        first = _run_cli_bytes(tmp_path, tag, argv, outputs, monkeypatch, capsys)
-        rerun = _run_cli_bytes(tmp_path, tag, argv, outputs, monkeypatch, capsys)
-        threaded = _run_cli_bytes(
-            tmp_path, tag, argv + ["--threads", "3"], outputs, monkeypatch, capsys
-        )
-        env_threaded = _run_cli_bytes(
-            tmp_path, tag, argv, outputs, monkeypatch, capsys, threads=2
-        )
-        same = first == rerun == threaded == env_threaded
+        first = _run_cli_bytes(tag, argv, outputs, capsys)
+        rerun = _run_cli_bytes(tag, argv, outputs, capsys)
+        threaded = [_run_cli_bytes(tag, argv + ["--threads", n], outputs, capsys) for n in "23"]
+        same = first == rerun == threaded[0] == threaded[1]
         all_ok &= same
         if not same:
             detail.append(tag)

@@ -58,6 +58,13 @@ def test_frechet_zero_on_identical(rng):
     assert abs(frechet_distance(s, s)) < 1e-8
 
 
+@pytest.mark.parametrize("seed", range(50))
+def test_frechet_of_a_set_with_itself_is_never_negative(seed):
+    # a squared W2 distance is >= 0; unclipped, rounding in the cross term put 22 of these below 0
+    s = gaussian_stats(np.random.default_rng(seed).normal(size=(40, 6)))
+    assert frechet_distance(s, s) >= 0.0
+
+
 def test_frechet_1d_analytic_cases():
     assert frechet_distance(stats_1d(0, 1), stats_1d(1, 1)) == pytest.approx(1.0, abs=1e-6)
     assert frechet_distance(stats_1d(0, 1), stats_1d(0, 4)) == pytest.approx(1.0, abs=1e-6)

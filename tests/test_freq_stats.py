@@ -15,6 +15,7 @@ from dctpipe.freq_stats import (
     snr_threshold_time,
 )
 from dctpipe.block_dct import dct2, to_zigzag
+from dctpipe.scaling import estimate_naive_bounds
 from dctpipe.schedule import NoiseSchedule, snr, y_integral
 from dctpipe.synth import power_law_coefficients
 
@@ -76,6 +77,40 @@ def test_entropy_weights_validation(rng):
         entropy_weights(iid_samples(rng, 2000, 4), block_size=2, bins=8)
     with pytest.raises(ValueError):
         entropy_weights(iid_samples(rng, 2000, 3), block_size=2)  # wrong width
+
+
+def _triple(rng, n, width, *, bad=None):
+    mats = [rng.normal(size=(n, width)) for _ in range(3)]
+    if bad is not None:
+        mats[1][n // 2, width - 1] = bad
+    return mats
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: (np.float64(1.0),) * 3,  # 0-d channels
+        lambda rng: (rng.normal(size=2000),) * 3,  # 1-d channels
+        lambda rng: _triple(rng, 2000, 4)[:2],  # two channels
+        lambda rng: _triple(rng, 2000, 4)[:2] + [rng.normal(size=(2000, 3))],  # widths differ
+        lambda rng: _triple(rng, 1, 4),  # too few rows for either function
+        lambda rng: _triple(rng, 2000, 4, bad=np.nan),
+        lambda rng: _triple(rng, 2000, 4, bad=np.inf),
+        lambda rng: _triple(rng, 2000, 4, bad=-np.inf),
+    ],
+)
+def test_sample_triples_are_checked_alike(rng, make):
+    mats = make(rng)
+    with pytest.raises(ValueError):
+        entropy_weights(mats, block_size=2)
+    with pytest.raises(ValueError):
+        estimate_naive_bounds(mats)
+
+
+def test_non_finite_samples_are_named_by_channel(rng):
+    for fn in (lambda m: entropy_weights(m, block_size=2), estimate_naive_bounds):
+        with pytest.raises(ValueError, match="Cb samples contain non-finite values"):
+            fn(_triple(rng, 2000, 4, bad=np.nan))
 
 
 def test_weights_json_roundtrip(tmp_path, rng):
@@ -226,9 +261,9 @@ def test_power_law_fit_validation():
 
 
 def test_threshold_time_ve_direct():
-    t = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="ve_const_g", g=1.0)
+    t = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="ve_const_g")
     assert t == pytest.approx(1.0)
-    assert snr_threshold_time(2.0, 1.0, DEFAULTS, mode="ve_const_g", g=0.5) == pytest.approx(8.0)
+    assert snr_threshold_time(2.0, 0.5, DEFAULTS, mode="ve_const_g") == pytest.approx(4.0)
 
 
 def test_threshold_time_vp_value():

@@ -5,14 +5,7 @@ from dctpipe.block_dct import avg_pool, dct2, idct2
 from dctpipe.colorspace import rgb_to_ycbcr
 from dctpipe.image_io import GrayImage, RgbImage
 from dctpipe.synth import smooth_cosine_plane
-from dctpipe.upsample import (
-    bilinear_upsample,
-    dct_upsample,
-    psnr,
-    upsample_gray,
-    upsample_plane,
-    upsample_rgb,
-)
+from dctpipe.upsample import bilinear_upsample, dct_upsample, psnr, upsample_image
 
 from oracles import bilinear2x_loops, pool2_loops
 
@@ -128,14 +121,14 @@ def test_dct_beats_bilinear_on_smooth_images(rng):
 
 def test_upsample_gray_and_rgb_wrappers(rng):
     gray = GrayImage(rng.integers(0, 256, (8, 8), dtype=np.uint8))
-    out = upsample_gray(gray, "dct", block_size=4)
-    assert out.pixels.shape == (16, 16)
-    out = upsample_gray(gray, "bilinear")
+    out = upsample_image(gray, "dct", block_size=4)
+    assert isinstance(out, GrayImage) and out.pixels.shape == (16, 16)
+    out = upsample_image(gray, "bilinear")
     assert out.pixels.shape == (16, 16)
 
     rgb = RgbImage(np.full((8, 8, 3), 200, dtype=np.uint8))
-    out = upsample_rgb(rgb, "dct", block_size=4)
-    assert out.pixels.shape == (16, 16, 3)
+    out = upsample_image(rgb, "dct", block_size=4)
+    assert isinstance(out, RgbImage) and out.pixels.shape == (16, 16, 3)
     assert np.abs(out.pixels.astype(int) - 200).max() <= 1
     # luma of the upsampled image stays flat
     y, _, _ = rgb_to_ycbcr(out)
@@ -144,9 +137,9 @@ def test_upsample_gray_and_rgb_wrappers(rng):
 
 def test_upsample_config_validation():
     with pytest.raises(ValueError):
-        upsample_plane(np.zeros((8, 8)), "nearest")
+        upsample_image(GrayImage(np.zeros((8, 8), np.uint8)), "nearest")
     with pytest.raises(ValueError):
-        upsample_plane(np.zeros((8, 8)), "dct", block_size=0)
+        upsample_image(GrayImage(np.zeros((8, 8), np.uint8)), "dct", block_size=0)
     with pytest.raises(ValueError):
         dct_upsample(np.zeros((6, 6)), 4)
 
