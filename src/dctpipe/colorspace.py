@@ -7,10 +7,11 @@ Uses the ITU-R BT.601 full-range matrix (the JPEG convention):
     Cr =  0.5 R - 0.418688 G - 0.081312 B + 128
 
 All arithmetic is double precision; quantization happens only when
-converting back to 8-bit RGB. Pixels are converted planar: each direction
-is one (3, 3) @ (3, h w) GEMM, and ``rgb_to_ycbcr`` returns C-contiguous
-planes. Downsampling is 2x2 mean pooling and
-upsampling is nearest-neighbor replication, so down(up(s)) == s exactly.
+converting back to 8-bit RGB. Pixels are converted planar: the forward
+direction is one (3, 3) @ (3, h w) GEMM returning C-contiguous planes, the
+inverse one such GEMM per strip of whole rows (about 2^14 pixels) into one
+8-bit image. Downsampling is 2x2 mean pooling and upsampling is
+nearest-neighbor replication, so down(up(s)) == s exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ RGB_TO_YCBCR = np.array(
 )
 YCBCR_OFFSET = np.array([0.0, 128.0, 128.0])
 _YCBCR_TO_RGB = np.linalg.inv(RGB_TO_YCBCR)
+_STRIP_PIXELS = 1 << 14  # pixels per strip of the row-strip loops here and in upsample
 
 
 @dataclass
@@ -89,16 +91,23 @@ def rgb_to_ycbcr(img) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _planes_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, cell: int) -> RgbImage:
-    """Y plus Cb/Cr at 1/``cell`` of its size -> RGB via one (3, h, w) buffer and one GEMM."""
+    """Y plus Cb/Cr at 1/``cell`` of its size -> RGB, one GEMM per row strip in reused buffers."""
     h, w = y.shape
-    planes = np.empty((3, h, w))
-    planes[0] = y
-    for dst, src, off in zip(planes[1:], (cb, cr), YCBCR_OFFSET[1:]):
-        np.subtract(src[:, None, :, None], off, out=dst.reshape(h // cell, cell, w // cell, cell))
-    rgb = _YCBCR_TO_RGB @ planes.reshape(3, h * w)
-    np.rint(rgb, out=rgb)
-    np.clip(rgb, 0, 255, out=rgb)
-    return RgbImage(rgb.reshape(3, h, w).transpose(1, 2, 0).astype(np.uint8, order="C"))
+    img = RgbImage(np.empty((h, w, 3), np.uint8))
+    rows = max(cell, _STRIP_PIXELS // w // cell * cell)
+    buf = np.empty((2, 3 * min(rows, h) * w))
+    for top in range(0, h, rows):
+        n = min(rows, h - top)
+        planes, rgb = buf[:, : 3 * n * w].reshape(2, 3, n, w)
+        planes[0] = y[top : top + n]
+        for dst, src, off in zip(planes[1:], (cb, cr), YCBCR_OFFSET[1:]):
+            src = src[top // cell : (top + n) // cell, None, :, None]
+            np.subtract(src, off, out=dst.reshape(n // cell, cell, w // cell, cell))
+        np.matmul(_YCBCR_TO_RGB, planes.reshape(3, n * w), out=rgb.reshape(3, n * w))
+        np.rint(rgb, out=rgb)
+        np.clip(rgb, 0, 255, out=rgb)
+        img.pixels[top : top + n] = rgb.transpose(1, 2, 0)
+    return img
 
 
 def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> RgbImage:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .block_dct import blockify, dct2, idct2, kept_ranks, unblockify
-from .colorspace import rgb_to_ycbcr, ycbcr_to_rgb
+from .colorspace import _STRIP_PIXELS, rgb_to_ycbcr, ycbcr_to_rgb
 from .image_io import GrayImage, RgbImage
 
 __all__ = ["dct_upsample", "bilinear_upsample", "upsample_image", "psnr"]
@@ -26,15 +26,25 @@ METHODS = ("dct", "bilinear")
 
 
 def dct_upsample(low: np.ndarray, block_size: int) -> np.ndarray:
-    """Double a plane's resolution through the block-DCT relation above."""
+    """Double a plane's resolution through the block-DCT relation above.
+
+    The 2B-size inverse DCT runs on strips of tile rows, padded into one
+    reused buffer whose high quadrants stay zero, into one preallocated plane.
+    """
     b = block_size
     coeffs = dct2(blockify(np.asarray(low, dtype=np.float64), b))
 
     k = np.cos(np.arange(b) * np.pi / (4 * b))
+    scale = 2.0 / np.outer(k, k)
     gh, gw = coeffs.shape[:2]
-    big = np.zeros((gh, 2 * b, gw, 2 * b)).swapaxes(1, 2)  # the plane layout idct2 reads
-    big[..., :b, :b] = coeffs * (2.0 / np.outer(k, k))
-    return unblockify(idct2(big))
+    rows = max(1, _STRIP_PIXELS // (4 * b * b * max(gw, 1)))  # 4 b^2 gw pixels per tile row
+    out = np.empty((2 * b * gh, 2 * b * gw))
+    big = np.zeros((min(rows, gh), 2 * b, gw, 2 * b)).swapaxes(1, 2)  # the plane layout idct2 reads
+    for top in range(0, gh, rows):
+        n = min(rows, gh - top)
+        np.multiply(coeffs[top : top + n], scale, out=big[:n, :, :b, :b])
+        out[2 * b * top : 2 * b * (top + n)] = unblockify(idct2(big[:n]))
+    return out
 
 
 def bilinear_upsample(low: np.ndarray) -> np.ndarray:
@@ -67,7 +77,8 @@ def upsample_image(img: GrayImage | RgbImage, method: str, block_size: int = 4):
     up = bilinear_upsample if method == "bilinear" else lambda p: dct_upsample(p, block_size)
     if isinstance(img, RgbImage):
         return ycbcr_to_rgb(*(up(p) for p in rgb_to_ycbcr(img)))
-    return GrayImage(np.clip(np.rint(up(img.pixels)), 0, 255).astype(np.uint8))
+    plane = up(img.pixels)  # a fresh array, rounded and clipped in place
+    return GrayImage(np.clip(np.rint(plane, out=plane), 0, 255, out=plane).astype(np.uint8))
 
 
 def psnr(reference: np.ndarray, test: np.ndarray) -> float:

@@ -104,6 +104,10 @@ CASES = [
     ("fd --dir-a in/rgb --dir-b in/rgb2 --features pixels8 --block-size 0", False),
     ("encode --input in/rgb/i00.ppm --block-size 4 --bounds out/ecs4.json --eta 300 --out out/both.dctk", False),
     ("diffuse --input in/short.dctk --t 0.5 --a -1 --out out/a_neg.dctk", False),
+    # a 208x144 image: decode and upsample convert it in several row strips, short last ones
+    ("encode --input in/tall.ppm --block-size 8 --eta 300 --out out/tall.dctk", True),
+    ("decode --input out/tall.dctk --out out/tall.ppm", True),
+    ("upsample --method dct --block-size 4 --input in/tall.ppm --output out/tall_up_dct.ppm", True),
 ]
 
 
@@ -142,7 +146,8 @@ def build_inputs(root: Path, seed: int = 0) -> None:
     (root / "mixed").mkdir()
     (root / "mixed" / "a.ppm").write_bytes((root / "rgb" / "i00.ppm").read_bytes())
     (root / "mixed" / "b.ppm").write_bytes((root / "truncated" / "t.ppm").read_bytes())
-    _pnm(root / "rect.ppm", _smooth_rgb(rng, 40)[:24])  # last draw: earlier inputs stay put
+    _pnm(root / "rect.ppm", _smooth_rgb(rng, 40)[:24])
+    _pnm(root / "tall.ppm", _smooth_rgb(rng, 208)[:, :144])  # last draw: earlier inputs stay put
 
 
 def snapshot(out: Path) -> list[dict]:

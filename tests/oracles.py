@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from dctpipe.block_dct import blockify, dct2, idct2, unblockify
+
 
 def naive_dct2_loops(block: np.ndarray) -> np.ndarray:
     """Direct quadruple-loop evaluation of the 2D DCT-II definition."""
@@ -234,3 +236,34 @@ def box_muller_normal(seed: int, index: int) -> float:
     """Normal ``index`` from counters 2 index and 2 index + 1, through libm's log and cos."""
     u1, u2 = splitmix64_uniform(seed, 2 * index), splitmix64_uniform(seed, 2 * index + 1)
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def whole_planes_to_rgb(y, cb, cr, cell: int) -> np.ndarray:
+    """The whole-image inverse conversion: one (3, h, w) buffer and one GEMM.
+
+    Y plus Cb/Cr at 1/``cell`` of its size -> (h, w, 3) uint8, as the package
+    computed it before it converted strips of rows.
+    """
+    h, w = y.shape
+    planes = np.empty((3, h, w))
+    planes[0] = y
+    for dst, src, off in zip(planes[1:], (cb, cr), _BT601_OFFSET[1:]):
+        np.subtract(src[:, None, :, None], off, out=dst.reshape(h // cell, cell, w // cell, cell))
+    rgb = np.linalg.inv(_BT601) @ planes.reshape(3, h * w)
+    np.rint(rgb, out=rgb)
+    np.clip(rgb, 0, 255, out=rgb)
+    return rgb.reshape(3, h, w).transpose(1, 2, 0).astype(np.uint8, order="C")
+
+
+def whole_plane_dct_upsample(low: np.ndarray, block_size: int) -> np.ndarray:
+    """DCT upsampling with one size-2B inverse transform over the whole padded plane.
+
+    The package's transforms are used as they are; only the strip loop is left out.
+    """
+    b = block_size
+    coeffs = dct2(blockify(np.asarray(low, dtype=np.float64), b))
+    k = np.cos(np.arange(b) * np.pi / (4 * b))
+    gh, gw = coeffs.shape[:2]
+    big = np.zeros((gh, 2 * b, gw, 2 * b)).swapaxes(1, 2)  # the plane layout idct2 reads
+    big[..., :b, :b] = coeffs * (2.0 / np.outer(k, k))
+    return unblockify(idct2(big))

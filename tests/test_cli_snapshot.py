@@ -9,13 +9,13 @@ COMMANDS = {
     "encode", "decode", "ratio", "bounds", "weights", "scan-m", "diffuse", "apsd", "upsample", "fd",
 }
 # valid cases whose bytes run through BLAS matmuls: both RGB apsd runs, naive bounds,
-# weights, dctstats fd and scan-m, the B=8 and the 24x40 codec round trips and DCT
-# upsampling
+# weights, dctstats fd and scan-m, the B=8, 24x40 and 208x144 codec round trips and
+# DCT upsampling
 BLAS_CASES = (
     "out/apsd_y.csv", "out/apsd_cb.csv", "out/naive2.json", "out/w4.json",
     "--features dctstats --block-size 4", "out/curve_dct.csv", "--out out/b.dctk",
     "--out out/b.ppm", "out/up_dct.ppm", "--out out/rect.dctk", "--out out/rect.ppm",
-    "out/rect_up_dct.ppm",
+    "out/rect_up_dct.ppm", "--out out/tall.dctk", "--out out/tall.ppm", "out/tall_up_dct.ppm",
 )
 
 
@@ -45,6 +45,6 @@ def test_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path, monkeypatch):
         log = cli_snapshot.snapshot(out)
         assert all(entry["exit"] == 0 for entry in log), log
         files = {p.name: p.read_bytes() for p in sorted((out / "out").iterdir())}
-        assert len(files) == 11
+        assert len(files) == 14
         runs.append(([(e["stdout"], e["stderr"]) for e in log], files))
     assert runs[0] == runs[1]

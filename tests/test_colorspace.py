@@ -18,6 +18,7 @@ from oracles import (
     interleaved_ycbcr_to_rgb,
     pool2_loops,
     repeat_assemble_rgb,
+    whole_planes_to_rgb,
 )
 from synth import cell_chroma_image
 
@@ -102,6 +103,38 @@ def test_planar_conversion_matches_interleaved_oracle_bit_for_bit(h, w, seed):
     assert np.array_equal(got, repeat_assemble_rgb(s.y, s.cb, s.cr))
     s = subsample_rgb(img)
     assert np.array_equal(assemble_rgb(s).pixels, repeat_assemble_rgb(s.y, s.cb, s.cr))
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(1, 300).map(lambda n: 2 * n),
+    st.integers(1, 8200).map(lambda n: 2 * n),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 8, 8, 0)  # one strip
+@example(2, 64, 64, 1)  # one strip, the 64x64 decode
+@example(1, 256, 128, 2)  # two full strips of 128 rows
+@example(2, 400, 100, 3)  # strips of 162 rows: two full ones and a short last one
+@example(1, 6, 16386, 4)  # wider than 2^14 pixels: every strip is a single row
+@example(2, 6, 16386, 5)  # ... or a single 2-row chroma cell
+@example(1, 2, 16384, 6)  # exactly 2^14 pixels a row: two single-row strips
+@settings(max_examples=40, deadline=None)
+def test_strip_conversion_is_bitwise_the_whole_image_form(cell, h, w, seed):
+    h = min(h, max(2, 2**17 // w // 2 * 2))  # at most about 2^17 pixels
+    rng = np.random.default_rng(seed)
+    # inputs reach past [0, 255] so the clamp is exercised on both sides
+    y, cb, cr = rng.uniform(-60, 320, (3, h, w))
+    cb, cr = cb[: h // cell, : w // cell], cr[: h // cell, : w // cell]
+    want = whole_planes_to_rgb(y, cb, cr, cell)
+    got = ycbcr_to_rgb(y, cb, cr) if cell == 1 else assemble_rgb(SubsampledImage(y, cb, cr))
+    assert got.pixels.flags.c_contiguous
+    assert np.array_equal(got.pixels, want)
+
+
+def test_inverse_conversion_memory_is_its_output_plus_strip_scratch(rng, traced_peak):
+    y, cb, cr = rng.uniform(0, 255, (3, 512, 512))
+    peak = traced_peak(lambda: ycbcr_to_rgb(y, cb, cr))
+    assert peak <= 512 * 512 * 3 + 3 * 2**19  # uint8 output plus 1.5 MiB (12.75 MiB whole)
 
 
 def _replicate(plane):

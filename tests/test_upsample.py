@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dctpipe.block_dct import avg_pool, dct2, idct2
 from dctpipe.colorspace import rgb_to_ycbcr
@@ -7,7 +9,7 @@ from dctpipe.image_io import GrayImage, RgbImage
 from dctpipe.synth import smooth_cosine_plane
 from dctpipe.upsample import bilinear_upsample, dct_upsample, psnr, upsample_image
 
-from oracles import bilinear2x_loops, pool2_loops
+from oracles import bilinear2x_loops, pool2_loops, whole_plane_dct_upsample
 
 
 def test_avg_pool_basics(rng):
@@ -90,6 +92,49 @@ def test_roundtrip_pool_of_upsample(rng):
     rel = np.linalg.norm(back - low) / np.linalg.norm(low)
     assert rel < 0.02
     assert np.abs(back - low).max() < 1e-9
+
+
+# For B >= 9 the inverse transform runs at 2B > 16, where a block's bits can
+# depend on how many blocks share the call (OpenBLAS's small-matrix kernel), so
+# strips can differ from the whole plane in the last bits: at B = 9 a 216x360
+# plane does. Nothing is asserted there.
+@given(
+    st.integers(1, 8),
+    st.integers(1, 40),
+    st.integers(1, 80),
+    st.integers(0, 2**32 - 1),
+)
+@example(4, 16, 16, 0)  # 64x64 at B=4: one strip
+@example(4, 64, 64, 1)  # 256x256 at B=4: sixteen full strips of 4 tile rows
+@example(1, 150, 64, 2)  # strips of 64 tile rows: two full ones and a short last one
+@example(8, 3, 65, 3)  # 4 B^2 gw > 2^14 output pixels per tile row: one tile row a strip
+@example(3, 37, 11, 4)
+@settings(max_examples=40, deadline=None)
+def test_strip_dct_upsample_is_bitwise_the_whole_plane_form(b, gh, gw, seed):
+    rng = np.random.default_rng(seed)
+    low = rng.uniform(-20, 275, (gh * b, gw * b))
+    up = dct_upsample(low, b)
+    assert up.flags.c_contiguous
+    assert np.array_equal(up, whole_plane_dct_upsample(low, b))
+    # the gray wrapper rounds and clips the same plane in place
+    gray = rng.integers(0, 256, (gh * b, gw * b), dtype=np.uint8)
+    want = np.clip(np.rint(whole_plane_dct_upsample(gray, b)), 0, 255).astype(np.uint8)
+    assert np.array_equal(upsample_image(GrayImage(gray), "dct", b).pixels, want)
+
+
+def test_dct_upsample_memory_is_output_plus_coefficients_plus_constant(rng, traced_peak):
+    low = rng.uniform(0, 255, (256, 256))
+    peak = traced_peak(lambda: dct_upsample(low, 4))
+    # 2 MiB output, 0.5 MiB of low-res coefficients, 0.5 MiB for the strips (6.5 MiB whole)
+    assert peak <= 512 * 512 * 8 + low.nbytes + 2**19
+
+
+def test_rgb_upsample_memory_is_bounded(rng, traced_peak):
+    img = RgbImage(rng.integers(0, 256, (256, 256, 3), dtype=np.uint8))
+    peak = traced_peak(lambda: upsample_image(img, "dct", block_size=4))
+    # three 512x512 float planes, the 256x256 YCbCr planes, one plane's coefficients
+    # and 0.5 MiB for the strips (18.75 MiB with whole-plane temporaries)
+    assert peak <= 3 * 512 * 512 * 8 + 4 * 256 * 256 * 8 + 2**19
 
 
 def test_bilinear_constant_and_monotone_ramp():
