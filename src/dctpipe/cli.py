@@ -74,8 +74,7 @@ def _per_file(fn):
 
 
 def _pmap(fn, items, threads: int):
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
+    if threads == 1:  # one item at a time: only the item in hand is alive
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
@@ -99,12 +98,11 @@ def _read_rgb(path) -> RgbImage:
 
 
 def _parse_grid(text: str, block_size: int) -> range | tuple[int, ...]:
-    # ranges stay lazy: scan_mstar checks them by their ends, however large B or hi is
+    # ranges stay lazy: fd_metric._check_grid checks them by their ends, however large B or hi is
     if text == "full":
         return range(block_size**2)
     if ".." in text:
         lo, hi = (int(v) for v in text.split("..", 1))
-        kept_ranks(block_size, hi)
         return range(lo, hi + 1)
     return tuple(int(v) for v in text.split(","))
 
@@ -185,9 +183,10 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_scan_m(args) -> int:
+    b = args.block_size
+    grid = _check_flag("--grid", lambda g: fd_metric._check_grid(_parse_grid(g, b), b), args.grid)
     result = fd_metric.scan_mstar(
-        map(_per_file(_read_rgb), _image_paths(args.input)), args.block_size, args.gamma,
-        _check_flag("--grid", lambda g: _parse_grid(g, args.block_size), args.grid),
+        map(_per_file(_read_rgb), _image_paths(args.input)), b, args.gamma, grid,
         features=args.features, map_fn=lambda fn, it: _pmap(fn, it, args.threads),
     )
     if args.report:

@@ -4,8 +4,9 @@ The distance is the Gaussian Wasserstein-2 form
 |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S1 S2)^{1/2}) over a pluggable feature
 space; two dependency-free extractors are built in (8x8 mean-pooled luma,
 and per-image mean/std of each DCT coefficient per channel). The scan
-pushes a dataset through the codec at increasing drop counts m and returns
-the largest m whose reconstruction distance stays under a threshold.
+takes each image of a dataset once, through the codec at every drop count
+m of its grid, and returns the largest m whose reconstruction distance
+stays under a threshold.
 """
 
 from __future__ import annotations
@@ -152,38 +153,48 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be positive, got {gamma}")
 
 
+def _check_grid(m_grid, block_size: int):
+    """The drop-count grid of a scan, checked: nonempty, strictly ascending, in [0, B^2 - 1].
+
+    A ``range`` is checked by its ends and returned as is, never
+    materialised, however large B is; any other iterable comes back a list.
+    """
+    lazy = isinstance(m_grid, range)
+    grid = m_grid if lazy else [int(m) for m in m_grid]
+    ascending = (grid.step > 0 or not grid[1:]) if lazy else grid == sorted(set(grid))
+    if not grid or not ascending:
+        raise ValueError("m_grid must be a nonempty, strictly ascending list of drop counts")
+    kept_ranks(block_size, grid[0])
+    kept_ranks(block_size, grid[-1])
+    return grid
+
+
 def scan_mstar(
     images, block_size: int, gamma: float, m_grid, features: str = "pixels8", map_fn=map
 ) -> MStarResult:
     """Find the largest drop count in ``m_grid`` whose distance stays under ``gamma``.
 
-    ``m_grid`` must be strictly ascending within [0, B^2 - 1]; a ``range``
-    is checked by its ends and never materialised. For each m
-    the dataset is reconstructed through the codec, ``features`` are
-    extracted from originals and reconstructions, and the Frechet distance
-    between the two feature distributions is recorded. ``map_fn`` may be
-    an order-preserving parallel map.
+    ``m_grid`` is checked by :func:`_check_grid`. ``map_fn`` (``map`` or an
+    order-preserving parallel map) is called once, taking each image to a
+    (1 + |grid|, d) block: its ``features``, then its reconstructions' per m.
     """
     _check_gamma(gamma)
-    lazy = isinstance(m_grid, range) and m_grid.step > 0  # ascending by construction
-    grid = m_grid if lazy else [int(m) for m in m_grid]
-    if not grid or not (lazy or grid == sorted(set(grid))):
-        raise ValueError("m_grid must be a nonempty, strictly ascending list of drop counts")
-    kept_ranks(block_size, grid[0])
-    kept_ranks(block_size, grid[-1])
+    grid = _check_grid(m_grid, block_size)
     extract = make_feature_extractor(features, block_size)
-    images = list(images)
-    if len(images) < 500:
-        raise ValueError(f"scan needs at least 500 images, got {len(images)}")
-    ref = gaussian_stats(np.stack(list(map_fn(extract, images))))
 
-    curve = []
-    for m in grid:
-        def recon_features(img, _m=m):
-            return extract(reconstruct_rgb(img, block_size, _m))
+    def feature_block(img):  # allocated once a reconstruction shows that B tiles img
+        orig, first = extract(img), extract(reconstruct_rgb(img, block_size, grid[0]))
+        block = np.empty((1 + len(grid), orig.size))
+        block[0], block[1] = orig, first
+        for row, m in zip(block[2:], grid[1:]):
+            row[:] = extract(reconstruct_rgb(img, block_size, m))
+        return block
 
-        stats = gaussian_stats(np.stack(list(map_fn(recon_features, images))))
-        curve.append((m, frechet_distance(ref, stats)))
+    blocks = list(map_fn(feature_block, images))
+    if len(blocks) < 500:
+        raise ValueError(f"scan needs at least 500 images, got {len(blocks)}")
+    ref, *recon = (gaussian_stats(np.stack(rows)) for rows in zip(*blocks))
+    curve = [(m, frechet_distance(ref, stats)) for m, stats in zip(grid, recon)]
 
     passing = [m for m, d in curve if d < gamma]
     if passing:

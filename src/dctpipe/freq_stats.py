@@ -34,6 +34,13 @@ _CHANNELS = ("Y", "Cb", "Cr")
 DEFAULT_BINS = 256
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Raise unless every entry is finite; ``what`` names the values in the message."""
+    # min and max carry any NaN through and expose an infinity, without a mask array
+    if values.size and not np.isfinite([values.min(), values.max()]).all():
+        raise ValueError(f"{what} contain non-finite values")
+
+
 def _sample_matrices(channel_samples, min_rows: int, width: int | None = None) -> list[np.ndarray]:
     """Check a (y, cb, cr) triple of coefficient samples and return it as float64.
 
@@ -50,9 +57,7 @@ def _sample_matrices(channel_samples, min_rows: int, width: int | None = None) -
             raise ValueError(f"{name} samples must be 2-D with {want}, got shape {mat.shape}")
         if mat.shape[0] < min_rows:
             raise ValueError(f"{name} channel needs >= {min_rows} samples per rank, got {len(mat)}")
-        # min and max carry any NaN through and expose an infinity, without a mask array
-        if mat.size and not np.isfinite([mat.min(), mat.max()]).all():
-            raise ValueError(f"{name} samples contain non-finite values")
+        _check_finite(mat, f"{name} samples")
     return mats
 
 
@@ -163,17 +168,19 @@ def apsd(
 ) -> np.ndarray:
     """Monte-Carlo averaged power spectral density per zigzag rank.
 
-    ``coeffs`` is an (n, ranks) matrix of zigzag-ordered DCT coefficients,
-    one row per block, with n >= 1000. Row i of the (len(t_grid), ranks)
-    result estimates E[D_r(x_t)^2] per rank at t = t_grid[i] (t = 0 is the
-    clean power), where x_t is drawn by :func:`diffuse.noisy` with the
-    ``mode`` kernel ("vp" or "ve") and the sub-seed derive_stream(seed, i).
+    ``coeffs`` is a finite (n, ranks) matrix of zigzag-ordered DCT
+    coefficients, one row per block, with n >= 1000. Row i of the
+    (len(t_grid), ranks) result estimates E[D_r(x_t)^2] per rank at
+    t = t_grid[i] (t = 0 is the clean power), where x_t is drawn by
+    :func:`diffuse.noisy` with the ``mode`` kernel ("vp" or "ve") and the
+    sub-seed derive_stream(seed, i).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2:
         raise ValueError(f"coeffs must be an (n, ranks) matrix, got shape {coeffs.shape}")
     if coeffs.shape[0] < 1000:
         raise ValueError(f"need at least 1000 blocks, got {coeffs.shape[0]}")
+    _check_finite(coeffs, "coefficients")
     powers = []
     for i, t in enumerate(np.atleast_1d(_check_t(t_grid))):
         xt = noisy(coeffs, t, sched, derive_stream(seed, i), mode)
@@ -186,11 +193,12 @@ def power_law_fit(powers) -> tuple[float, float]:
     """Fit power ~ K rank^-alpha over ranks >= 1 by least squares in log-log.
 
     ``powers`` is one row of :func:`apsd`. Returns (K, alpha). All fitted
-    powers must be positive and there must be at least 4 of them.
+    powers must be finite and positive, and there must be at least 4 of them.
     """
     powers = np.asarray(powers, dtype=np.float64)[1:]
     if powers.size < 4:
         raise ValueError(f"need at least 4 ranks beyond DC, got {powers.size}")
+    _check_finite(powers, "powers")
     if np.any(powers <= 0):
         raise ValueError("cannot fit a power law through nonpositive powers")
     log_r = np.log(np.arange(1, powers.size + 1, dtype=np.float64))

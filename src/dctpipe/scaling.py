@@ -21,7 +21,7 @@ import numpy as np
 
 from .block_dct import kept_ranks
 from .diffuse import counter_uniforms
-from .freq_stats import _sample_matrices
+from .freq_stats import _check_finite, _sample_matrices
 
 __all__ = [
     "DEFAULT_TAU",
@@ -66,8 +66,7 @@ def estimate_ecs_bound(dc_samples, tau: float = DEFAULT_TAU) -> float:
     x = np.asarray(dc_samples, dtype=np.float64).ravel()
     if x.size < 2:
         raise ValueError(f"need at least 2 DC samples, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("DC samples contain non-finite values")
+    _check_finite(x, "DC samples")
     eta = float(_envelope(x, tau))
     if eta <= 0:
         raise ValueError("DC percentile bound is zero; dataset has no luma spread")

@@ -108,6 +108,11 @@ CASES = [
     ("encode --input in/tall.ppm --block-size 8 --eta 300 --out out/tall.dctk", True),
     ("decode --input out/tall.dctk --out out/tall.ppm", True),
     ("upsample --method dct --block-size 4 --input in/tall.ppm --output out/tall_up_dct.ppm", True),
+    # every --grid error names the flag, and the grid is checked before the input is looked at
+    ("scan-m --input in/scan --block-size 2 --gamma 1.0 --grid 0,99 --features pixels8", False),
+    ("scan-m --input in/scan --block-size 2 --gamma 1.0 --grid 5,3 --features pixels8", False),
+    ("scan-m --input in/scan --block-size 2 --gamma 1.0 --grid 3..1 --features pixels8", False),
+    ("scan-m --input in/missing --block-size 2 --gamma 1.0 --grid 0..99 --features pixels8", False),
 ]
 
 

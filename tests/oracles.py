@@ -12,6 +12,12 @@ import math
 import numpy as np
 
 from dctpipe.block_dct import blockify, dct2, idct2, unblockify
+from dctpipe.fd_metric import (
+    frechet_distance,
+    gaussian_stats,
+    make_feature_extractor,
+    reconstruct_rgb,
+)
 
 
 def naive_dct2_loops(block: np.ndarray) -> np.ndarray:
@@ -267,3 +273,20 @@ def whole_plane_dct_upsample(low: np.ndarray, block_size: int) -> np.ndarray:
     big = np.zeros((gh, 2 * b, gw, 2 * b)).swapaxes(1, 2)  # the plane layout idct2 reads
     big[..., :b, :b] = coeffs * (2.0 / np.outer(k, k))
     return unblockify(idct2(big))
+
+
+def per_m_scan_curve(images, block_size: int, m_grid, features: str) -> tuple:
+    """The m* scan's (m, distance) curve with one pass over every image per m.
+
+    This is the loop order the package used before it took each image once:
+    all images are held, the originals' features are stacked first, then
+    each m's reconstructions are formed and stacked in turn.
+    """
+    extract = make_feature_extractor(features, block_size)
+    images = list(images)
+    ref = gaussian_stats(np.stack([extract(img) for img in images]))
+    curve = []
+    for m in m_grid:
+        recon = [extract(reconstruct_rgb(img, block_size, m)) for img in images]
+        curve.append((m, frechet_distance(ref, gaussian_stats(np.stack(recon)))))
+    return tuple(curve)

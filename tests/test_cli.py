@@ -541,6 +541,44 @@ def test_bad_list_entry_names_flag_and_entry(tmp_path, capsys, argv, flag, entry
 
 
 @pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0,99", "drop count must be in [0, 3] for B=2, got 99"),
+        ("5,3", "m_grid must be a nonempty, strictly ascending list of drop counts"),
+        ("3..1", "m_grid must be a nonempty, strictly ascending list of drop counts"),
+        ("0..99", "drop count must be in [0, 3] for B=2, got 99"),
+    ],
+    ids=["list-end", "descending-list", "empty-range", "range-end"],
+)
+def test_grid_errors_name_the_flag_before_the_input_is_read(tmp_path, capsys, grid, message):
+    # the input directory does not exist: the grid is checked before any path is looked at
+    code, _, err = run(capsys, "scan-m", "--input", tmp_path / "missing", "--block-size", 2,
+                       "--gamma", 1, "--grid", grid, "--features", "pixels8")
+    assert_single_line_error(code, err)
+    assert err == f"dctpipe scan-m: --grid: {message}\n"
+
+
+def test_pmap_with_one_thread_takes_one_item_at_a_time():
+    from dctpipe.cli import _pmap
+
+    pulled, seen = [], []
+
+    def items():
+        for i in range(5):
+            pulled.append(i)
+            yield i
+
+    def square(i):
+        seen.append(len(pulled))  # how many items were taken when item i is worked on
+        return i * i
+
+    assert _pmap(square, items(), 1) == [0, 1, 4, 9, 16]
+    assert seen == [1, 2, 3, 4, 5]
+    assert _pmap(square, items(), 2) == [0, 1, 4, 9, 16]
+    assert _pmap(square, iter([]), 2) == []
+
+
+@pytest.mark.parametrize(
     "kind, cmd",
     [("truncated", cmd) for cmd in DIR_COMMANDS]
     # a 6x6 image has 3x3 chroma planes, which 2x2 blocks do not tile

@@ -1,8 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from dctpipe.fd_metric import (
+    FEATURE_MODES,
     GaussianStats,
+    _check_grid,
     compression_ratio,
     extract_dct_stat_features,
     extract_pixel_features,
@@ -15,7 +19,7 @@ from dctpipe.fd_metric import (
 from dctpipe.image_io import RgbImage
 from dctpipe.synth import band_limited_image
 
-from oracles import covariance_twopass
+from oracles import covariance_twopass, per_m_scan_curve
 from synth import cell_chroma_image
 
 
@@ -177,6 +181,70 @@ def test_scan_mstar_needs_enough_images(rng):
     imgs = [cell_chroma_image(rng, 16, 16) for _ in range(5)]
     with pytest.raises(ValueError, match="500"):
         scan_mstar(imgs, 2, gamma=1.0, m_grid=(0,))
+
+
+def test_grid_rule():
+    assert _check_grid(range(10**18), 10**9) == range(10**18)  # checked by its ends, never built
+    assert _check_grid((0, 4, 8), 4) == [0, 4, 8]
+    assert _check_grid(range(5, 4, -1), 4) == range(5, 4, -1)  # one drop count is ascending
+    for bad in ((), (3, 1), (1, 1), range(3, 1), range(3, 0, -1), range(10**20, 0, -1)):
+        with pytest.raises(ValueError, match="m_grid must be a nonempty, strictly ascending"):
+            _check_grid(bad, 4)
+    for bad in ((0, 16), (-1, 2), range(0, 17), range(-1, 3)):
+        with pytest.raises(ValueError, match=r"drop count must be in \[0, 15\] for B=4"):
+            _check_grid(bad, 4)
+
+
+def _two_thread_map(fn, items):
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(fn, items))
+
+
+@pytest.fixture(scope="module")
+def small_set():
+    # 16x16 images keep the 500-image scans quick; both feature spaces read them at B=4
+    gen = np.random.default_rng(31)
+    return [band_limited_image(gen, 16, b=4, zero_top=6) for _ in range(500)]
+
+
+@pytest.mark.parametrize("features", FEATURE_MODES)
+@pytest.mark.parametrize(
+    "grid", [range(0, 16, 5), (2, 6, 7), (9,)], ids=["range", "tuple", "one-m"]
+)
+def test_scan_curve_is_bitwise_the_per_m_loop(small_set, features, grid):
+    want = per_m_scan_curve(small_set, 4, grid, features)
+    for map_fn in (map, _two_thread_map):
+        result = scan_mstar(small_set, 4, gamma=1.0, m_grid=grid, features=features, map_fn=map_fn)
+        assert result.curve == want
+
+
+def test_scan_calls_map_fn_once(small_set):
+    calls = []
+
+    def counting_map(fn, items):
+        calls.append(fn)
+        return map(fn, items)
+
+    scan_mstar(iter(small_set), 4, gamma=1.0, m_grid=(0, 8), map_fn=counting_map)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("features", FEATURE_MODES)
+def test_scan_memory_is_the_feature_blocks_not_the_images(traced_peak, features):
+    # 500 fresh 64x64 images (5.9 MiB in all) come from a generator. The scan keeps
+    # n (1 + |grid|) d feature floats and one image's working set, not the images.
+    grid, d = (0, 6, 12), {"pixels8": 64, "dctstats": 6 * 16}[features]
+
+    def images():
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            yield RgbImage(rng.integers(0, 256, (64, 64, 3), dtype=np.uint8))
+
+    extract = make_feature_extractor(features, 4)
+    for m in grid:  # warm the package's one-time caches outside the measurement
+        extract(reconstruct_rgb(next(images()), 4, m))
+    peak = traced_peak(lambda: scan_mstar(images(), 4, 1.0, grid, features=features))
+    assert peak < 500 * (1 + len(grid)) * d * 8 + 2 * 2**20
 
 
 def test_compression_ratio_table_values():

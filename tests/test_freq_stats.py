@@ -230,6 +230,12 @@ def test_apsd_validation(rng):
         apsd(rng.normal(size=(2000, 2, 2)), DEFAULTS, [0.0])  # a 3-D array
     with pytest.raises(ValueError):
         apsd(rng.normal(size=(2000, 4)), DEFAULTS, [0.0], mode="other")
+    # without the check, one NaN gives a NaN column and one infinity an infinite power
+    for bad in (np.nan, np.inf, -np.inf):
+        coeffs = rng.normal(size=(1000, 4))
+        coeffs[17, 2] = bad
+        with pytest.raises(ValueError, match="coefficients contain non-finite values"):
+            apsd(coeffs, DEFAULTS, [0.0, 0.5])
 
 
 def test_power_law_fit_exact():
@@ -258,6 +264,12 @@ def test_power_law_fit_validation():
         power_law_fit(np.ones(4))
     with pytest.raises(ValueError):
         power_law_fit(np.zeros(10))
+    # without the check, one NaN power gives (nan, nan)
+    for bad in (np.nan, np.inf):
+        powers = 3.0 * np.arange(1, 17, dtype=float) ** -2.0
+        powers[5] = bad
+        with pytest.raises(ValueError, match="powers contain non-finite values"):
+            power_law_fit(powers)
 
 
 def test_threshold_time_ve_direct():

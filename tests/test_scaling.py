@@ -80,8 +80,9 @@ def test_scale_equivariance(rng):
 def test_input_validation():
     with pytest.raises(ValueError):
         estimate_ecs_bound([1.0])
-    with pytest.raises(ValueError):
-        estimate_ecs_bound([1.0, np.nan])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="DC samples contain non-finite values"):
+            estimate_ecs_bound([1.0, bad])
     with pytest.raises(ValueError):
         estimate_ecs_bound([1.0, 2.0], tau=50.0)
     with pytest.raises(ValueError):
