@@ -32,7 +32,7 @@ def main():
     sched = NoiseSchedule()
     coeffs = power_law_coefficients(rng, args.blocks, args.block_size, args.k, args.alpha)
     t_grid = [float(v) for v in args.t_list.split(",")]
-    powers = apsd(coeffs, sched, t_grid, seed=args.seed, mode=args.mode)
+    powers = apsd([coeffs], sched, t_grid, seed=args.seed, mode=args.mode)
 
     show = range(0, args.block_size**2, max(1, args.block_size**2 // 16))
     header = "t      " + "".join(f"r{r:<9d}" for r in show)
@@ -43,7 +43,7 @@ def main():
             floor = float(y_integral(t, sched))
             print(f"       expected additive noise floor: {floor:.4f}")
 
-    clean = powers[0] if t_grid[0] == 0 else apsd(coeffs, sched, [0.0])[0]
+    clean = powers[0] if t_grid[0] == 0 else apsd([coeffs], sched, [0.0])[0]
     k_fit, alpha_fit = power_law_fit(clean)
     print(f"\npower-law fit of the clean spectrum: K={k_fit:.4f} alpha={alpha_fit:.4f}")
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,11 @@ from . import fd_metric, freq_stats, scaling, upsample
 from .block_dct import kept_ranks
 from .colorspace import assemble_rgb, subsample_rgb
 from .diffuse import perturb
-from .image_io import RgbImage, read_image, write_image
+from .image_io import RgbImage, read_image, read_shape, write_image
 from .schedule import NoiseSchedule, _check_t, snr_factor_for_resolution
 from .tokenizer import (
     _check_eta,
+    _check_patch_tiling,
     dct_coefficient_matrices,
     detokenize,
     plane_to_zigzag,
@@ -73,11 +76,22 @@ def _per_file(fn):
     return lambda path: _check_flag(path, fn, path)
 
 
-def _pmap(fn, items, threads: int):
+def _pmap(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], in order, on ``threads`` threads.
+
+    Items are taken as they are needed: at most 2 * threads of them are in
+    flight, so only those (and the results) are alive at once.
+    """
     if threads == 1:  # one item at a time: only the item in hand is alive
         return [fn(it) for it in items]
+    out, window = [], deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        for it in items:
+            if len(window) == 2 * threads:
+                out.append(window.popleft().result())
+            window.append(pool.submit(fn, it))
+        out.extend(f.result() for f in window)
+    return out
 
 
 def _image_paths(directory) -> list[Path]:
@@ -90,10 +104,13 @@ def _image_paths(directory) -> list[Path]:
     return paths
 
 
+_NOT_P6 = "expected a P6 color image"
+
+
 def _read_rgb(path) -> RgbImage:
     img = read_image(path)
     if not isinstance(img, RgbImage):
-        raise ValueError("expected a P6 color image")
+        raise ValueError(_NOT_P6)
     return img
 
 
@@ -141,31 +158,53 @@ def _cmd_ratio(args) -> int:
     return 0
 
 
-def _collect_samples(args):
-    def per_image(path):
-        return dct_coefficient_matrices(subsample_rgb(_read_rgb(path)), args.block_size)
+def _y_blocks(path, b: int) -> int:
+    """Y blocks of a P6 image, from its header: every check of reading it and tiling it by 2B."""
+    height, width, channels = read_shape(path)
+    if channels != 3:
+        raise ValueError(_NOT_P6)
+    _check_patch_tiling(height, width, b)
+    return (height // b) * (width // b)
 
-    triples = _pmap(_per_file(per_image), _image_paths(args.input), args.threads)
-    return tuple(np.concatenate([t[i] for t in triples]) for i in range(3))
+
+def _collect_samples(args, kept: int):
+    """(y, cb, cr) matrices of every block's first ``kept`` zigzag ranks, rows in path order.
+
+    A size pass over the headers fails on the first bad file, as reading
+    would, and fixes each image's rows. So each matrix is allocated once and
+    every image writes its own rows in place: the corpus is held once.
+    """
+    b, paths = args.block_size, _image_paths(args.input)
+    rows = list(map(_per_file(lambda p: _y_blocks(p, b)), paths))
+    first, n = dict(zip(paths, accumulate(rows, initial=0))), sum(rows)
+    mats = tuple(np.empty((r, kept)) for r in (n, n // 4, n // 4))
+
+    def fill(path):  # a chroma plane has a quarter of the Y blocks
+        lo = first[path]
+        coeffs = dct_coefficient_matrices(subsample_rgb(_read_rgb(path)), b)
+        for mat, part, at in zip(mats, coeffs, (lo, lo // 4, lo // 4)):
+            mat[at : at + len(part)] = part[:, :kept]
+
+    _pmap(_per_file(fill), paths, args.threads)
+    return mats
 
 
 def _cmd_bounds(args) -> int:
-    y, cb, cr = _collect_samples(args)
     if args.mode == "ecs":
-        dc = scaling.reservoir_sample(y[:, 0], args.max_samples)
+        dc = scaling.reservoir_sample(_collect_samples(args, 1)[0][:, 0], args.max_samples)
         bounds = scaling.ScalingBounds(
             mode="ecs", tau=args.tau, block_size=args.block_size,
             eta=scaling.estimate_ecs_bound(dc, args.tau),
         )
     else:
-        mats = tuple(
-            np.stack(
+        mats = list(_collect_samples(args, kept_ranks(args.block_size)))
+        for i, m in enumerate(mats):  # a channel is released once its reservoirs are stacked
+            mats[i] = np.stack(
                 [scaling.reservoir_sample(m[:, r], args.max_samples, seed=r)
                  for r in range(m.shape[1])],
                 axis=1,
             )
-            for m in (y, cb, cr)
-        )
+        del m
         bounds = scaling.ScalingBounds(
             mode="naive", tau=args.tau, block_size=args.block_size,
             naive_bounds=tuple(scaling.estimate_naive_bounds(mats, args.tau)),
@@ -176,7 +215,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_weights(args) -> int:
     kept = _check_flag("--drop", lambda m: kept_ranks(args.block_size, m), args.drop)
-    mats = tuple(m[:, :kept] for m in _collect_samples(args))
+    mats = _collect_samples(args, kept)
     w = freq_stats.entropy_weights(mats, args.block_size, args.drop, bins=args.bins)
     freq_stats.save_weights(args.out, w)
     return 0
@@ -185,8 +224,10 @@ def _cmd_weights(args) -> int:
 def _cmd_scan_m(args) -> int:
     b = args.block_size
     grid = _check_flag("--grid", lambda g: fd_metric._check_grid(_parse_grid(g, b), b), args.grid)
+    paths = _image_paths(args.input)
+    fd_metric._check_image_count(len(paths))
     result = fd_metric.scan_mstar(
-        map(_per_file(_read_rgb), _image_paths(args.input)), b, args.gamma, grid,
+        map(_per_file(_read_rgb), paths), b, args.gamma, grid,
         features=args.features, map_fn=lambda fn, it: _pmap(fn, it, args.threads),
     )
     if args.report:
@@ -222,8 +263,8 @@ def _cmd_apsd(args) -> int:
             raise ValueError(f"a P5 gray image has no {args.channel} channel; use --channel y")
         return plane_to_zigzag(plane, b).reshape(-1, b * b)
 
-    coeffs = np.concatenate(_pmap(_per_file(coeffs_of), _image_paths(args.input), args.threads))
-    powers = freq_stats.apsd(coeffs, sched, args.t_list, seed=args.seed, mode=args.mode)
+    parts = _pmap(_per_file(coeffs_of), _image_paths(args.input), args.threads)
+    powers = freq_stats.apsd(parts, sched, args.t_list, seed=args.seed, mode=args.mode)
     lines = ["t,rank,power"]
     for t, row in zip(args.t_list, powers):
         lines.extend(f"{_fmt(t)},{r},{_fmt(p)}" for r, p in enumerate(row))

@@ -140,14 +140,17 @@ def perturb_params(
     return mean, float(np.sqrt(-np.expm1(-yp)))
 
 
-def noisy(x0: np.ndarray, t: float, sched: NoiseSchedule, seed: int, mode: str = "vp"):
+def noisy(
+    x0: np.ndarray, t: float, sched: NoiseSchedule, seed: int, mode: str = "vp", offset: int = 0
+):
     """Sample x_t = m(t) x_0 + s(t) eps of :func:`perturb_params`; a copy of x_0 at t = 0.
 
     x_t is C-ordered float64 whatever x_0's layout, and element i of x_0 (in
-    C order) uses counter_normals(seed, x0.size)[i], so its bytes depend on
-    x_0's values only, not on its layout or on how the work is split. The
-    noise is drawn and added in chunks, so x_t is the only full-size
-    allocation.
+    C order) uses the normal of counter ``offset + i``, so its bytes depend on
+    x_0's values only, not on its layout or on how the work is split: a
+    matrix's row blocks, each passed with the offset of its first element,
+    draw what the whole matrix draws. The noise is drawn and added in chunks,
+    so x_t is the only full-size allocation.
     """
     mean, std = perturb_params(t, sched, mode)
     out = np.array(x0, dtype=np.float64, order="C")
@@ -156,7 +159,7 @@ def noisy(x0: np.ndarray, t: float, sched: NoiseSchedule, seed: int, mode: str =
     out *= mean
     for lo in range(0, out.size, _CHUNK):
         xt = out.reshape(-1)[lo : lo + _CHUNK]
-        xt += std * counter_normals(seed, xt.size, start=lo)
+        xt += std * counter_normals(seed, xt.size, start=offset + lo)
     return out
 
 

@@ -169,6 +169,11 @@ def _check_grid(m_grid, block_size: int):
     return grid
 
 
+def _check_image_count(n: int) -> None:
+    if n < 500:
+        raise ValueError(f"scan needs at least 500 images, got {n}")
+
+
 def scan_mstar(
     images, block_size: int, gamma: float, m_grid, features: str = "pixels8", map_fn=map
 ) -> MStarResult:
@@ -191,8 +196,7 @@ def scan_mstar(
         return block
 
     blocks = list(map_fn(feature_block, images))
-    if len(blocks) < 500:
-        raise ValueError(f"scan needs at least 500 images, got {len(blocks)}")
+    _check_image_count(len(blocks))
     ref, *recon = (gaussian_stats(np.stack(rows)) for rows in zip(*blocks))
     curve = [(m, frechet_distance(ref, stats)) for m, stats in zip(grid, recon)]
 

@@ -159,34 +159,45 @@ def apply_ebfr(squared_residuals: np.ndarray, w: EntropyWeights) -> float:
     return float(np.sum(sq * per_token))
 
 
-def apsd(
-    coeffs: np.ndarray,
-    sched: NoiseSchedule,
-    t_grid,
-    seed: int = 0,
-    mode: str = "vp",
-) -> np.ndarray:
+def apsd(parts, sched: NoiseSchedule, t_grid, seed: int = 0, mode: str = "vp") -> np.ndarray:
     """Monte-Carlo averaged power spectral density per zigzag rank.
 
-    ``coeffs`` is a finite (n, ranks) matrix of zigzag-ordered DCT
-    coefficients, one row per block, with n >= 1000. Row i of the
-    (len(t_grid), ranks) result estimates E[D_r(x_t)^2] per rank at
-    t = t_grid[i] (t = 0 is the clean power), where x_t is drawn by
-    :func:`diffuse.noisy` with the ``mode`` kernel ("vp" or "ve") and the
-    sub-seed derive_stream(seed, i).
+    ``parts`` is an iterable (a list or a generator, never one array) of
+    finite (n_i, ranks) matrices of zigzag-ordered DCT coefficients, one row
+    per block, with n >= 1000 rows in all. Row i of the (len(t_grid), ranks)
+    result estimates E[D_r(x_t)^2] per rank at t = t_grid[i] (t = 0 is the
+    clean power), where x_t is drawn by :func:`diffuse.noisy` with the
+    ``mode`` kernel ("vp" or "ve") and the sub-seed derive_stream(seed, i).
+
+    One pass, parts outer and times inner, holds one part's x_t and one
+    accumulator per time. A part's noise starts at the counter of its first
+    element in the concatenation, and each accumulator adds rows in order,
+    so with two or more ranks the bits equal those of the mean over the
+    concatenated matrix (one rank: numpy sums a lone column pairwise).
     """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 2:
-        raise ValueError(f"coeffs must be an (n, ranks) matrix, got shape {coeffs.shape}")
-    if coeffs.shape[0] < 1000:
-        raise ValueError(f"need at least 1000 blocks, got {coeffs.shape[0]}")
-    _check_finite(coeffs, "coefficients")
-    powers = []
-    for i, t in enumerate(np.atleast_1d(_check_t(t_grid))):
-        xt = noisy(coeffs, t, sched, derive_stream(seed, i), mode)
-        powers.append(np.mean(np.square(xt, out=xt), axis=0))
-        del xt  # so at most one x_t buffer is alive
-    return np.array(powers)
+    if isinstance(parts, np.ndarray):
+        raise ValueError("apsd takes an iterable of (n, ranks) matrices, not one array")
+    t_grid = np.atleast_1d(_check_t(t_grid))
+    seeds = [derive_stream(seed, i) for i in range(t_grid.size)]
+    acc, n = None, 0
+    for part in parts:
+        part = np.asarray(part, dtype=np.float64)
+        if part.ndim != 2 or (acc is not None and part.shape[1] != acc.shape[1]):
+            raise ValueError(f"parts must be (n, ranks) matrices of one width, got {part.shape}")
+        _check_finite(part, "coefficients")
+        if acc is None:
+            acc = np.zeros((t_grid.size, part.shape[1]))
+        for row, t, sub in zip(acc, t_grid, seeds):
+            sq = noisy(part, t, sched, sub, mode, offset=n * part.shape[1])
+            if len(sq):  # row-by-row sum: the first row carries the sum so far
+                np.square(sq, out=sq)
+                sq[0] += row
+                np.add.reduce(sq, axis=0, out=row)
+            del sq  # so at most one x_t buffer is alive
+        n += len(part)
+    if n < 1000:
+        raise ValueError(f"need at least 1000 blocks, got {n}")
+    return acc / n
 
 
 def power_law_fit(powers) -> tuple[float, float]:

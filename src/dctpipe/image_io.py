@@ -8,12 +8,13 @@ whitespace byte before the binary payload).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["RgbImage", "GrayImage", "PnmError", "read_image", "write_image"]
+__all__ = ["RgbImage", "GrayImage", "PnmError", "read_image", "read_shape", "write_image"]
 
 
 class PnmError(ValueError):
@@ -73,59 +74,77 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
+def _next_token(f) -> tuple[bytes, bytes]:
+    """The next header token of binary file f and the byte read after it (b"" at the end)."""
+    c = f.read(1)
+    while c == b"#" or c.isspace():
+        if c == b"#":  # a comment runs to the end of its line, however long
+            while c not in (b"\n", b"\r", b""):
+                c = f.read(1)
+        c = f.read(1)
+    if not c:
         raise PnmError("unexpected end of header")
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
+    tok = bytearray()
+    while c and not c.isspace():
+        tok += c
+        c = f.read(1)
+    return bytes(tok), c
 
 
-def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    tok, pos = _next_token(data, pos)
+def _header_int(f, what: str) -> tuple[int, bytes]:
+    tok, after = _next_token(f)
     if not tok.isdigit():
         raise PnmError(f"bad {what} field: {tok!r}")
-    return int(tok), pos
+    return int(tok), after
+
+
+def _read_header(f) -> tuple[int, int, int]:
+    """Parse and check the header of binary PNM file f, leaving f at the payload.
+
+    Returns (height, width, channels). The payload length is checked
+    against the file's size, so no payload byte is read and a header that
+    lies about its size never sizes an allocation.
+    """
+    magic, _ = _next_token(f)
+    if magic not in (b"P5", b"P6"):
+        raise PnmError(f"unsupported magic {magic!r} (want P5 or P6)")
+    width, _ = _header_int(f, "width")
+    height, _ = _header_int(f, "height")
+    maxval, after = _header_int(f, "maxval")
+    if maxval != 255:
+        raise PnmError(f"unsupported maxval {maxval} (want 255)")
+    if not after:  # a token ends at one whitespace byte, or at the end of the file
+        raise PnmError("missing whitespace before payload")
+
+    channels = 3 if magic == b"P6" else 1
+    need, have = width * height * channels, os.fstat(f.fileno()).st_size - f.tell()
+    if have != need:
+        what = "truncated payload" if have < need else "trailing bytes after payload"
+        raise PnmError(f"{what}: need {need} bytes, have {have}")
+    if channels == 3 and (width % 2 or height % 2 or width < 2 or height < 2):
+        raise PnmError(f"color dimensions must be even and >= 2, got {width}x{height}")
+    if width < 1 or height < 1:
+        raise PnmError("image must be at least 1x1")
+    return height, width, channels
+
+
+def read_shape(path) -> tuple[int, int, int]:
+    """(height, width, channels) of a PNM file, checked as :func:`read_image` checks it.
+
+    Reads only the header and the file's size, not the pixels.
+    """
+    with open(path, "rb") as f:
+        return _read_header(f)
 
 
 def read_image(path) -> RgbImage | GrayImage:
     """Read a binary PNM file (P6 -> RgbImage, P5 -> GrayImage) with an exact-length payload."""
-    data = Path(path).read_bytes()
-    magic, pos = _next_token(data, 0)
-    if magic not in (b"P5", b"P6"):
-        raise PnmError(f"unsupported magic {magic!r} (want P5 or P6)")
-    width, pos = _header_int(data, pos, "width")
-    height, pos = _header_int(data, pos, "height")
-    maxval, pos = _header_int(data, pos, "maxval")
-    if maxval != 255:
-        raise PnmError(f"unsupported maxval {maxval} (want 255)")
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise PnmError("missing whitespace before payload")
-    pos += 1
-
-    channels = 3 if magic == b"P6" else 1
-    need = width * height * channels
-    payload = data[pos:]
-    if len(payload) != need:
-        what = "truncated payload" if len(payload) < need else "trailing bytes after payload"
-        raise PnmError(f"{what}: need {need} bytes, have {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    if channels == 3:
-        if width % 2 or height % 2 or width < 2 or height < 2:
-            raise PnmError(f"color dimensions must be even and >= 2, got {width}x{height}")
-        return RgbImage(arr.reshape(height, width, 3).copy())
-    return GrayImage(arr.reshape(height, width).copy())
+    with open(path, "rb") as f:
+        height, width, channels = _read_header(f)
+        pixels = np.empty((height, width, 3) if channels == 3 else (height, width), np.uint8)
+        if f.readinto(pixels) != pixels.size:
+            raise PnmError("truncated payload: the file shrank while it was read")
+    return RgbImage(pixels) if channels == 3 else GrayImage(pixels)
 
 
 def write_image(path, image: RgbImage | GrayImage) -> None:

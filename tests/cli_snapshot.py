@@ -113,13 +113,20 @@ CASES = [
     ("scan-m --input in/scan --block-size 2 --gamma 1.0 --grid 5,3 --features pixels8", False),
     ("scan-m --input in/scan --block-size 2 --gamma 1.0 --grid 3..1 --features pixels8", False),
     ("scan-m --input in/missing --block-size 2 --gamma 1.0 --grid 0..99 --features pixels8", False),
+    # P6 images of four sizes, one behind a 5000-byte header comment: rows land per image size
+    ("bounds --input in/sizes --block-size 4 --out out/sizes_ecs.json", True),
+    ("bounds --input in/sizes --block-size 2 --mode naive --max-samples 300 --threads 2 --out out/sizes_naive.json", True),
+    ("weights --input in/sizes --block-size 2 --drop 1 --threads 2 --out out/sizes_w.json", True),
+    ("apsd --input in/sizes --block-size 4 --t-list 0,0.3 --out out/sizes_apsd.csv", True),
+    ("apsd --input in/sizes --block-size 2 --t-list 0.7 --mode ve --channel cr --threads 2 --out out/sizes_apsd_cr.csv", True),
 ]
 
 
-def _pnm(path: Path, pixels: np.ndarray) -> None:
+def _pnm(path: Path, pixels: np.ndarray, comment: bytes = b"") -> None:
     magic = b"P6" if pixels.ndim == 3 else b"P5"
     h, w = pixels.shape[:2]
-    path.write_bytes(magic + f"\n{w} {h}\n255\n".encode() + pixels.astype(np.uint8).tobytes())
+    head = magic + (b"\n#" + comment if comment else b"") + f"\n{w} {h}\n255\n".encode()
+    path.write_bytes(head + pixels.astype(np.uint8).tobytes())
 
 
 def _smooth_rgb(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -152,7 +159,11 @@ def build_inputs(root: Path, seed: int = 0) -> None:
     (root / "mixed" / "a.ppm").write_bytes((root / "rgb" / "i00.ppm").read_bytes())
     (root / "mixed" / "b.ppm").write_bytes((root / "truncated" / "t.ppm").read_bytes())
     _pnm(root / "rect.ppm", _smooth_rgb(rng, 40)[:24])
-    _pnm(root / "tall.ppm", _smooth_rgb(rng, 208)[:, :144])  # last draw: earlier inputs stay put
+    _pnm(root / "tall.ppm", _smooth_rgb(rng, 208)[:, :144])
+    (root / "sizes").mkdir()  # the last draws, so earlier inputs stay put
+    for i, (h, w) in enumerate(((128, 96), (64, 64), (48, 80), (32, 96))):
+        comment = b" long comment " * 360 if i == 1 else b""
+        _pnm(root / "sizes" / f"s{i}.ppm", _smooth_rgb(rng, 128)[:h, :w], comment)
 
 
 def snapshot(out: Path) -> list[dict]:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from dctpipe.block_dct import blockify, dct2, idct2, unblockify
+from dctpipe.diffuse import derive_stream, noisy
 from dctpipe.fd_metric import (
     frechet_distance,
     gaussian_stats,
@@ -290,3 +291,17 @@ def per_m_scan_curve(images, block_size: int, m_grid, features: str) -> tuple:
         recon = [extract(reconstruct_rgb(img, block_size, m)) for img in images]
         curve.append((m, frechet_distance(ref, gaussian_stats(np.stack(recon)))))
     return tuple(curve)
+
+
+def whole_matrix_apsd(coeffs, sched, t_grid, seed: int = 0, mode: str = "vp") -> np.ndarray:
+    """APSD over one (n, ranks) matrix: one noisy draw and one mean per time.
+
+    This is the form the package used before ``apsd`` folded over per-image
+    parts: the whole matrix is perturbed at once and averaged by np.mean.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    powers = []
+    for i, t in enumerate(t_grid):
+        xt = noisy(coeffs, t, sched, derive_stream(seed, i), mode)
+        powers.append(np.mean(np.square(xt), axis=0))
+    return np.array(powers)

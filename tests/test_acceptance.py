@@ -180,7 +180,7 @@ def test_criterion_6_spectral_autoregression():
     sched = NoiseSchedule()
     coeffs = power_law_coefficients(rng, 100_000, 8, k=3.0, alpha=2.0)
     t = 0.4
-    clean, noisy = apsd(coeffs, sched, [0.0, t], seed=7, mode="ve")
+    clean, noisy = apsd([coeffs], sched, [0.0, t], seed=7, mode="ve")
     diff = noisy - clean
     sigma2 = float(y_integral(t, sched))
     flat_dev = np.abs(diff / diff.mean() - 1.0).max()

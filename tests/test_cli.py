@@ -9,11 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dctpipe.cli import _build_parser, main
+from dctpipe.cli import _build_parser, _collect_samples, _pmap, main
+from dctpipe.colorspace import subsample_rgb
+from dctpipe.fd_metric import make_feature_extractor, reconstruct_rgb, scan_mstar
 from dctpipe.image_io import GrayImage, RgbImage, read_image, write_image
 from dctpipe.scaling import load_bounds
 from dctpipe.synth import band_limited_image
-from dctpipe.tokenizer import TokenArray, TokenConfig, read_dctk, write_dctk
+from dctpipe.tokenizer import (
+    TokenArray,
+    TokenConfig,
+    dct_coefficient_matrices,
+    read_dctk,
+    write_dctk,
+)
 
 from synth import cell_chroma_image
 
@@ -427,6 +435,8 @@ CHECKED_FLAGS = [
 @pytest.mark.parametrize("cmd, flag", CHECKED_FLAGS)
 def test_every_checked_flag_is_rejected_by_name_before_reading(tmp_path, capsys, cmd, flag):
     (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    for i in range(499 if cmd == "scan-m" else 0):  # scan-m counts its 500 paths before reading
+        (tmp_path / f"t{i:03d}.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
     (tmp_path / "t.dctk").write_bytes(b"DCTK" + bytes(6))
     valid = [str(a).format(d=tmp_path) for a in VALID_ARGV[cmd]]
     code, _, err = run(capsys, cmd, *valid)
@@ -512,7 +522,8 @@ def test_huge_grid_range_is_rejected_before_it_is_built(tmp_path):
 def test_full_grid_is_not_built_before_the_images_bound_the_block_size(tmp_path):
     # the default --grid full of B=1e5 has 1e10 entries (80 GB as a list); under a 1 GB cap
     # the command must still reach the image read and report the truncated file
-    (tmp_path / "t.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+    for name in ["t"] + [f"t{i:03d}" for i in range(499)]:  # 500 paths pass the count rule
+        (tmp_path / f"{name}.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
     proc = subprocess.run(
         [sys.executable, "-m", "dctpipe.cli", "scan-m", "--input", str(tmp_path),
          "--block-size", "100000", "--gamma", "1", "--features", "pixels8"],
@@ -594,6 +605,8 @@ def test_directory_commands_name_the_bad_file(tmp_path, rng, capsys, kind, cmd):
         write_image(path, cell_chroma_image(rng, 6, 6))
     else:
         write_image(path, GrayImage(rng.integers(0, 256, (16, 16), dtype=np.uint8)))
+    for i in range(498 if cmd == "scan-m" else 0):  # scan-m counts its 500 paths before reading
+        (tmp_path / f"c{i:03d}.ppm").write_bytes((tmp_path / "a.ppm").read_bytes())
     code, _, err = run(capsys, *(str(a).format(d=tmp_path) for a in DIR_COMMANDS[cmd]))
     assert_single_line_error(code, err)
     assert f"{path}: " in err
@@ -691,3 +704,103 @@ def test_threads_flag_does_not_change_bytes(dataset, tmp_path, capsys):
         assert code == 0, err
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_pmap_keeps_at_most_two_items_per_thread_in_flight():
+    pulled, done = [], []
+
+    def items():
+        for i in range(40):
+            pulled.append(i)
+            yield i
+
+    def slow_square(i):
+        assert len(pulled) - len(done) <= 2 * 3 + 1  # the window, and the item just taken
+        done.append(i)
+        return i * i
+
+    assert _pmap(slow_square, items(), 3) == [i * i for i in range(40)]
+
+
+def test_two_thread_scan_holds_what_the_one_thread_scan_holds(traced_peak):
+    # 500 fresh 64x64 images from a generator: a window of 2 x threads images is
+    # alive at once, so two threads hold about what one does (3.8x more when
+    # every image was submitted up front)
+    grid = (0, 6, 12)
+
+    def images():
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            yield RgbImage(rng.integers(0, 256, (64, 64, 3), dtype=np.uint8))
+
+    extract = make_feature_extractor("pixels8", 4)
+    for m in grid:  # warm the package's one-time caches outside the measurement
+        extract(reconstruct_rgb(next(images()), 4, m))
+    peaks = [
+        traced_peak(lambda: scan_mstar(images(), 4, 1.0, grid, map_fn=lambda f, it: _pmap(f, it, t)))
+        for t in (1, 2)
+    ]
+    assert peaks[1] < peaks[0] + 2**19, peaks
+
+
+def test_scan_m_counts_the_paths_before_it_decodes_an_image(tmp_path, capsys, monkeypatch):
+    for i in range(499):  # not images at all: decoding any one of them would fail
+        (tmp_path / f"i{i:03d}.ppm").write_bytes(b"not a PNM file")
+    reads = []
+    monkeypatch.setattr("dctpipe.cli.read_image", lambda path: reads.append(path))
+    code, _, err = run(capsys, "scan-m", "--input", tmp_path, "--block-size", 2, "--gamma", 1,
+                       "--features", "pixels8")
+    assert_single_line_error(code, err)
+    assert err == "dctpipe scan-m: scan needs at least 500 images, got 499\n"
+    assert reads == []
+
+
+@pytest.mark.parametrize(
+    "argv, kept, columns",
+    [
+        # ecs keeps the DC column of each plane; np.percentile partitions a copy of Y's
+        (("bounds",), 1, 1),
+        # a Y column's reservoir draws counters, keys and a partition of them
+        (("bounds", "--mode", "naive", "--max-samples", 100), 16, 4),
+        # np.histogram bins a Y column through a few column-sized temporaries
+        (("weights", "--drop", 8), 8, 6),
+    ],
+)
+def test_corpus_commands_hold_the_kept_coefficients_once(
+    tmp_path, capsys, traced_peak, argv, kept, columns
+):
+    # 64 images of 64x64 at B=4: 16384 Y and 2 x 4096 chroma blocks
+    rng = np.random.default_rng(3)
+    for i in range(64):
+        write_image(tmp_path / f"i{i:02d}.ppm", RgbImage(rng.integers(0, 256, (64, 64, 3), np.uint8)))
+    image = traced_peak(
+        lambda: dct_coefficient_matrices(subsample_rgb(read_image(tmp_path / "i00.ppm")), 4)
+    )
+    y_rows = 64 * 256
+    held, scratch = 8 * kept * (y_rows + 2 * y_rows // 4), columns * 8 * y_rows
+    code, _, err = run(capsys, *argv, "--block-size", 4, "--input", tmp_path, "--out", tmp_path / "o")
+    assert code == 0, err
+    peak = traced_peak(
+        lambda: main([*map(str, argv), "--block-size", "4", "--input", str(tmp_path),
+                      "--out", str(tmp_path / "o")])
+    )
+    assert peak < held + image + scratch, (peak, held, image, scratch)
+
+
+def test_collected_rows_do_not_depend_on_the_thread_count(tmp_path):
+    # worker threads write their images' rows into shared matrices; five threads on
+    # a short switch interval must land every row where one thread puts it
+    rng = np.random.default_rng(4)
+    for i, (h, w) in enumerate([(16, 16), (32, 16), (16, 48), (48, 32)] * 6):
+        write_image(tmp_path / f"i{i:02d}.ppm", RgbImage(rng.integers(0, 256, (h, w, 3), np.uint8)))
+    args = argparse.Namespace(input=tmp_path, block_size=2, threads=1)
+    want = _collect_samples(args, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = _collect_samples(argparse.Namespace(input=tmp_path, block_size=2, threads=5), 3)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [m.shape for m in want] == [(4608, 3), (1152, 3), (1152, 3)]  # 18432 pixels, B=2

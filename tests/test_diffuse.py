@@ -121,6 +121,15 @@ def layouts(x):
 
 
 @pytest.mark.parametrize("mode", ["vp", "ve"])
+def test_noisy_offset_draws_the_tail_of_a_longer_matrix(rng, mode):
+    x = rng.normal(size=(3 * 2**15 // 4 + 9, 4))
+    whole = noisy(x, 0.4, DEFAULTS, seed=3, mode=mode)
+    for row in (1, 2, 2**13 - 1, 2**13 + 1, 3 * 2**13 + 2):  # first counter 4 * row: off a chunk edge
+        tail = noisy(x[row:], 0.4, DEFAULTS, seed=3, mode=mode, offset=4 * row)
+        assert tail.tobytes() == whole[row:].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["vp", "ve"])
 @pytest.mark.parametrize("t", [0.0, 0.5])
 def test_noisy_returns_c_ordered_float64_whatever_the_layout_of_x0(rng, t, mode):
     x = rng.normal(size=(1000, 16)).astype(np.float32).astype(np.float64)  # exact in float32
@@ -134,7 +143,7 @@ def test_noisy_returns_c_ordered_float64_whatever_the_layout_of_x0(rng, t, mode)
 
 def test_apsd_bits_do_not_depend_on_the_layout_of_coeffs(rng):
     x = rng.normal(size=(2000, 16))
-    runs = {apsd(c, DEFAULTS, [0.0, 0.1, 0.5], seed=2).tobytes() for c in layouts(x)}
+    runs = {apsd([c], DEFAULTS, [0.0, 0.1, 0.5], seed=2).tobytes() for c in layouts(x)}
     assert len(runs) == 1
 
 
@@ -214,7 +223,7 @@ def test_kernel_matches_schedule_oracle_and_apsd_samples_it(rng, mode, c):
     sched = NoiseSchedule(c=c)
     t_grid = [0.0, 0.01, 0.3, 1.0]
     x0 = rng.normal(size=(1000, 3)) * [4.0, 1.0, 0.25]
-    powers = apsd(x0, sched, t_grid, seed=9, mode=mode)
+    powers = apsd([x0], sched, t_grid, seed=9, mode=mode)
     assert powers.shape == (len(t_grid), 3)
     for i, t in enumerate(t_grid):
         mean, std = perturb_params(t, sched, mode)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctpipe.freq_stats import (
     EntropyWeights,
@@ -19,7 +21,7 @@ from dctpipe.scaling import estimate_naive_bounds
 from dctpipe.schedule import NoiseSchedule, snr, y_integral
 from dctpipe.synth import power_law_coefficients
 
-from oracles import gaussian_differential_entropy
+from oracles import gaussian_differential_entropy, whole_matrix_apsd
 
 DEFAULTS = NoiseSchedule()
 
@@ -188,14 +190,14 @@ def test_ebfr_length_mismatch(rng):
 
 def test_apsd_white_noise_is_flat(rng):
     blocks = rng.normal(size=(100_000, 2, 2))
-    powers = apsd(to_zigzag(dct2(blocks)), DEFAULTS, [0.0])
+    powers = apsd([to_zigzag(dct2(blocks))], DEFAULTS, [0.0])
     assert powers.shape == (1, 4)  # one row per time, one column per rank
     assert np.abs(powers[0] - 1.0).max() < 0.03
 
 
 def test_apsd_clean_profile_decays(rng):
     coeffs = power_law_coefficients(rng, 20_000, 4, k=3.0, alpha=2.0)
-    (powers,) = apsd(coeffs, DEFAULTS, [0.0])
+    (powers,) = apsd([coeffs], DEFAULTS, [0.0])
     inversions = int(np.sum(np.diff(powers) > 0))
     assert inversions <= 0.05 * (powers.size - 1)
 
@@ -203,7 +205,7 @@ def test_apsd_clean_profile_decays(rng):
 def test_apsd_ve_noise_floor_matches_theory(rng):
     coeffs = power_law_coefficients(rng, 50_000, 4, k=3.0, alpha=2.0)
     t = 0.4
-    clean, noisy = apsd(coeffs, DEFAULTS, [0.0, t], seed=11, mode="ve")
+    clean, noisy = apsd([coeffs], DEFAULTS, [0.0, t], seed=11, mode="ve")
     diff = noisy - clean
     sigma2 = float(y_integral(t, DEFAULTS))
     assert np.abs(diff / sigma2 - 1.0).max() < 0.05
@@ -212,30 +214,77 @@ def test_apsd_ve_noise_floor_matches_theory(rng):
 def test_apsd_vp_mode_variance_preserving(rng):
     # VP at large t: profile approaches 1 (pure unit noise) at every rank
     coeffs = power_law_coefficients(rng, 20_000, 2, k=0.5, alpha=1.0)
-    (noisy,) = apsd(coeffs, DEFAULTS, [1.0], seed=3, mode="vp")
+    (noisy,) = apsd([coeffs], DEFAULTS, [1.0], seed=3, mode="vp")
     assert np.abs(noisy - 1.0).max() < 0.1
 
 
 def test_apsd_deterministic(rng):
     coeffs = to_zigzag(dct2(rng.normal(size=(1000, 2, 2))))
-    a = apsd(coeffs, DEFAULTS, [0.3], seed=5)
-    b = apsd(coeffs, DEFAULTS, [0.3], seed=5)
+    a = apsd([coeffs], DEFAULTS, [0.3], seed=5)
+    b = apsd([coeffs], DEFAULTS, [0.3], seed=5)
     assert np.array_equal(a, b)
 
 
 def test_apsd_validation(rng):
     with pytest.raises(ValueError):
-        apsd(rng.normal(size=(10, 4)), DEFAULTS, [0.0])
+        apsd([rng.normal(size=(10, 4))], DEFAULTS, [0.0])
     with pytest.raises(ValueError):
-        apsd(rng.normal(size=(2000, 2, 2)), DEFAULTS, [0.0])  # a 3-D array
+        apsd([rng.normal(size=(2000, 2, 2))], DEFAULTS, [0.0])  # a 3-D array
     with pytest.raises(ValueError):
-        apsd(rng.normal(size=(2000, 4)), DEFAULTS, [0.0], mode="other")
+        apsd([rng.normal(size=(2000, 4))], DEFAULTS, [0.0], mode="other")
     # without the check, one NaN gives a NaN column and one infinity an infinite power
     for bad in (np.nan, np.inf, -np.inf):
         coeffs = rng.normal(size=(1000, 4))
         coeffs[17, 2] = bad
         with pytest.raises(ValueError, match="coefficients contain non-finite values"):
-            apsd(coeffs, DEFAULTS, [0.0, 0.5])
+            apsd([coeffs], DEFAULTS, [0.0, 0.5])
+
+
+def _laid_out(part: np.ndarray, layout: str) -> np.ndarray:
+    if layout == "F":
+        return np.asfortranarray(part)
+    if layout == "strided":  # every other column of a wider matrix
+        wide = np.zeros((part.shape[0], 2 * part.shape[1]))
+        wide[:, ::2] = part
+        return wide[:, ::2]
+    return np.ascontiguousarray(part)
+
+
+@given(
+    ranks=st.integers(2, 7),
+    sizes=st.lists(st.one_of(st.just(1), st.integers(0, 2500)), min_size=1, max_size=10),
+    layouts=st.lists(st.sampled_from(["C", "F", "strided"]), min_size=10, max_size=10),
+    t_grid=st.lists(st.sampled_from([0.0, 1e-3, 0.1, 0.37, 1.0]), min_size=1, max_size=3).map(
+        lambda ts: [0.0, *ts]
+    ),
+    mode=st.sampled_from(["vp", "ve"]),
+    seed=st.integers(0, 2**40),
+)
+@settings(max_examples=40, deadline=None)
+def test_apsd_fold_over_parts_has_the_bits_of_the_whole_matrix(
+    ranks, sizes, layouts, t_grid, mode, seed
+):
+    # parts of one row, empty parts, and parts whose first counter (rows before it times
+    # ranks) falls anywhere in a 2^15-normal chunk of counter_normals
+    sizes.append(max(1000 - sum(sizes), 1))
+    rng = np.random.default_rng(seed)
+    whole = rng.normal(size=(sum(sizes), ranks)) * rng.uniform(0.1, 50, ranks)
+    parts = np.split(whole, np.cumsum(sizes)[:-1])
+    parts = [_laid_out(part, layout) for part, layout in zip(parts, layouts + ["C"])]
+    sched = NoiseSchedule(c=float(rng.choice([0.25, 1.0, 4.0])))
+    want = whole_matrix_apsd(whole, sched, t_grid, seed, mode)
+    assert apsd(parts, sched, t_grid, seed, mode).tobytes() == want.tobytes()
+    assert apsd(iter(parts), sched, t_grid, seed, mode).tobytes() == want.tobytes()
+
+
+def test_apsd_takes_parts_not_one_array(rng):
+    x = rng.normal(size=(2000, 4))
+    with pytest.raises(ValueError, match="iterable of \\(n, ranks\\) matrices, not one array"):
+        apsd(x, DEFAULTS, [0.0])  # its rows would otherwise pass as 1-D parts
+    with pytest.raises(ValueError, match="one width"):
+        apsd([x, x[:, :3]], DEFAULTS, [0.0])
+    with pytest.raises(ValueError, match="need at least 1000 blocks, got 999"):
+        apsd((x[i : i + 333] for i in (0, 333, 666)), DEFAULTS, [0.0])
 
 
 def test_power_law_fit_exact():
@@ -247,14 +296,14 @@ def test_power_law_fit_exact():
 
 def test_power_law_fit_white_noise_is_flat(rng):
     blocks = rng.normal(size=(200_000, 4, 4))
-    (powers,) = apsd(to_zigzag(dct2(blocks)), DEFAULTS, [0.0])
+    (powers,) = apsd([to_zigzag(dct2(blocks))], DEFAULTS, [0.0])
     _, alpha = power_law_fit(powers)
     assert abs(alpha) < 0.05
 
 
 def test_power_law_fit_recovers_synthetic_alpha(rng):
     coeffs = power_law_coefficients(rng, 50_000, 4, k=2.0, alpha=1.5)
-    (powers,) = apsd(coeffs, DEFAULTS, [0.0])
+    (powers,) = apsd([coeffs], DEFAULTS, [0.0])
     _, alpha = power_law_fit(powers)
     assert 1.35 <= alpha <= 1.65
 
@@ -315,4 +364,4 @@ def test_threshold_time_saturation_flag():
 @pytest.mark.parametrize("order", ["C", "F"])  # the apsd CLI concatenates into F order
 def test_apsd_memory_is_one_noisy_matrix_plus_constant_scratch(rng, traced_peak, order):
     x = np.asarray(rng.normal(size=(65536, 16)), order=order)
-    assert traced_peak(lambda: apsd(x, DEFAULTS, [0.0, 0.1, 0.5])) < 1.5 * x.nbytes
+    assert traced_peak(lambda: apsd([x], DEFAULTS, [0.0, 0.1, 0.5])) < 1.5 * x.nbytes

@@ -13,9 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dctpipe.freq_stats import EntropyWeights, load_weights
-from dctpipe.image_io import GrayImage, PnmError, RgbImage, read_image, write_image
+from dctpipe.cli import _read_rgb, _y_blocks
+from dctpipe.colorspace import subsample_rgb
+from dctpipe.image_io import GrayImage, PnmError, RgbImage, read_image, read_shape, write_image
 from dctpipe.scaling import ScalingBounds, load_bounds
-from dctpipe.tokenizer import TokenArray, read_dctk
+from dctpipe.tokenizer import TokenArray, dct_coefficient_matrices, read_dctk
 
 _DCTK_PREFIX = b"DCTK" + struct.pack("<H", 1)
 
@@ -83,6 +85,53 @@ def test_read_image_returns_valid_image_or_value_error(scratch_file, data):
         assert isinstance(img, (RgbImage, GrayImage))
         assert img.pixels.dtype == np.uint8
         assert img.pixels.shape[:2] == (img.height, img.width)
+
+
+def _outcome(read, path):
+    """What ``read`` gives for ``path``: ("ok", value) or ("error", its message)."""
+    try:
+        return "ok", read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def commented_pnm(draw):
+    """A PNM file whose header has comments of any length (past 4 KiB too), anywhere."""
+    head = draw(pnm_like())
+    cut = draw(st.integers(0, min(len(head), 24)))
+    body = draw(st.sampled_from([b"", b"x", b"#", b" P6 2 2 255"]))
+    comment = b"#" + body * draw(st.sampled_from([0, 1, 4500, 9000])) + draw(
+        st.sampled_from([b"\n", b"\r", b""])
+    )
+    return head[:cut] + draw(st.sampled_from([b"", b"\n", b" "])) + comment + head[cut:]
+
+
+@given(st.one_of(st.binary(max_size=80), pnm_like(), commented_pnm()))
+@example(b"P6\n#" + b"c" * 5000 + b"\n2 2\n255\n" + bytes(12))
+@example(b"P5 1 1 255\n#" + b"c" * 5000)
+@settings(max_examples=300, deadline=None)
+def test_header_pass_and_read_image_accept_and_reject_the_same_files(scratch_file, data):
+    scratch_file.write_bytes(data)
+    shape, image = _outcome(read_shape, scratch_file), _outcome(read_image, scratch_file)
+    if image[0] == "ok":
+        pixels = image[1].pixels
+        assert shape == ("ok", (*pixels.shape[:2], pixels.shape[2] if pixels.ndim == 3 else 1))
+    else:
+        assert shape == image
+
+
+@given(st.one_of(pnm_like(), commented_pnm()), st.sampled_from([1, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_cli_size_pass_checks_what_reading_and_transforming_checks(scratch_file, data, b):
+    # the corpus commands size their matrices from _y_blocks, then read every image
+    scratch_file.write_bytes(data)
+    blocks = _outcome(lambda p: _y_blocks(p, b), scratch_file)
+    coeffs = _outcome(lambda p: dct_coefficient_matrices(subsample_rgb(_read_rgb(p)), b), scratch_file)
+    if coeffs[0] == "ok":
+        assert blocks == ("ok", len(coeffs[1][0]))
+    else:
+        assert blocks == coeffs
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.binary(min_size=1, max_size=8))
