@@ -14,6 +14,7 @@ import argparse
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
@@ -76,22 +77,35 @@ def _per_file(fn):
     return lambda path: _check_flag(path, fn, path)
 
 
-def _pmap(fn, items, threads: int) -> list:
-    """[fn(item) for item in items], in order, on ``threads`` threads.
+def _imap(fn, items, threads: int):
+    """fn(item) for item in items, in order, on ``threads`` threads, as a generator.
 
     Items are taken as they are needed: at most 2 * threads of them are in
-    flight, so only those (and the results) are alive at once.
+    flight, so only those (and the results not yet taken) are alive at once.
+    Closing the generator early, or an item's error, cancels the items not
+    yet started and waits for the running ones, so no worker outlives it.
     """
     if threads == 1:  # one item at a time: only the item in hand is alive
-        return [fn(it) for it in items]
-    out, window = [], deque()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from map(fn, items)
+        return
+    window = deque()
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
         for it in items:
             if len(window) == 2 * threads:
-                out.append(window.popleft().result())
+                yield window.popleft().result()
             window.append(pool.submit(fn, it))
-        out.extend(f.result() for f in window)
-    return out
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _pmap(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], in order, on ``threads`` threads (see :func:`_imap`)."""
+    if threads == 1:
+        return [fn(it) for it in items]
+    return list(_imap(fn, items, threads))
 
 
 def _image_paths(directory) -> list[Path]:
@@ -167,23 +181,43 @@ def _y_blocks(path, b: int) -> int:
     return (height // b) * (width // b)
 
 
-def _collect_samples(args, kept: int):
+def _collect_samples(args, kept: int, limit: int | None = None):
     """(y, cb, cr) matrices of every block's first ``kept`` zigzag ranks, rows in path order.
 
     A size pass over the headers fails on the first bad file, as reading
     would, and fixes each image's rows. So each matrix is allocated once and
     every image writes its own rows in place: the corpus is held once.
+
+    With ``limit``, column r of a channel holds only the rows that
+    ``scaling.reservoir_sample(samples, limit, seed=r)`` keeps of it. Its
+    keys depend only on the sample count, so the rows are drawn from the
+    row numbers before any pixel is read and each image writes only its
+    picked rows: a channel's matrix is (min(rows, limit), kept).
     """
     b, paths = args.block_size, _image_paths(args.input)
     rows = list(map(_per_file(lambda p: _y_blocks(p, b)), paths))
     first, n = dict(zip(paths, accumulate(rows, initial=0))), sum(rows)
-    mats = tuple(np.empty((r, kept)) for r in (n, n // 4, n // 4))
+    sizes = (n, n // 4, n // 4)  # a chroma plane has a quarter of the Y blocks
+    picks = [None] * 3  # per channel: each rank's sorted row numbers, None for every row
+    if limit is not None:
+        dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        for c, size in enumerate(sizes):
+            pick = [scaling.reservoir_sample(np.arange(size, dtype=dtype), limit, seed=r)
+                    for r in range(kept)]
+            picks[c] = pick if len(pick[0]) < size else None
+    mats = tuple(np.empty((size if pick is None else len(pick[0]), kept))
+                 for size, pick in zip(sizes, picks))
 
-    def fill(path):  # a chroma plane has a quarter of the Y blocks
+    def fill(path):
         lo = first[path]
         coeffs = dct_coefficient_matrices(subsample_rgb(_read_rgb(path)), b)
-        for mat, part, at in zip(mats, coeffs, (lo, lo // 4, lo // 4)):
-            mat[at : at + len(part)] = part[:, :kept]
+        for mat, pick, part, at in zip(mats, picks, coeffs, (lo, lo // 4, lo // 4)):
+            if pick is None:
+                mat[at : at + len(part)] = part[:, :kept]
+                continue
+            for r, picked in enumerate(pick):  # bounds in the picks' dtype: no cast of them
+                i, j = np.searchsorted(picked, np.array([at, at + len(part)], picked.dtype))
+                mat[i:j, r] = part[picked[i:j] - at, r]
 
     _pmap(_per_file(fill), paths, args.threads)
     return mats
@@ -197,14 +231,7 @@ def _cmd_bounds(args) -> int:
             eta=scaling.estimate_ecs_bound(dc, args.tau),
         )
     else:
-        mats = list(_collect_samples(args, kept_ranks(args.block_size)))
-        for i, m in enumerate(mats):  # a channel is released once its reservoirs are stacked
-            mats[i] = np.stack(
-                [scaling.reservoir_sample(m[:, r], args.max_samples, seed=r)
-                 for r in range(m.shape[1])],
-                axis=1,
-            )
-        del m
+        mats = _collect_samples(args, kept_ranks(args.block_size), args.max_samples)
         bounds = scaling.ScalingBounds(
             mode="naive", tau=args.tau, block_size=args.block_size,
             naive_bounds=tuple(scaling.estimate_naive_bounds(mats, args.tau)),
@@ -263,8 +290,9 @@ def _cmd_apsd(args) -> int:
             raise ValueError(f"a P5 gray image has no {args.channel} channel; use --channel y")
         return plane_to_zigzag(plane, b).reshape(-1, b * b)
 
-    parts = _pmap(_per_file(coeffs_of), _image_paths(args.input), args.threads)
-    powers = freq_stats.apsd(parts, sched, args.t_list, seed=args.seed, mode=args.mode)
+    # images are folded as they arrive: only the map's window of them is alive
+    with closing(_imap(_per_file(coeffs_of), _image_paths(args.input), args.threads)) as parts:
+        powers = freq_stats.apsd(parts, sched, args.t_list, seed=args.seed, mode=args.mode)
     lines = ["t,rank,power"]
     for t, row in zip(args.t_list, powers):
         lines.extend(f"{_fmt(t)},{r},{_fmt(p)}" for r, p in enumerate(row))

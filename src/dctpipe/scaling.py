@@ -47,13 +47,15 @@ def _check_tau(tau: float) -> float:
 
 
 def _check_limit(limit: int) -> None:
+    if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
+        raise ValueError(f"limit must be an integer, got {limit!r}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
 
 
-def _envelope(samples: np.ndarray, tau: float, axis: int | None = None):
-    """max(|P_tau|, |P_{100-tau}|) of ``samples``, over ``axis`` (all values by default)."""
-    up, low = np.percentile(samples, (tau, 100.0 - tau), axis=axis)
+def _envelope(samples: np.ndarray, tau: float):
+    """max(|P_tau|, |P_{100-tau}|) of all values of ``samples``."""
+    up, low = np.percentile(samples, (tau, 100.0 - tau))
     return np.maximum(np.abs(up), np.abs(low))
 
 
@@ -83,7 +85,8 @@ def estimate_naive_bounds(channel_samples, tau: float = DEFAULT_TAU) -> np.ndarr
     """
     tau = _check_tau(tau)
     mats = _sample_matrices(channel_samples, 2)
-    out = np.concatenate([_envelope(mat, tau, axis=0) for mat in mats])
+    # np.percentile partitions a copy of its input: one column's, not a channel's
+    out = np.array([_envelope(col, tau) for mat in mats for col in mat.T])
     width = mats[0].shape[1]
     if np.any(out <= 0):
         bad = int(np.argmax(out <= 0))
@@ -92,12 +95,20 @@ def estimate_naive_bounds(channel_samples, tau: float = DEFAULT_TAU) -> np.ndarr
 
 
 def reservoir_sample(samples: np.ndarray, limit: int, seed: int = 0) -> np.ndarray:
-    """Deterministically subsample to at most ``limit`` values.
+    """Deterministically subsample a 1-D vector to at most ``limit`` values.
 
-    Used when a pooled per-rank sample set would not fit in memory; the
-    selection depends only on (input order, limit, seed).
+    Used when a pooled per-rank sample set would not fit in memory. Sample i
+    is kept when its counter key ``counter_uniforms(seed, i)`` is among the
+    ``limit`` smallest, and kept samples stay in input order; a vector of at
+    most ``limit`` samples comes back whole. The keys depend only on
+    (len(samples), limit, seed), never on the values, so
+    ``reservoir_sample(x, limit, seed)`` equals
+    ``x[reservoir_sample(np.arange(x.size), limit, seed)]``: the rows can be
+    picked before the samples exist. ``limit`` must be an integer >= 1.
     """
     x = np.asarray(samples)
+    if x.ndim != 1:
+        raise ValueError(f"samples must be a 1-D vector, got shape {x.shape}")
     _check_limit(limit)
     if x.size <= limit:
         return x

@@ -19,6 +19,7 @@ from dctpipe.fd_metric import (
     make_feature_extractor,
     reconstruct_rgb,
 )
+from dctpipe.scaling import reservoir_sample
 
 
 def naive_dct2_loops(block: np.ndarray) -> np.ndarray:
@@ -305,3 +306,26 @@ def whole_matrix_apsd(coeffs, sched, t_grid, seed: int = 0, mode: str = "vp") ->
         xt = noisy(coeffs, t, sched, derive_stream(seed, i), mode)
         powers.append(np.mean(np.square(xt), axis=0))
     return np.array(powers)
+
+
+def stacked_reservoirs(mats, limit: int) -> list[np.ndarray]:
+    """Each channel's per-rank reservoirs, drawn from its whole matrix and stacked.
+
+    This is the form ``bounds --mode naive`` used before it picked its rows
+    from the row counts: every channel is collected whole, then column r is
+    subsampled by ``reservoir_sample(column, limit, seed=r)``.
+    """
+    return [
+        np.stack([reservoir_sample(m[:, r], limit, seed=r) for r in range(m.shape[1])], axis=1)
+        for m in mats
+    ]
+
+
+def channel_percentile_bounds(mats, tau: float) -> np.ndarray:
+    """Naive bounds with one np.percentile over each whole channel (axis 0), as before
+    ``estimate_naive_bounds`` took one column at a time."""
+    out = []
+    for m in mats:
+        up, low = np.percentile(np.asarray(m, dtype=np.float64), (tau, 100.0 - tau), axis=0)
+        out.append(np.maximum(np.abs(up), np.abs(low)))
+    return np.concatenate(out)

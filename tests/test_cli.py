@@ -4,12 +4,14 @@ import os
 import resource
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dctpipe.cli import _build_parser, _collect_samples, _pmap, main
+from dctpipe.cli import _build_parser, _collect_samples, _imap, _pmap, main
 from dctpipe.colorspace import subsample_rgb
 from dctpipe.fd_metric import make_feature_extractor, reconstruct_rgb, scan_mstar
 from dctpipe.image_io import GrayImage, RgbImage, read_image, write_image
@@ -19,10 +21,12 @@ from dctpipe.tokenizer import (
     TokenArray,
     TokenConfig,
     dct_coefficient_matrices,
+    plane_to_zigzag,
     read_dctk,
     write_dctk,
 )
 
+from oracles import channel_percentile_bounds, stacked_reservoirs
 from synth import cell_chroma_image
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -760,10 +764,13 @@ def test_scan_m_counts_the_paths_before_it_decodes_an_image(tmp_path, capsys, mo
     [
         # ecs keeps the DC column of each plane; np.percentile partitions a copy of Y's
         (("bounds",), 1, 1),
-        # a Y column's reservoir draws counters, keys and a partition of them
+        # a Y rank's reservoir draws row numbers, counters, keys and a partition of them
         (("bounds", "--mode", "naive", "--max-samples", 100), 16, 4),
         # np.histogram bins a Y column through a few column-sized temporaries
         (("weights", "--drop", 8), 8, 6),
+        # under the default cap naive keeps every row, each channel once, and each
+        # rank's percentile partitions a copy of one column
+        (("bounds", "--mode", "naive"), 16, 3),
     ],
 )
 def test_corpus_commands_hold_the_kept_coefficients_once(
@@ -777,7 +784,12 @@ def test_corpus_commands_hold_the_kept_coefficients_once(
         lambda: dct_coefficient_matrices(subsample_rgb(read_image(tmp_path / "i00.ppm")), 4)
     )
     y_rows = 64 * 256
-    held, scratch = 8 * kept * (y_rows + 2 * y_rows // 4), columns * 8 * y_rows
+    limit = dict(zip(argv, argv[1:])).get("--max-samples")
+    if limit is None:
+        held = 8 * kept * (y_rows + 2 * y_rows // 4)
+    else:  # a limit below every channel's rows: the reservoirs and their int32 row numbers
+        held = (8 + 4) * kept * 3 * limit
+    scratch = columns * 8 * y_rows
     code, _, err = run(capsys, *argv, "--block-size", 4, "--input", tmp_path, "--out", tmp_path / "o")
     assert code == 0, err
     peak = traced_peak(
@@ -787,20 +799,97 @@ def test_corpus_commands_hold_the_kept_coefficients_once(
     assert peak < held + image + scratch, (peak, held, image, scratch)
 
 
+def test_apsd_holds_a_window_of_images_not_the_corpus(tmp_path, capsys, traced_peak):
+    # 128 images whose (256, 16) Y matrices take 4 MiB together; two threads keep at
+    # most four images in flight, besides the one being folded
+    rng = np.random.default_rng(3)
+    for i in range(128):
+        write_image(tmp_path / f"i{i:03d}.ppm", RgbImage(rng.integers(0, 256, (64, 64, 3), np.uint8)))
+    argv = ["apsd", "--input", str(tmp_path), "--block-size", "4", "--t-list", "0,0.5",
+            "--threads", "2", "--out", str(tmp_path / "p.csv")]
+    image = traced_peak(lambda: plane_to_zigzag(subsample_rgb(read_image(tmp_path / "i000.ppm")).y, 4))
+    assert main(argv) == 0
+    peak = traced_peak(lambda: main(argv))
+    corpus = 128 * 8 * 16 * 256
+    assert peak < 6 * image < corpus / 3, (peak, image, corpus)
+
+
 def test_collected_rows_do_not_depend_on_the_thread_count(tmp_path):
-    # worker threads write their images' rows into shared matrices; five threads on
-    # a short switch interval must land every row where one thread puts it
+    # worker threads write their images' rows (or their picked reservoir rows) into
+    # shared matrices; one to five threads on a short switch interval must give what
+    # stacking each column's reservoir of the whole channel gives
     rng = np.random.default_rng(4)
     for i, (h, w) in enumerate([(16, 16), (32, 16), (16, 48), (48, 32)] * 6):
         write_image(tmp_path / f"i{i:02d}.ppm", RgbImage(rng.integers(0, 256, (h, w, 3), np.uint8)))
-    args = argparse.Namespace(input=tmp_path, block_size=2, threads=1)
-    want = _collect_samples(args, 3)
+    whole = _collect_samples(argparse.Namespace(input=tmp_path, block_size=2, threads=1), 4)
+    assert [m.shape for m in whole] == [(4608, 4), (1152, 4), (1152, 4)]  # 18432 pixels, B=2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            got = _collect_samples(argparse.Namespace(input=tmp_path, block_size=2, threads=5), 3)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # below, at and above the chroma (1152) and Y (4608) row counts
+        for limit in (None, 1, 500, 1151, 1152, 1153, 4607, 4608, 4609):
+            want = whole if limit is None else stacked_reservoirs(whole, limit)
+            for threads in range(1, 6):
+                args = argparse.Namespace(input=tmp_path, block_size=2, threads=threads)
+                got = _collect_samples(args, 4, limit)
+                assert [m.shape for m in got] == [m.shape for m in want], (limit, threads)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (limit, threads)
     finally:
         sys.setswitchinterval(interval)
-    assert [m.shape for m in want] == [(4608, 3), (1152, 3), (1152, 3)]  # 18432 pixels, B=2
+
+
+@pytest.mark.parametrize("limit", [7, 300, 607, 608, 609, 2431, 2432, 2433, None])
+def test_naive_bounds_have_the_bits_of_collecting_then_stacking(tmp_path, capsys, limit):
+    # mixed sizes at B=4: 2432 Y and 608 chroma blocks
+    rng = np.random.default_rng(6)
+    for i, size in enumerate([(64, 64), (32, 96), (96, 32), (64, 128), (32, 32)] * 2):
+        write_image(tmp_path / f"i{i:02d}.ppm", cell_chroma_image(rng, *size))
+    whole = _collect_samples(argparse.Namespace(input=tmp_path, block_size=4, threads=1), 16)
+    assert [len(m) for m in whole] == [2432, 608, 608]
+    kept = whole if limit is None else stacked_reservoirs(whole, limit)
+    want = channel_percentile_bounds(kept, 97.5)
+    cap = () if limit is None else ("--max-samples", limit)
+    code, _, err = run(capsys, "bounds", "--input", tmp_path, "--block-size", 4, "--mode", "naive",
+                       "--tau", 97.5, *cap, "--threads", 3, "--out", tmp_path / "n.json")
+    assert code == 0, err
+    assert load_bounds(tmp_path / "n.json").naive_bounds == tuple(want)
+
+
+def test_imap_error_mid_directory_stops_every_worker(tmp_path, rng, capsys):
+    for i in range(12):
+        write_image(tmp_path / f"i{i:02d}.ppm", cell_chroma_image(rng, 32, 32))
+    bad = tmp_path / "i05.ppm"
+    bad.write_bytes(b"P6\n32 32\n255\n" + bytes(10))
+    baseline = threading.active_count()
+    code, _, err = run(capsys, "apsd", "--input", tmp_path, "--block-size", 2, "--t-list", "0,0.5",
+                       "--threads", 2, "--out", tmp_path / "p.csv")
+    assert_single_line_error(code, err)
+    assert err == f"dctpipe apsd: {bad}: truncated payload: need 3072 bytes, have 10\n"
+    assert threading.active_count() == baseline
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_imap_closed_early_leaves_no_worker_running():
+    baseline = threading.active_count()
+    pulled, started = [], []
+
+    def items():
+        for i in range(1000):
+            pulled.append(i)
+            yield i
+
+    def slow(i):
+        started.append(i)
+        time.sleep(0.01)
+        return i
+
+    results = _imap(slow, items(), 3)
+    assert [next(results) for _ in range(4)] == [0, 1, 2, 3]
+    results.close()
+    assert threading.active_count() == baseline
+    done = len(started)
+    assert done <= len(pulled) <= 4 + 2 * 3  # only the window was ever taken
+    time.sleep(0.05)
+    assert len(started) == done  # the cancelled items never run
+    assert list(_imap(slow, iter(range(5)), 2)) == [0, 1, 2, 3, 4]
+    assert threading.active_count() == baseline

@@ -16,7 +16,7 @@ from dctpipe.scaling import (
 )
 from dctpipe.tokenizer import dct_coefficient_matrices
 
-from oracles import percentile_sorted
+from oracles import channel_percentile_bounds, percentile_sorted
 
 
 def constant_dataset_dc(value, b, n_images=5):
@@ -145,6 +145,75 @@ def test_reservoir_sample_deterministic(rng):
     c = reservoir_sample(x, 512, seed=4)
     assert not np.array_equal(a, c)
     assert np.array_equal(reservoir_sample(x, x.size + 1), x)
+
+
+@pytest.mark.parametrize(
+    "samples, limit, message",
+    [
+        # a matrix used to raise IndexError under its size, and came back whole above it
+        (np.zeros((10, 3)), 5, "samples must be a 1-D vector, got shape (10, 3)"),
+        (np.zeros((10, 3)), 50, "samples must be a 1-D vector, got shape (10, 3)"),
+        (np.float64(2.0), 5, "samples must be a 1-D vector, got shape ()"),
+        # a float limit used to raise TypeError from argpartition
+        (np.zeros(10), 2.5, "limit must be an integer, got 2.5"),
+        (np.zeros(10), 5.0, "limit must be an integer, got 5.0"),
+        (np.zeros(10), True, "limit must be an integer, got True"),
+        (np.zeros(10), "5", "limit must be an integer, got '5'"),
+        (np.zeros(10), 0, "limit must be >= 1, got 0"),
+        (np.zeros(10), np.int64(-3), "limit must be >= 1, got -3"),
+    ],
+    ids=["matrix-under", "matrix-over", "scalar", "float", "whole-float", "bool", "str", "zero",
+         "negative"],
+)
+def test_reservoir_sample_input_rule(samples, limit, message):
+    with pytest.raises(ValueError) as info:
+        reservoir_sample(samples, limit)
+    assert str(info.value) == message
+
+
+def test_reservoir_sample_takes_numpy_integer_limits():
+    x = np.arange(100.0)
+    assert np.array_equal(reservoir_sample(x, np.int32(7), 2), reservoir_sample(x, 7, 2))
+
+
+@given(
+    size=st.integers(0, 3000),
+    limit=st.one_of(st.integers(1, 40), st.integers(1, 3500)),
+    seed=st.integers(0, 2**63 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_reservoir_keeps_the_rows_it_picks_from_the_row_numbers(size, limit, seed):
+    # the keys depend on (size, limit, seed) alone, so the rows can be picked before
+    # the samples exist; bounds --mode naive relies on it
+    x = np.random.default_rng(seed % 2**32).normal(size=size)
+    picked = reservoir_sample(np.arange(size, dtype=np.int32), limit, seed)
+    got = reservoir_sample(x, limit, seed)
+    assert np.array_equal(got, x[picked])
+    assert len(picked) == min(size, limit)
+    assert np.all(np.diff(picked) > 0)  # sorted row numbers, each once
+
+
+@given(
+    rows=st.lists(st.integers(2, 400), min_size=3, max_size=3),
+    width=st.integers(1, 9),
+    tau=st.floats(min_value=50.1, max_value=99.9),
+    seed=st.integers(0, 2**32 - 1),
+    rounded=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_naive_bounds_per_column_have_the_bits_of_one_percentile_per_channel(
+    rows, width, tau, seed, rounded
+):
+    rng = np.random.default_rng(seed)
+    mats = [rng.normal(size=(n, width)) * rng.uniform(0.5, 300.0, width) for n in rows]
+    if rounded:  # ties at the order statistics
+        mats = [np.round(m) + 0.5 for m in mats]
+    try:
+        got = estimate_naive_bounds(mats, tau)
+    except ValueError as exc:
+        assert "zero spread" in str(exc)
+        return
+    assert np.array_equal(got, channel_percentile_bounds(mats, tau))
 
 
 def test_bounds_json_roundtrip(tmp_path):
