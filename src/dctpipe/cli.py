@@ -103,8 +103,6 @@ def _imap(fn, items, threads: int):
 
 def _pmap(fn, items, threads: int) -> list:
     """[fn(item) for item in items], in order, on ``threads`` threads (see :func:`_imap`)."""
-    if threads == 1:
-        return [fn(it) for it in items]
     return list(_imap(fn, items, threads))
 
 
@@ -181,18 +179,21 @@ def _y_blocks(path, b: int) -> int:
     return (height // b) * (width // b)
 
 
-def _collect_samples(args, kept: int, limit: int | None = None):
-    """(y, cb, cr) matrices of every block's first ``kept`` zigzag ranks, rows in path order.
+def _collect_samples(args, widths, limit: int | None = None):
+    """(y, cb, cr) matrices of every block's leading zigzag ranks, rows in path order.
 
-    A size pass over the headers fails on the first bad file, as reading
-    would, and fixes each image's rows. So each matrix is allocated once and
-    every image writes its own rows in place: the corpus is held once.
+    ``widths`` holds one count of leading ranks per channel; a channel of
+    width 0 keeps nothing (its matrix is (rows, 0)), though its planes are
+    still transformed. A size pass over the headers fails on the first bad
+    file, as reading would, and fixes each image's rows. So each matrix is
+    allocated once and every image writes its own rows in place: the corpus
+    is held once.
 
     With ``limit``, column r of a channel holds only the rows that
     ``scaling.reservoir_sample(samples, limit, seed=r)`` keeps of it. Its
     keys depend only on the sample count, so the rows are drawn from the
     row numbers before any pixel is read and each image writes only its
-    picked rows: a channel's matrix is (min(rows, limit), kept).
+    picked rows: a channel's matrix is (min(rows, limit), width).
     """
     b, paths = args.block_size, _image_paths(args.input)
     rows = list(map(_per_file(lambda p: _y_blocks(p, b)), paths))
@@ -201,19 +202,20 @@ def _collect_samples(args, kept: int, limit: int | None = None):
     picks = [None] * 3  # per channel: each rank's sorted row numbers, None for every row
     if limit is not None:
         dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        for c, size in enumerate(sizes):
-            pick = [scaling.reservoir_sample(np.arange(size, dtype=dtype), limit, seed=r)
-                    for r in range(kept)]
-            picks[c] = pick if len(pick[0]) < size else None
-    mats = tuple(np.empty((size if pick is None else len(pick[0]), kept))
-                 for size, pick in zip(sizes, picks))
+        for c, (size, width) in enumerate(zip(sizes, widths)):
+            picks[c] = [scaling.reservoir_sample(np.arange(size, dtype=dtype), limit, seed=r)
+                        for r in range(width)]
+            if not picks[c] or len(picks[c][0]) == size:  # every row kept: no row numbers held
+                picks[c] = None
+    mats = tuple(np.empty((size if pick is None else len(pick[0]), width))
+                 for size, width, pick in zip(sizes, widths, picks))
 
     def fill(path):
         lo = first[path]
         coeffs = dct_coefficient_matrices(subsample_rgb(_read_rgb(path)), b)
         for mat, pick, part, at in zip(mats, picks, coeffs, (lo, lo // 4, lo // 4)):
             if pick is None:
-                mat[at : at + len(part)] = part[:, :kept]
+                mat[at : at + len(part)] = part[:, : mat.shape[1]]
                 continue
             for r, picked in enumerate(pick):  # bounds in the picks' dtype: no cast of them
                 i, j = np.searchsorted(picked, np.array([at, at + len(part)], picked.dtype))
@@ -224,25 +226,21 @@ def _collect_samples(args, kept: int, limit: int | None = None):
 
 
 def _cmd_bounds(args) -> int:
-    if args.mode == "ecs":
-        dc = scaling.reservoir_sample(_collect_samples(args, 1)[0][:, 0], args.max_samples)
-        bounds = scaling.ScalingBounds(
-            mode="ecs", tau=args.tau, block_size=args.block_size,
-            eta=scaling.estimate_ecs_bound(dc, args.tau),
-        )
-    else:
-        mats = _collect_samples(args, kept_ranks(args.block_size), args.max_samples)
-        bounds = scaling.ScalingBounds(
-            mode="naive", tau=args.tau, block_size=args.block_size,
-            naive_bounds=tuple(scaling.estimate_naive_bounds(mats, args.tau)),
-        )
+    ecs = args.mode == "ecs"  # ecs pools Y's DC column alone, naive every rank of each channel
+    widths = (1, 0, 0) if ecs else (kept_ranks(args.block_size),) * 3
+    mats = _collect_samples(args, widths, args.max_samples)
+    bounds = scaling.ScalingBounds(
+        mode=args.mode, tau=args.tau, block_size=args.block_size,
+        eta=scaling.estimate_ecs_bound(mats[0], args.tau) if ecs else None,
+        naive_bounds=None if ecs else tuple(scaling.estimate_naive_bounds(mats, args.tau)),
+    )
     scaling.save_bounds(args.out, bounds)
     return 0
 
 
 def _cmd_weights(args) -> int:
     kept = _check_flag("--drop", lambda m: kept_ranks(args.block_size, m), args.drop)
-    mats = _collect_samples(args, kept)
+    mats = _collect_samples(args, (kept,) * 3)
     w = freq_stats.entropy_weights(mats, args.block_size, args.drop, bins=args.bins)
     freq_stats.save_weights(args.out, w)
     return 0

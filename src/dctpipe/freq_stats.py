@@ -252,15 +252,28 @@ def save_weights(path, w: EntropyWeights) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_weights(path) -> EntropyWeights:
-    """Read a weights JSON file; a missing or mistyped field raises ValueError."""
-    doc = json.loads(Path(path).read_text())
+def _load_json(path, kind: str, build):
+    """build(doc) of the JSON in ``path``. A file that is not UTF-8 JSON, or a missing or
+    mistyped field, raises ValueError naming the file; build's own checks keep their messages."""
+
+    def malformed(exc):
+        return ValueError(f"malformed {kind} file {path}: {type(exc).__name__}: {exc}")
+
     try:
-        return EntropyWeights(
-            weights=np.asarray(doc["weights"]),
-            block_size=doc["block_size"],
-            drop_count=doc["drop"],
-            clamped_ranks=tuple(doc.get("clamped_ranks", ())),
-        )
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
+        raise malformed(exc) from None
+    try:
+        return build(doc)
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
-        raise ValueError(f"malformed weights file {path}: {type(exc).__name__}: {exc}") from None
+        raise malformed(exc) from None
+
+
+def load_weights(path) -> EntropyWeights:
+    """Read a weights JSON file; a malformed file or field raises ValueError naming the file."""
+    return _load_json(path, "weights", lambda doc: EntropyWeights(
+        weights=np.asarray(doc["weights"]),
+        block_size=doc["block_size"],
+        drop_count=doc["drop"],
+        clamped_ranks=tuple(doc.get("clamped_ranks", ())),
+    ))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .block_dct import kept_ranks
 from .diffuse import counter_uniforms
-from .freq_stats import _check_finite, _sample_matrices
+from .freq_stats import _check_finite, _load_json, _sample_matrices
 
 __all__ = [
     "DEFAULT_TAU",
@@ -155,9 +155,9 @@ def save_bounds(path, bounds: ScalingBounds) -> None:
 
 
 def load_bounds(path) -> ScalingBounds:
-    """Read a bounds JSON file; a missing or mistyped field raises ValueError."""
-    doc = json.loads(Path(path).read_text())
-    try:
+    """Read a bounds JSON file; a malformed file or field raises ValueError naming the file."""
+
+    def build(doc):
         naive = doc.get("naive_bounds")
         return ScalingBounds(
             mode=doc["mode"],
@@ -166,5 +166,5 @@ def load_bounds(path) -> ScalingBounds:
             eta=doc.get("eta"),
             naive_bounds=tuple(naive) if naive is not None else None,
         )
-    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
-        raise ValueError(f"malformed bounds file {path}: {type(exc).__name__}: {exc}") from None
+
+    return _load_json(path, "bounds", build)

@@ -124,11 +124,12 @@ class DiscreteSchedule:
         self.alpha_bar = np.asarray(self.alpha_bar, dtype=np.float64)
         if self.beta.shape != self.alpha_bar.shape or self.beta.ndim != 1:
             raise ValueError("beta and alpha_bar must be 1-D arrays of equal length")
-        if np.any(self.beta <= 0) or np.any(self.beta >= 1):
+        # each rule is stated as what holds, so a NaN breaks it
+        if not np.all((self.beta > 0) & (self.beta < 1)):
             raise ValueError("every beta step must lie in (0, 1)")
-        if np.any(self.alpha_bar <= 0) or np.any(self.alpha_bar >= 1):
+        if not np.all((self.alpha_bar > 0) & (self.alpha_bar < 1)):
             raise ValueError("alpha_bar must lie in (0, 1)")
-        if np.any(np.diff(self.alpha_bar) >= 0):
+        if not np.all(np.diff(self.alpha_bar) < 0):
             raise ValueError("alpha_bar must be strictly decreasing")
 
 
@@ -149,13 +150,16 @@ def discrete_schedule(
         raise ValueError(f"need at least 2 steps, got {steps}")
     if not 0 < beta_start <= beta_end < 1:
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
+    if c == np.inf:
+        raise ValueError(f"c must be finite, got {c}")
     base_beta = np.linspace(beta_start, beta_end, steps)
     base_ab = np.cumprod(1.0 - base_beta)
     base_snr = base_ab / (1.0 - base_ab)
-    ab = c * base_snr / (c * base_snr + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # c * SNR past the float max: NaN
+        ab = c * base_snr / (c * base_snr + 1.0)
     beta = 1.0 - ab / np.concatenate(([1.0], ab[:-1]))
-    if np.any(beta <= 0) or np.any(beta >= 1):
+    if not np.all((beta > 0) & (beta < 1)):
         raise ValueError(f"scaled schedule leaves (0, 1) for c={c}; reduce c or the beta range")
     return DiscreteSchedule(beta, ab)

@@ -12,18 +12,31 @@ argv (paths relative to OUT), exit code, stdout and stderr.
 
 Snapshot two checkouts into two directories and ``diff -r`` them: every
 difference is a change in CLI behaviour.
+
+    python tests/cli_snapshot.py --manifest
+
+snapshots this checkout into a temporary directory and rewrites MANIFEST:
+the sha256 of log.json and of every file under out/, with the numpy, BLAS
+and Python they were taken with. The tier-1 snapshot test compares its own
+run against MANIFEST, so a change that means to change CLI bytes
+regenerates it in the same commit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+
+MANIFEST = Path(__file__).with_name("cli_snapshot_manifest.json")
 
 # (argv, expected to succeed); paths are relative to OUT
 CASES = [
@@ -119,6 +132,7 @@ CASES = [
     ("weights --input in/sizes --block-size 2 --drop 1 --threads 2 --out out/sizes_w.json", True),
     ("apsd --input in/sizes --block-size 4 --t-list 0,0.3 --out out/sizes_apsd.csv", True),
     ("apsd --input in/sizes --block-size 2 --t-list 0.7 --mode ve --channel cr --threads 2 --out out/sizes_apsd_cr.csv", True),
+    ("bounds --input in/sizes --block-size 2 --max-samples 300 --out out/sizes_ecs_capped.json", True),
 ]
 
 
@@ -191,7 +205,49 @@ def snapshot(out: Path) -> list[dict]:
     return log
 
 
+def environment() -> dict:
+    """What the recorded bytes may depend on besides the code: numpy, its BLAS, Python."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "python": platform.python_version(),
+    }
+
+
+def digests(out: Path) -> dict[str, str]:
+    """sha256 of ``out/log.json`` and of every file under ``out/out``, keyed by relative path."""
+    out = Path(out)
+    files = [out / "log.json", *sorted(p for p in (out / "out").rglob("*") if p.is_file())]
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+def manifest_problems(out: Path) -> list[str]:
+    """One line per file whose bytes differ from MANIFEST, plus one if the environment does."""
+    doc, have = json.loads(MANIFEST.read_text()), digests(out)
+    want = doc["files"]
+    problems = [f"changed {n}" for n in sorted(want) if n in have and have[n] != want[n]]
+    problems += [f"missing {n}" for n in sorted(set(want) - set(have))]
+    problems += [f"new {n}" for n in sorted(set(have) - set(want))]
+    if problems and environment() != doc["environment"]:
+        problems.append(f"recorded with {doc['environment']}, run with {environment()}")
+    return problems
+
+
+def write_manifest() -> None:
+    """Snapshot this checkout in a temporary directory and record its digests in MANIFEST."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshot(Path(tmp))
+        doc = {"environment": environment(), "files": digests(Path(tmp))}
+    MANIFEST.write_text(json.dumps(doc, indent=1) + "\n")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: cli_snapshot.py OUT")
-    snapshot(Path(sys.argv[1]))
+    if sys.argv[1:] == ["--manifest"]:
+        write_manifest()
+    elif len(sys.argv) == 2:
+        snapshot(Path(sys.argv[1]))
+    else:
+        sys.exit("usage: cli_snapshot.py OUT | cli_snapshot.py --manifest")

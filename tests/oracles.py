@@ -19,7 +19,7 @@ from dctpipe.fd_metric import (
     make_feature_extractor,
     reconstruct_rgb,
 )
-from dctpipe.scaling import reservoir_sample
+from dctpipe.scaling import estimate_ecs_bound, reservoir_sample
 
 
 def naive_dct2_loops(block: np.ndarray) -> np.ndarray:
@@ -329,3 +329,9 @@ def channel_percentile_bounds(mats, tau: float) -> np.ndarray:
         up, low = np.percentile(np.asarray(m, dtype=np.float64), (tau, 100.0 - tau), axis=0)
         out.append(np.maximum(np.abs(up), np.abs(low)))
     return np.concatenate(out)
+
+
+def collected_ecs_bound(y_dc, limit: int, tau: float) -> float:
+    """The ecs bound in the form ``bounds`` used before it drew its Y DC rows from the
+    row count: the whole Y DC column collected, then subsampled by its values."""
+    return estimate_ecs_bound(reservoir_sample(y_dc, limit), tau)

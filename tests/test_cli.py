@@ -15,7 +15,7 @@ from dctpipe.cli import _build_parser, _collect_samples, _imap, _pmap, main
 from dctpipe.colorspace import subsample_rgb
 from dctpipe.fd_metric import make_feature_extractor, reconstruct_rgb, scan_mstar
 from dctpipe.image_io import GrayImage, RgbImage, read_image, write_image
-from dctpipe.scaling import load_bounds
+from dctpipe.scaling import MAX_SAMPLES_PER_RANK, load_bounds
 from dctpipe.synth import band_limited_image
 from dctpipe.tokenizer import (
     TokenArray,
@@ -26,7 +26,7 @@ from dctpipe.tokenizer import (
     write_dctk,
 )
 
-from oracles import channel_percentile_bounds, stacked_reservoirs
+from oracles import channel_percentile_bounds, collected_ecs_bound, stacked_reservoirs
 from synth import cell_chroma_image
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -106,6 +106,18 @@ def test_encode_requires_eta_source(dataset, tmp_path, capsys):
     )
     assert code == 2
     assert "eta" in err or "bounds" in err
+
+
+@pytest.mark.parametrize(
+    "data, error", [(b"{'mode': 'ecs'}", "JSONDecodeError"), (b"\xff{}", "UnicodeDecodeError")]
+)
+def test_encode_names_an_unparsable_bounds_file(dataset, tmp_path, capsys, data, error):
+    bounds = tmp_path / "b.json"
+    bounds.write_bytes(data)
+    code, _, err = run(capsys, "encode", "--input", sorted(dataset.iterdir())[0], "--block-size", 2,
+                       "--bounds", bounds, "--out", tmp_path / "x.dctk")
+    assert_single_line_error(code, err)
+    assert err.startswith(f"dctpipe encode: malformed bounds file {bounds}: {error}: "), err
 
 
 def test_encode_rejects_naive_bounds(dataset, tmp_path, capsys):
@@ -762,7 +774,7 @@ def test_scan_m_counts_the_paths_before_it_decodes_an_image(tmp_path, capsys, mo
 @pytest.mark.parametrize(
     "argv, kept, columns",
     [
-        # ecs keeps the DC column of each plane; np.percentile partitions a copy of Y's
+        # ecs keeps Y's DC column alone; np.percentile partitions a copy of it
         (("bounds",), 1, 1),
         # a Y rank's reservoir draws row numbers, counters, keys and a partition of them
         (("bounds", "--mode", "naive", "--max-samples", 100), 16, 4),
@@ -771,6 +783,8 @@ def test_scan_m_counts_the_paths_before_it_decodes_an_image(tmp_path, capsys, mo
         # under the default cap naive keeps every row, each channel once, and each
         # rank's percentile partitions a copy of one column
         (("bounds", "--mode", "naive"), 16, 3),
+        # under a cap ecs draws Y's DC rows as naive draws a rank's
+        (("bounds", "--max-samples", 100), 1, 4),
     ],
 )
 def test_corpus_commands_hold_the_kept_coefficients_once(
@@ -785,10 +799,11 @@ def test_corpus_commands_hold_the_kept_coefficients_once(
     )
     y_rows = 64 * 256
     limit = dict(zip(argv, argv[1:])).get("--max-samples")
-    if limit is None:
-        held = 8 * kept * (y_rows + 2 * y_rows // 4)
+    channels = 1 if argv[0] == "bounds" and "naive" not in argv else 3  # ecs keeps no chroma
+    if limit is None:  # Y, then each chroma channel kept
+        held = 8 * kept * (y_rows + (channels - 1) * y_rows // 4)
     else:  # a limit below every channel's rows: the reservoirs and their int32 row numbers
-        held = (8 + 4) * kept * 3 * limit
+        held = (8 + 4) * kept * channels * limit
     scratch = columns * 8 * y_rows
     code, _, err = run(capsys, *argv, "--block-size", 4, "--input", tmp_path, "--out", tmp_path / "o")
     assert code == 0, err
@@ -821,7 +836,7 @@ def test_collected_rows_do_not_depend_on_the_thread_count(tmp_path):
     rng = np.random.default_rng(4)
     for i, (h, w) in enumerate([(16, 16), (32, 16), (16, 48), (48, 32)] * 6):
         write_image(tmp_path / f"i{i:02d}.ppm", RgbImage(rng.integers(0, 256, (h, w, 3), np.uint8)))
-    whole = _collect_samples(argparse.Namespace(input=tmp_path, block_size=2, threads=1), 4)
+    whole = _collect_samples(argparse.Namespace(input=tmp_path, block_size=2, threads=1), (4,) * 3)
     assert [m.shape for m in whole] == [(4608, 4), (1152, 4), (1152, 4)]  # 18432 pixels, B=2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -831,21 +846,30 @@ def test_collected_rows_do_not_depend_on_the_thread_count(tmp_path):
             want = whole if limit is None else stacked_reservoirs(whole, limit)
             for threads in range(1, 6):
                 args = argparse.Namespace(input=tmp_path, block_size=2, threads=threads)
-                got = _collect_samples(args, 4, limit)
+                got = _collect_samples(args, (4,) * 3, limit)
                 assert [m.shape for m in got] == [m.shape for m in want], (limit, threads)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (limit, threads)
+                # ecs's widths: Y's rank-0 picks, and chroma planes that keep nothing
+                y, cb, cr = _collect_samples(args, (1, 0, 0), limit)
+                assert np.array_equal(y, want[0][:, :1]), (limit, threads)
+                assert cb.shape == cr.shape == (1152, 0), (limit, threads)
     finally:
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("limit", [7, 300, 607, 608, 609, 2431, 2432, 2433, None])
-def test_naive_bounds_have_the_bits_of_collecting_then_stacking(tmp_path, capsys, limit):
-    # mixed sizes at B=4: 2432 Y and 608 chroma blocks
+def mixed_size_corpus(directory):
+    """Ten images of five sizes at B=4: 2432 Y and 608 chroma blocks, collected whole."""
     rng = np.random.default_rng(6)
     for i, size in enumerate([(64, 64), (32, 96), (96, 32), (64, 128), (32, 32)] * 2):
-        write_image(tmp_path / f"i{i:02d}.ppm", cell_chroma_image(rng, *size))
-    whole = _collect_samples(argparse.Namespace(input=tmp_path, block_size=4, threads=1), 16)
+        write_image(directory / f"i{i:02d}.ppm", cell_chroma_image(rng, *size))
+    whole = _collect_samples(argparse.Namespace(input=directory, block_size=4, threads=1), (16,) * 3)
     assert [len(m) for m in whole] == [2432, 608, 608]
+    return whole
+
+
+@pytest.mark.parametrize("limit", [7, 300, 607, 608, 609, 2431, 2432, 2433, None])
+def test_naive_bounds_have_the_bits_of_collecting_then_stacking(tmp_path, capsys, limit):
+    whole = mixed_size_corpus(tmp_path)
     kept = whole if limit is None else stacked_reservoirs(whole, limit)
     want = channel_percentile_bounds(kept, 97.5)
     cap = () if limit is None else ("--max-samples", limit)
@@ -853,6 +877,19 @@ def test_naive_bounds_have_the_bits_of_collecting_then_stacking(tmp_path, capsys
                        "--tau", 97.5, *cap, "--threads", 3, "--out", tmp_path / "n.json")
     assert code == 0, err
     assert load_bounds(tmp_path / "n.json").naive_bounds == tuple(want)
+
+
+@pytest.mark.parametrize("limit", [7, 2431, 2432, 2433, None])
+def test_ecs_bound_has_the_bits_of_collecting_then_sampling(tmp_path, capsys, limit):
+    # ecs draws its Y DC rows from the row count; the oracle samples the whole column's values
+    y_dc = mixed_size_corpus(tmp_path)[0][:, 0]
+    want = collected_ecs_bound(y_dc, MAX_SAMPLES_PER_RANK if limit is None else limit, 97.5)
+    cap = () if limit is None else ("--max-samples", limit)
+    for threads in (1, 2, 3):
+        code, _, err = run(capsys, "bounds", "--input", tmp_path, "--block-size", 4, "--tau", 97.5,
+                           *cap, "--threads", threads, "--out", tmp_path / "e.json")
+        assert code == 0, err
+        assert load_bounds(tmp_path / "e.json").eta == want, threads
 
 
 def test_imap_error_mid_directory_stops_every_worker(tmp_path, rng, capsys):

@@ -29,6 +29,12 @@ def test_snapshot_exits_0_or_2_with_one_stderr_line(tmp_path, monkeypatch):
         assert "Traceback" not in entry["stderr"], entry
         if not ok:
             assert len(entry["stderr"].splitlines()) == 1, entry
+    # the same run's bytes against the committed digests
+    problems = cli_snapshot.manifest_problems(tmp_path)
+    assert not problems, (
+        f"snapshot bytes differ from {cli_snapshot.MANIFEST.name}: " + "; ".join(problems)
+        + " (if the change is meant, regenerate with `python tests/cli_snapshot.py --manifest`)"
+    )
 
 
 def test_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path, monkeypatch):

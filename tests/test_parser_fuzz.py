@@ -161,6 +161,26 @@ def _json_doc(keys):
     return st.one_of(_JSON, fields).map(lambda doc: json.dumps(doc).encode())
 
 
+# a file the JSON artifact loaders cannot parse, with the error type its message names
+UNPARSABLE = [
+    (b"{'mode': 'ecs'}", "JSONDecodeError"),
+    (b"", "JSONDecodeError"),
+    (b'{"tau": 98.25} trailing', "JSONDecodeError"),
+    (b"\xff\xfe{}", "UnicodeDecodeError"),
+    (b"1" * 5000, "ValueError"),  # past Python's digit limit for int parsing
+]
+
+
+@pytest.mark.parametrize("load, kind", [(load_bounds, "bounds"), (load_weights, "weights")])
+@pytest.mark.parametrize("data, error", UNPARSABLE)
+def test_unparsable_artifact_is_rejected_by_file_name(tmp_path, load, kind, data, error):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"malformed {kind} file {path}: {error}: "), info.value
+
+
 @given(st.one_of(st.binary(max_size=40), _json_doc(["mode", "tau", "block_size", "eta", "naive_bounds"])))
 @settings(max_examples=300, deadline=None)
 def test_load_bounds_returns_bounds_or_value_error(scratch_file, data):

@@ -191,6 +191,42 @@ def test_discrete_validation():
         DiscreteSchedule(np.array([0.1, 0.2]), np.array([0.5, 0.6]))  # not decreasing
 
 
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        (0.0, "c must be positive, got 0.0"),
+        (-1.0, "c must be positive, got -1.0"),
+        (math.nan, "c must be positive, got nan"),
+        (math.inf, "c must be finite, got inf"),
+        # c * SNR overflows to inf at the first steps, and inf / inf is NaN
+        (1e308, "scaled schedule leaves (0, 1) for c=1e+308; reduce c or the beta range"),
+    ],
+)
+def test_discrete_schedule_rejects_c_outside_zero_to_inf(c, message):
+    with pytest.raises(ValueError) as info:
+        discrete_schedule(10, c=c)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "beta, alpha_bar, message",
+    [
+        ([math.nan, math.nan], [math.nan, math.nan], "every beta step must lie in (0, 1)"),
+        ([0.1, 0.2], [math.nan, 0.5], "alpha_bar must lie in (0, 1)"),
+        ([0.1, 0.2], [0.9, math.nan], "alpha_bar must lie in (0, 1)"),
+        ([0.0, 0.2], [0.9, 0.5], "every beta step must lie in (0, 1)"),
+        ([0.1, 1.0], [0.9, 0.5], "every beta step must lie in (0, 1)"),
+        ([0.1, 0.2], [1.0, 0.5], "alpha_bar must lie in (0, 1)"),
+        ([0.1, 0.2], [0.9, 0.0], "alpha_bar must lie in (0, 1)"),
+        ([0.1, 0.2], [0.5, 0.5], "alpha_bar must be strictly decreasing"),
+    ],
+)
+def test_discrete_schedule_checks_hold_for_nan(beta, alpha_bar, message):
+    with pytest.raises(ValueError) as info:
+        DiscreteSchedule(np.array(beta), np.array(alpha_bar))
+    assert str(info.value) == message
+
+
 def test_schedule_invariants():
     with pytest.raises(ValueError):
         NoiseSchedule(a=0.0)
