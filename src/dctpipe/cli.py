@@ -14,7 +14,6 @@ import argparse
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
@@ -288,9 +287,10 @@ def _cmd_apsd(args) -> int:
             raise ValueError(f"a P5 gray image has no {args.channel} channel; use --channel y")
         return plane_to_zigzag(plane, b).reshape(-1, b * b)
 
-    # images are folded as they arrive: only the map's window of them is alive
-    with closing(_imap(_per_file(coeffs_of), _image_paths(args.input), args.threads)) as parts:
-        powers = freq_stats.apsd(parts, sched, args.t_list, seed=args.seed, mode=args.mode)
+    # images are read and transformed as the noise draws on the workers need them
+    parts = map(_per_file(coeffs_of), _image_paths(args.input))
+    powers = freq_stats.apsd(parts, sched, args.t_list, seed=args.seed, mode=args.mode,
+                             map_fn=lambda fn, it: _imap(fn, it, args.threads))
     lines = ["t,rank,power"]
     for t, row in zip(args.t_list, powers):
         lines.extend(f"{_fmt(t)},{r},{_fmt(p)}" for r, p in enumerate(row))

@@ -118,8 +118,14 @@ def extract_pixel_features(img: RgbImage) -> np.ndarray:
 
 def extract_dct_stat_features(img: RgbImage, block_size: int) -> np.ndarray:
     """Per-channel mean and std of each DCT coefficient rank ("dctstats", 6 B^2 values)."""
-    mats = dct_coefficient_matrices(subsample_rgb(img), block_size)
-    return np.concatenate([f(mat, axis=0) for mat in mats for f in (np.mean, np.std)])
+    feats = []
+    for mat in dct_coefficient_matrices(subsample_rgb(img), block_size):
+        # np.mean's and np.std's own steps (so their bits), with the mean taken once
+        mean = np.add.reduce(mat, axis=0) / len(mat)
+        dev = mat - mean
+        np.multiply(dev, dev, out=dev)
+        feats += [mean, np.sqrt(np.add.reduce(dev, axis=0) / len(mat))]
+    return np.concatenate(feats)
 
 
 def make_feature_extractor(mode: str, block_size: int | None = None):

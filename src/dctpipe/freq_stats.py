@@ -159,7 +159,8 @@ def apply_ebfr(squared_residuals: np.ndarray, w: EntropyWeights) -> float:
     return float(np.sum(sq * per_token))
 
 
-def apsd(parts, sched: NoiseSchedule, t_grid, seed: int = 0, mode: str = "vp") -> np.ndarray:
+def apsd(parts, sched: NoiseSchedule, t_grid, seed: int = 0, mode: str = "vp",
+         map_fn=map) -> np.ndarray:
     """Monte-Carlo averaged power spectral density per zigzag rank.
 
     ``parts`` is an iterable (a list or a generator, never one array) of
@@ -169,32 +170,41 @@ def apsd(parts, sched: NoiseSchedule, t_grid, seed: int = 0, mode: str = "vp") -
     clean power), where x_t is drawn by :func:`diffuse.noisy` with the
     ``mode`` kernel ("vp" or "ve") and the sub-seed derive_stream(seed, i).
 
-    One pass, parts outer and times inner, holds one part's x_t and one
-    accumulator per time. A part's noise starts at the counter of its first
-    element in the concatenation, and each accumulator adds rows in order,
-    so with two or more ranks the bits equal those of the mean over the
-    concatenated matrix (one rank: numpy sums a lone column pairwise).
+    One pass checks the parts in order and keeps one accumulator per time.
+    ``map_fn(fn, jobs)`` draws x_t per (part, time) job, one x_t per job in
+    flight: builtin ``map`` holds one, the CLI's ``--threads N`` map 2N.
+    A part's noise starts at the counter of its first element, and each
+    accumulator adds rows in part order, so with two or more ranks the bits
+    equal the mean's over the concatenation (one rank: numpy sums pairwise).
     """
     if isinstance(parts, np.ndarray):
         raise ValueError("apsd takes an iterable of (n, ranks) matrices, not one array")
     t_grid = np.atleast_1d(_check_t(t_grid))
     seeds = [derive_stream(seed, i) for i in range(t_grid.size)]
     acc, n = None, 0
-    for part in parts:
-        part = np.asarray(part, dtype=np.float64)
-        if part.ndim != 2 or (acc is not None and part.shape[1] != acc.shape[1]):
-            raise ValueError(f"parts must be (n, ranks) matrices of one width, got {part.shape}")
-        _check_finite(part, "coefficients")
-        if acc is None:
-            acc = np.zeros((t_grid.size, part.shape[1]))
-        for row, t, sub in zip(acc, t_grid, seeds):
-            sq = noisy(part, t, sched, sub, mode, offset=n * part.shape[1])
-            if len(sq):  # row-by-row sum: the first row carries the sum so far
-                np.square(sq, out=sq)
-                sq[0] += row
-                np.add.reduce(sq, axis=0, out=row)
-            del sq  # so at most one x_t buffer is alive
-        n += len(part)
+
+    def jobs():  # run by the calling thread, as map_fn takes them
+        nonlocal acc, n
+        for part in parts:
+            part = np.asarray(part, dtype=np.float64)
+            if part.ndim != 2 or (acc is not None and part.shape[1] != acc.shape[1]):
+                raise ValueError(f"parts must be (n, ranks) matrices of one width, got {part.shape}")
+            _check_finite(part, "coefficients")
+            if acc is None:
+                acc = np.zeros((t_grid.size, part.shape[1]))
+            yield from ((part, n * part.shape[1], i) for i in range(t_grid.size))
+            n += len(part)
+
+    def draw(job):  # one part's x_t at one time, squared in place
+        part, offset, i = job
+        sq = noisy(part, t_grid[i], sched, seeds[i], mode, offset=offset)
+        return i, np.square(sq, out=sq)
+
+    for i, sq in map_fn(draw, jobs()):
+        if len(sq):  # row-by-row sum: the first row carries the sum so far
+            sq[0] += acc[i]
+            np.add.reduce(sq, axis=0, out=acc[i])
+        del sq  # so builtin map holds at most one x_t
     if n < 1000:
         raise ValueError(f"need at least 1000 blocks, got {n}")
     return acc / n

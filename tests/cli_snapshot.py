@@ -16,8 +16,8 @@ difference is a change in CLI behaviour.
     python tests/cli_snapshot.py --manifest
 
 snapshots this checkout into a temporary directory and rewrites MANIFEST:
-the sha256 of log.json and of every file under out/, with the numpy, BLAS
-and Python they were taken with. The tier-1 snapshot test compares its own
+the sha256 of log.json and of every file under out/, with the numpy, BLAS,
+Python, CPU model and numpy SIMD features they were taken with. The tier-1 snapshot test compares its own
 run against MANIFEST, so a change that means to change CLI bytes
 regenerates it in the same commit.
 """
@@ -205,13 +205,28 @@ def snapshot(out: Path) -> list[dict]:
     return log
 
 
+def _cpu_model() -> str:
+    """The CPU's model name from /proc/cpuinfo where there is one, else what platform reports."""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
 def environment() -> dict:
-    """What the recorded bytes may depend on besides the code: numpy, its BLAS, Python."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """What the recorded bytes may depend on besides the code: numpy, its BLAS, Python, and
+    the CPU, whose features pick numpy's SIMD loops and OpenBLAS's kernels at run time."""
+    config = np.show_config(mode="dicts")
+    blas, simd = config["Build Dependencies"]["blas"], config["SIMD Extensions"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
         "python": platform.python_version(),
+        "cpu": _cpu_model(),
+        "simd": simd["baseline"] + simd["found"],
     }
 
 

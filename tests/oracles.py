@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from dctpipe.block_dct import blockify, dct2, idct2, unblockify
+from dctpipe.colorspace import subsample_rgb
 from dctpipe.diffuse import derive_stream, noisy
 from dctpipe.fd_metric import (
     frechet_distance,
@@ -20,6 +21,7 @@ from dctpipe.fd_metric import (
     reconstruct_rgb,
 )
 from dctpipe.scaling import estimate_ecs_bound, reservoir_sample
+from dctpipe.tokenizer import dct_coefficient_matrices
 
 
 def naive_dct2_loops(block: np.ndarray) -> np.ndarray:
@@ -292,6 +294,16 @@ def per_m_scan_curve(images, block_size: int, m_grid, features: str) -> tuple:
         recon = [extract(reconstruct_rgb(img, block_size, m)) for img in images]
         curve.append((m, frechet_distance(ref, gaussian_stats(np.stack(recon)))))
     return tuple(curve)
+
+
+def numpy_dct_stat_features(img, block_size: int) -> np.ndarray:
+    """``dctstats`` as np.mean, then np.std, of each channel's coefficient matrix.
+
+    This is the form ``extract_dct_stat_features`` used before it took each
+    matrix's mean once; np.std computes that mean again.
+    """
+    mats = dct_coefficient_matrices(subsample_rgb(img), block_size)
+    return np.concatenate([f(mat, axis=0) for mat in mats for f in (np.mean, np.std)])
 
 
 def whole_matrix_apsd(coeffs, sched, t_grid, seed: int = 0, mode: str = "vp") -> np.ndarray:

@@ -6,11 +6,13 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dctpipe import cli
 from dctpipe.cli import _build_parser, _collect_samples, _imap, _pmap, main
 from dctpipe.colorspace import subsample_rgb
 from dctpipe.fd_metric import make_feature_extractor, reconstruct_rgb, scan_mstar
@@ -788,7 +790,7 @@ def test_scan_m_counts_the_paths_before_it_decodes_an_image(tmp_path, capsys, mo
     ],
 )
 def test_corpus_commands_hold_the_kept_coefficients_once(
-    tmp_path, capsys, traced_peak, argv, kept, columns
+    tmp_path, capsys, traced_peak, monkeypatch, argv, kept, columns
 ):
     # 64 images of 64x64 at B=4: 16384 Y and 2 x 4096 chroma blocks
     rng = np.random.default_rng(3)
@@ -801,17 +803,35 @@ def test_corpus_commands_hold_the_kept_coefficients_once(
     limit = dict(zip(argv, argv[1:])).get("--max-samples")
     channels = 1 if argv[0] == "bounds" and "naive" not in argv else 3  # ecs keeps no chroma
     if limit is None:  # Y, then each chroma channel kept
-        held = 8 * kept * (y_rows + (channels - 1) * y_rows // 4)
+        rows = y_rows + (channels - 1) * y_rows // 4
+        held = 8 * kept * rows
     else:  # a limit below every channel's rows: the reservoirs and their int32 row numbers
-        held = (8 + 4) * kept * channels * limit
+        rows = channels * limit
+        held = (8 + 4) * kept * rows
     scratch = columns * 8 * y_rows
     code, _, err = run(capsys, *argv, "--block-size", 4, "--input", tmp_path, "--out", tmp_path / "o")
     assert code == 0, err
+    fills, collect = [], cli._collect_samples
+
+    def fill(*args):  # the collected bytes, and the peak while the rows are drawn and filled
+        tracemalloc.reset_peak()
+        mats = collect(*args)
+        fills.append((sum(m.nbytes for m in mats), tracemalloc.get_traced_memory()[1]))
+        return mats
+
+    monkeypatch.setattr(cli, "_collect_samples", fill)
     peak = traced_peak(
         lambda: main([*map(str, argv), "--block-size", "4", "--input", str(tmp_path),
                       "--out", str(tmp_path / "o")])
     )
     assert peak < held + image + scratch, (peak, held, image, scratch)
+    # An uncapped command's scratch serves its estimate, after the fill. So the fill alone
+    # holds the kept rows, one image in flight and the paths with their row offsets (under
+    # 1 KiB a file): no room for the 64 KiB of chroma DC that ecs would hold with chroma.
+    [(collected, fill_peak)] = fills
+    assert collected == 8 * kept * rows
+    paths, fill_scratch = 64 * 1024, scratch if limit is not None else 0
+    assert fill_peak < held + image + paths + fill_scratch, (fill_peak, held, image, fill_scratch)
 
 
 def test_apsd_holds_a_window_of_images_not_the_corpus(tmp_path, capsys, traced_peak):

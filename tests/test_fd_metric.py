@@ -2,6 +2,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctpipe.fd_metric import (
     FEATURE_MODES,
@@ -19,7 +21,7 @@ from dctpipe.fd_metric import (
 from dctpipe.image_io import RgbImage
 from dctpipe.synth import band_limited_image
 
-from oracles import covariance_twopass, per_m_scan_curve
+from oracles import covariance_twopass, numpy_dct_stat_features, per_m_scan_curve
 from synth import cell_chroma_image
 
 
@@ -112,6 +114,23 @@ def test_dct_stat_features_shape(rng):
     img = cell_chroma_image(rng, 32, 32)
     feats = extract_dct_stat_features(img, block_size=4)
     assert feats.shape == (2 * 3 * 16,)
+
+
+@given(
+    block_size=st.integers(1, 8),
+    tiles=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    span=st.sampled_from([0, 1, 8, 255]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_dct_stat_features_have_the_bits_of_numpys_mean_and_std(block_size, tiles, span, seed):
+    # one-row chroma matrices (one 2B patch), flat images (std exactly 0), low and full contrast
+    rng = np.random.default_rng(seed)
+    h, w = (2 * block_size * k for k in tiles)
+    lo = int(rng.integers(0, 256 - span))
+    img = RgbImage(rng.integers(lo, lo + span + 1, (h, w, 3), dtype=np.uint8))
+    want = numpy_dct_stat_features(img, block_size)
+    assert extract_dct_stat_features(img, block_size).tobytes() == want.tobytes()
 
 
 def test_make_feature_extractor_validation():

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from dctpipe.freq_stats import (
     snr_threshold_time,
 )
 from dctpipe.block_dct import dct2, to_zigzag
+from dctpipe.cli import _imap
 from dctpipe.scaling import estimate_naive_bounds
 from dctpipe.schedule import NoiseSchedule, snr, y_integral
 from dctpipe.synth import power_law_coefficients
@@ -259,10 +262,11 @@ def _laid_out(part: np.ndarray, layout: str) -> np.ndarray:
     ),
     mode=st.sampled_from(["vp", "ve"]),
     seed=st.integers(0, 2**40),
+    threads=st.integers(1, 4),
 )
 @settings(max_examples=40, deadline=None)
 def test_apsd_fold_over_parts_has_the_bits_of_the_whole_matrix(
-    ranks, sizes, layouts, t_grid, mode, seed
+    ranks, sizes, layouts, t_grid, mode, seed, threads
 ):
     # parts of one row, empty parts, and parts whose first counter (rows before it times
     # ranks) falls anywhere in a 2^15-normal chunk of counter_normals
@@ -275,6 +279,34 @@ def test_apsd_fold_over_parts_has_the_bits_of_the_whole_matrix(
     want = whole_matrix_apsd(whole, sched, t_grid, seed, mode)
     assert apsd(parts, sched, t_grid, seed, mode).tobytes() == want.tobytes()
     assert apsd(iter(parts), sched, t_grid, seed, mode).tobytes() == want.tobytes()
+    # the draws on 1-4 worker threads (more than this host's cores), switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = apsd(iter(parts), sched, t_grid, seed, mode, lambda f, it: _imap(f, it, threads))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.ones((500, 3)), "parts must be (n, ranks) matrices of one width, got (500, 3)"),
+        (np.full((500, 4), np.nan), "coefficients contain non-finite values"),
+    ],
+    ids=["width", "non-finite"],
+)
+def test_a_bad_later_part_stops_the_threaded_draws(rng, bad, message):
+    # the third part fails its check in the calling thread after the draws of the first two
+    # are queued: the same error as with builtin map, and no worker thread outlives it
+    parts = [rng.normal(size=(700, 4)), rng.normal(size=(700, 4)), bad]
+    before = threading.active_count()
+    for map_fn in (map, lambda f, it: _imap(f, it, 2)):
+        with pytest.raises(ValueError) as info:
+            apsd(iter(parts), DEFAULTS, [0.0, 0.3, 0.9], map_fn=map_fn)
+        assert str(info.value) == message
+        assert threading.active_count() == before
 
 
 def test_apsd_takes_parts_not_one_array(rng):

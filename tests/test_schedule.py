@@ -192,6 +192,24 @@ def test_discrete_validation():
 
 
 @pytest.mark.parametrize(
+    "steps", [2.5, 10.0, np.float64(10), "10", None],
+    ids=["fraction", "whole float", "numpy float", "string", "none"],
+)
+def test_discrete_schedule_steps_must_be_an_integer(steps):
+    with pytest.raises(ValueError) as info:
+        discrete_schedule(steps)
+    assert str(info.value) == f"steps must be an integer, got {steps!r}"
+
+
+def test_discrete_schedule_takes_numpy_integer_steps():
+    want = discrete_schedule(10, c=4.0)
+    for steps in (np.int64(10), np.int32(10), np.uint16(10)):
+        got = discrete_schedule(steps, c=4.0)
+        assert got.beta.tobytes() == want.beta.tobytes()
+        assert got.alpha_bar.tobytes() == want.alpha_bar.tobytes()
+
+
+@pytest.mark.parametrize(
     "c, message",
     [
         (0.0, "c must be positive, got 0.0"),
