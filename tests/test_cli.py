@@ -813,22 +813,24 @@ def test_corpus_commands_hold_the_kept_coefficients_once(
     assert code == 0, err
     fills, collect = [], cli._collect_samples
 
-    def fill(*args):  # the collected bytes, and the peak while the rows are drawn and filled
+    def fill(*args):  # the peak before the fill, the collected bytes, the fill's own peak
+        before = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         mats = collect(*args)
-        fills.append((sum(m.nbytes for m in mats), tracemalloc.get_traced_memory()[1]))
+        fills.append((before, sum(m.nbytes for m in mats), tracemalloc.get_traced_memory()[1]))
         return mats
 
     monkeypatch.setattr(cli, "_collect_samples", fill)
-    peak = traced_peak(
+    after = traced_peak(
         lambda: main([*map(str, argv), "--block-size", "4", "--input", str(tmp_path),
                       "--out", str(tmp_path / "o")])
     )
+    [(before, collected, fill_peak)] = fills
+    peak = max(before, after)  # the whole command's peak, from its start
     assert peak < held + image + scratch, (peak, held, image, scratch)
     # An uncapped command's scratch serves its estimate, after the fill. So the fill alone
     # holds the kept rows, one image in flight and the paths with their row offsets (under
     # 1 KiB a file): no room for the 64 KiB of chroma DC that ecs would hold with chroma.
-    [(collected, fill_peak)] = fills
     assert collected == 8 * kept * rows
     paths, fill_scratch = 64 * 1024, scratch if limit is not None else 0
     assert fill_peak < held + image + paths + fill_scratch, (fill_peak, held, image, fill_scratch)
