@@ -308,9 +308,8 @@ def _cmd_fd(args) -> int:
     extract = fd_metric.make_feature_extractor(args.features, args.block_size)
 
     def stats_of(directory):
-        feats = _pmap(
-            _per_file(lambda p: extract(_read_rgb(p))), _image_paths(directory), args.threads
-        )
+        features_of = _per_file(lambda p: extract(subsample_rgb(_read_rgb(p))))
+        feats = _pmap(features_of, _image_paths(directory), args.threads)
         return fd_metric.gaussian_stats(np.stack(feats))
 
     print(_fmt(fd_metric.frechet_distance(stats_of(args.dir_a), stats_of(args.dir_b))))

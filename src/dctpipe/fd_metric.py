@@ -3,10 +3,10 @@
 The distance is the Gaussian Wasserstein-2 form
 |mu1 - mu2|^2 + tr(S1 + S2 - 2 (S1 S2)^{1/2}) over a pluggable feature
 space; two dependency-free extractors are built in (8x8 mean-pooled luma,
-and per-image mean/std of each DCT coefficient per channel). The scan
-takes each image of a dataset once, through the codec at every drop count
-m of its grid, and returns the largest m whose reconstruction distance
-stays under a threshold.
+and per-image mean/std of each DCT coefficient per channel). They and the
+codec round trip read a SubsampledImage, so the scan converts each image
+to YCbCr once, takes it through the codec at every drop count m of its
+grid and returns the largest m whose distance stays under a threshold.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_dct import avg_pool, kept_ranks
-from .colorspace import assemble_rgb, rgb_to_ycbcr, subsample_rgb
-from .image_io import RgbImage
+from .colorspace import SubsampledImage, assemble_rgb, subsample_rgb
+from .freq_stats import _check_finite
 from .tokenizer import dct_coefficient_matrices, detokenize, tokenize
 
 __all__ = [
@@ -52,6 +52,8 @@ class GaussianStats:
         d = self.mean.shape[0]
         if self.mean.ndim != 1 or self.cov.shape != (d, d):
             raise ValueError(f"inconsistent stat shapes {self.mean.shape} / {self.cov.shape}")
+        _check_finite(self.mean, "mean entries")
+        _check_finite(self.cov, "covariance entries")
         if not np.allclose(self.cov, self.cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
 
@@ -68,6 +70,7 @@ def gaussian_stats(features: np.ndarray) -> GaussianStats:
     n, d = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
+    _check_finite(x, "features")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
@@ -107,19 +110,18 @@ def frechet_distance(s1: GaussianStats, s2: GaussianStats) -> float:
     return max(0.0, float(diff @ diff + np.trace(s1.cov) + np.trace(s2.cov) - 2.0 * cross))
 
 
-def extract_pixel_features(img: RgbImage) -> np.ndarray:
+def extract_pixel_features(s: SubsampledImage) -> np.ndarray:
     """Luma mean-pooled to 8 x 8, flattened to 64 values ("pixels8")."""
-    y, _, _ = rgb_to_ycbcr(img)
-    h, w = y.shape
+    h, w = s.y.shape
     if h % 8 or w % 8:
         raise ValueError(f"plane {w}x{h} is not divisible by the 8x8 feature grid")
-    return avg_pool(y, h // 8, w // 8).ravel()
+    return avg_pool(s.y, h // 8, w // 8).ravel()
 
 
-def extract_dct_stat_features(img: RgbImage, block_size: int) -> np.ndarray:
+def extract_dct_stat_features(s: SubsampledImage, block_size: int) -> np.ndarray:
     """Per-channel mean and std of each DCT coefficient rank ("dctstats", 6 B^2 values)."""
     feats = []
-    for mat in dct_coefficient_matrices(subsample_rgb(img), block_size):
+    for mat in dct_coefficient_matrices(s, block_size):
         # np.mean's and np.std's own steps (so their bits), with the mean taken once
         mean = np.add.reduce(mat, axis=0) / len(mat)
         dev = mat - mean
@@ -129,20 +131,20 @@ def extract_dct_stat_features(img: RgbImage, block_size: int) -> np.ndarray:
 
 
 def make_feature_extractor(mode: str, block_size: int | None = None):
-    """Feature function RgbImage -> 1-D vector for a mode of FEATURE_MODES."""
+    """Feature function SubsampledImage -> 1-D vector for a mode of FEATURE_MODES."""
     if mode == "pixels8":
         return extract_pixel_features
     if mode == "dctstats":
         if block_size is None:
             raise ValueError("dctstats features need a block size")
         kept_ranks(block_size)
-        return lambda img: extract_dct_stat_features(img, block_size)
+        return lambda s: extract_dct_stat_features(s, block_size)
     raise ValueError(f"unknown feature mode {mode!r} (want one of {FEATURE_MODES})")
 
 
-def reconstruct_rgb(img: RgbImage, block_size: int, drop_count: int) -> RgbImage:
-    """Round-trip an image through the full codec at the given drop count."""
-    return assemble_rgb(detokenize(tokenize(subsample_rgb(img), block_size, drop_count, 1.0)))
+def reconstruct_rgb(s: SubsampledImage, block_size: int, drop_count: int):
+    """Round-trip an image's planes through the full codec at a drop count, back to 8-bit RGB."""
+    return assemble_rgb(detokenize(tokenize(s, block_size, drop_count, 1.0)))
 
 
 @dataclass
@@ -193,13 +195,10 @@ def scan_mstar(
     grid = _check_grid(m_grid, block_size)
     extract = make_feature_extractor(features, block_size)
 
-    def feature_block(img):  # allocated once a reconstruction shows that B tiles img
-        orig, first = extract(img), extract(reconstruct_rgb(img, block_size, grid[0]))
-        block = np.empty((1 + len(grid), orig.size))
-        block[0], block[1] = orig, first
-        for row, m in zip(block[2:], grid[1:]):
-            row[:] = extract(reconstruct_rgb(img, block_size, m))
-        return block
+    def feature_block(img):
+        s = subsample_rgb(img)
+        recon = (extract(subsample_rgb(reconstruct_rgb(s, block_size, m))) for m in grid)
+        return np.stack([extract(s), *recon])
 
     blocks = list(map_fn(feature_block, images))
     _check_image_count(len(blocks))

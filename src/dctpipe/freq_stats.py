@@ -241,7 +241,7 @@ def snr_threshold_time(
     half-log-SNR lambda = 0.5 ln(gamma / s0), and t = t_of_lambda(lambda).
     A time t > 1 means the frequency never reaches the threshold on [0, 1].
     """
-    if s0 <= 0 or gamma <= 0:
+    if not (s0 > 0 and gamma > 0):
         raise ValueError("s0 and gamma must be positive")
     if mode == "ve_const_g":
         t = s0 / gamma

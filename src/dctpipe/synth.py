@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colorspace import SubsampledImage, assemble_rgb
+from .colorspace import SubsampledImage, assemble_rgb, subsample_rgb
 from .fd_metric import reconstruct_rgb
 from .image_io import RgbImage
 from .tokenizer import plane_from_zigzag
@@ -63,4 +63,4 @@ def band_limited_image(rng: np.random.Generator, size: int, b: int, zero_top: in
         return plane_from_zigzag(rng.normal(size=(p // b, p // b, n_ranks)) * scale, b)
 
     img = assemble_rgb(SubsampledImage(plane(size), plane(size // 2), plane(size // 2)))
-    return reconstruct_rgb(img, b, 0)
+    return reconstruct_rgb(subsample_rgb(img), b, 0)

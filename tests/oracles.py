@@ -288,10 +288,14 @@ def per_m_scan_curve(images, block_size: int, m_grid, features: str) -> tuple:
     """
     extract = make_feature_extractor(features, block_size)
     images = list(images)
-    ref = gaussian_stats(np.stack([extract(img) for img in images]))
+    ref = gaussian_stats(np.stack([extract(subsample_rgb(img)) for img in images]))
     curve = []
     for m in m_grid:
-        recon = [extract(reconstruct_rgb(img, block_size, m)) for img in images]
+        # each call converts its image afresh, as every feature and round trip once did
+        recon = [
+            extract(subsample_rgb(reconstruct_rgb(subsample_rgb(img), block_size, m)))
+            for img in images
+        ]
         curve.append((m, frechet_distance(ref, gaussian_stats(np.stack(recon)))))
     return tuple(curve)
 

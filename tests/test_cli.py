@@ -753,7 +753,7 @@ def test_two_thread_scan_holds_what_the_one_thread_scan_holds(traced_peak):
 
     extract = make_feature_extractor("pixels8", 4)
     for m in grid:  # warm the package's one-time caches outside the measurement
-        extract(reconstruct_rgb(next(images()), 4, m))
+        extract(subsample_rgb(reconstruct_rgb(subsample_rgb(next(images())), 4, m)))
     peaks = [
         traced_peak(lambda: scan_mstar(images(), 4, 1.0, grid, map_fn=lambda f, it: _pmap(f, it, t)))
         for t in (1, 2)

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dctpipe import fd_metric
+from dctpipe.block_dct import avg_pool
+from dctpipe.colorspace import rgb_to_ycbcr, subsample_rgb
 from dctpipe.fd_metric import (
     FEATURE_MODES,
     GaussianStats,
@@ -101,18 +104,55 @@ def test_frechet_rejects_indefinite_covariance(rng):
         frechet_distance(bad, good)
 
 
+@given(
+    where=st.sampled_from(["mean", "covariance", "features"]),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    d=st.integers(1, 5),
+    index=st.integers(0, 2**16),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_non_finite_entry_is_rejected_not_scored(where, bad, d, index, seed):
+    # max(0.0, nan) is 0.0, so a NaN mean used to score as a perfect match
+    x = np.random.default_rng(seed).normal(size=(2 * d + 2, d))
+    cov = np.cov(x, rowvar=False).reshape(d, d)
+    target = {"mean": x[0].copy(), "covariance": cov, "features": x}
+    target[where].flat[index % target[where].size] = bad
+    with pytest.raises(ValueError, match=f"{where}( entries)? contain non-finite values"):
+        if where == "features":
+            gaussian_stats(x)
+        else:
+            other = GaussianStats(np.zeros(d), np.eye(d))
+            frechet_distance(GaussianStats(target["mean"], target["covariance"]), other)
+
+
 def test_pixel_features_shape_and_pooling(rng):
     img = cell_chroma_image(rng, 64, 64)
-    feats = extract_pixel_features(img)
+    feats = extract_pixel_features(subsample_rgb(img))
     assert feats.shape == (64,)
     gray = RgbImage(np.full((16, 16, 3), 77, dtype=np.uint8))
-    feats = extract_pixel_features(gray)
+    feats = extract_pixel_features(subsample_rgb(gray))
     assert np.abs(feats - 77.0).max() < 1e-9
+
+
+@given(
+    tiles=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    span=st.sampled_from([0, 1, 255]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_pixel_features_pool_the_luma_of_rgb_to_ycbcr_bitwise(tiles, span, seed):
+    rng = np.random.default_rng(seed)
+    h, w = (8 * k for k in tiles)
+    lo = int(rng.integers(0, 256 - span))
+    img = RgbImage(rng.integers(lo, lo + span + 1, (h, w, 3), dtype=np.uint8))
+    want = avg_pool(rgb_to_ycbcr(img)[0], h // 8, w // 8).ravel()
+    assert extract_pixel_features(subsample_rgb(img)).tobytes() == want.tobytes()
 
 
 def test_dct_stat_features_shape(rng):
     img = cell_chroma_image(rng, 32, 32)
-    feats = extract_dct_stat_features(img, block_size=4)
+    feats = extract_dct_stat_features(subsample_rgb(img), block_size=4)
     assert feats.shape == (2 * 3 * 16,)
 
 
@@ -130,7 +170,7 @@ def test_dct_stat_features_have_the_bits_of_numpys_mean_and_std(block_size, tile
     lo = int(rng.integers(0, 256 - span))
     img = RgbImage(rng.integers(lo, lo + span + 1, (h, w, 3), dtype=np.uint8))
     want = numpy_dct_stat_features(img, block_size)
-    assert extract_dct_stat_features(img, block_size).tobytes() == want.tobytes()
+    assert extract_dct_stat_features(subsample_rgb(img), block_size).tobytes() == want.tobytes()
 
 
 def test_make_feature_extractor_validation():
@@ -142,7 +182,7 @@ def test_make_feature_extractor_validation():
 
 def test_reconstruct_rgb_m0_is_rounding_exact(rng):
     img = cell_chroma_image(rng, 32, 32)
-    recon = reconstruct_rgb(img, block_size=4, drop_count=0)
+    recon = reconstruct_rgb(subsample_rgb(img), block_size=4, drop_count=0)
     assert np.abs(recon.pixels.astype(int) - img.pixels.astype(int)).max() <= 1
 
 
@@ -249,6 +289,20 @@ def test_scan_calls_map_fn_once(small_set):
 
 
 @pytest.mark.parametrize("features", FEATURE_MODES)
+def test_scan_converts_each_image_and_each_reconstruction_once(small_set, monkeypatch, features):
+    calls = []
+
+    def counting_subsample(img):
+        calls.append(None)
+        return subsample_rgb(img)
+
+    monkeypatch.setattr(fd_metric, "subsample_rgb", counting_subsample)
+    grid = (2, 6, 7)
+    scan_mstar(small_set, 4, gamma=1.0, m_grid=grid, features=features)
+    assert len(calls) == len(small_set) * (1 + len(grid))
+
+
+@pytest.mark.parametrize("features", FEATURE_MODES)
 def test_scan_memory_is_the_feature_blocks_not_the_images(traced_peak, features):
     # 500 fresh 64x64 images (5.9 MiB in all) come from a generator. The scan keeps
     # n (1 + |grid|) d feature floats and one image's working set, not the images.
@@ -261,7 +315,7 @@ def test_scan_memory_is_the_feature_blocks_not_the_images(traced_peak, features)
 
     extract = make_feature_extractor(features, 4)
     for m in grid:  # warm the package's one-time caches outside the measurement
-        extract(reconstruct_rgb(next(images()), 4, m))
+        extract(subsample_rgb(reconstruct_rgb(subsample_rgb(next(images())), 4, m)))
     peak = traced_peak(lambda: scan_mstar(images(), 4, 1.0, grid, features=features))
     assert peak < 500 * (1 + len(grid)) * d * 8 + 2 * 2**20
 

@@ -21,7 +21,7 @@ from dctpipe.freq_stats import (
 from dctpipe.block_dct import dct2, to_zigzag
 from dctpipe.cli import _imap
 from dctpipe.scaling import estimate_naive_bounds
-from dctpipe.schedule import NoiseSchedule, snr, y_integral
+from dctpipe.schedule import NoiseSchedule, snr, t_of_lambda, y_integral
 from dctpipe.synth import power_law_coefficients
 
 from oracles import gaussian_differential_entropy, whole_matrix_apsd
@@ -391,6 +391,23 @@ def test_threshold_time_saturation_flag():
         snr_threshold_time(-1.0, 1.0, DEFAULTS)
     with pytest.raises(ValueError):
         snr_threshold_time(1.0, 1.0, DEFAULTS, mode="other")
+
+
+_THRESHOLD_INPUTS = st.one_of(
+    st.just(math.nan), st.floats(1e-6, 1e6), st.floats(max_value=0.0, allow_infinity=False)
+)
+
+
+@given(s0=_THRESHOLD_INPUTS, gamma=_THRESHOLD_INPUTS, mode=st.sampled_from(["vp", "ve_const_g"]))
+@settings(max_examples=200, deadline=None)
+def test_threshold_time_rejects_nan_as_it_rejects_nonpositive_inputs(s0, gamma, mode):
+    # a NaN time compares False with 1, so it used to read as a frequency that crosses
+    if not (s0 > 0 and gamma > 0):
+        with pytest.raises(ValueError, match="s0 and gamma must be positive"):
+            snr_threshold_time(s0, gamma, DEFAULTS, mode=mode)
+        return
+    want = s0 / gamma if mode == "ve_const_g" else t_of_lambda(0.5 * np.log(gamma / s0), DEFAULTS)
+    assert snr_threshold_time(s0, gamma, DEFAULTS, mode=mode) == float(want)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])  # the apsd CLI concatenates into F order
