@@ -41,6 +41,13 @@ def kept_ranks(block_size: int, drop_count: int = 0) -> int:
     return top + 1 - drop_count
 
 
+def _check_finite(values: np.ndarray, message: str) -> None:
+    """The package's one finiteness rule: ValueError(message) unless every entry is finite."""
+    # min and max carry any NaN through and expose an infinity, without a mask array
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise ValueError(message)
+
+
 @lru_cache(maxsize=None)
 def _basis(block_size: int) -> np.ndarray:
     kept_ranks(block_size)

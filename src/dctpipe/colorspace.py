@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_dct import avg_pool
+from .block_dct import _check_finite, avg_pool
 from .image_io import RgbImage
 
 __all__ = [
@@ -64,8 +64,7 @@ class SubsampledImage:
                 f"Y must be exactly 2x the chroma size, got {self.y.shape} vs {self.cb.shape}"
             )
         for name, plane in (("Y", self.y), ("Cb", self.cb), ("Cr", self.cr)):
-            if not np.all(np.isfinite(plane)):
-                raise ValueError(f"{name} plane contains non-finite values")
+            _check_finite(plane, f"{name} plane contains non-finite values")
 
     @property
     def height(self) -> int:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_dct import avg_pool, kept_ranks
+from .block_dct import _check_finite, avg_pool, kept_ranks
 from .colorspace import SubsampledImage, assemble_rgb, subsample_rgb
-from .freq_stats import _check_finite
 from .tokenizer import dct_coefficient_matrices, detokenize, tokenize
 
 __all__ = [
@@ -52,8 +51,8 @@ class GaussianStats:
         d = self.mean.shape[0]
         if self.mean.ndim != 1 or self.cov.shape != (d, d):
             raise ValueError(f"inconsistent stat shapes {self.mean.shape} / {self.cov.shape}")
-        _check_finite(self.mean, "mean entries")
-        _check_finite(self.cov, "covariance entries")
+        _check_finite(self.mean, "mean entries contain non-finite values")
+        _check_finite(self.cov, "covariance entries contain non-finite values")
         if not np.allclose(self.cov, self.cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
 
@@ -70,7 +69,7 @@ def gaussian_stats(features: np.ndarray) -> GaussianStats:
     n, d = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    _check_finite(x, "features")
+    _check_finite(x, "features contain non-finite values")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
@@ -107,7 +106,10 @@ def frechet_distance(s1: GaussianStats, s2: GaussianStats) -> float:
         raise ValueError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
     cross = np.linalg.svd(_psd_sqrt(s2.cov) @ _psd_sqrt(s1.cov), compute_uv=False).sum()
     diff = s1.mean - s2.mean
-    return max(0.0, float(diff @ diff + np.trace(s1.cov) + np.trace(s2.cov) - 2.0 * cross))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is rejected below
+        dist = diff @ diff + np.trace(s1.cov) + np.trace(s2.cov) - 2.0 * cross
+    _check_finite(dist, "Frechet distance overflows to a non-finite value")
+    return max(0.0, float(dist))
 
 
 def extract_pixel_features(s: SubsampledImage) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block_dct import kept_ranks
+from .block_dct import _check_finite, kept_ranks
 from .diffuse import derive_stream, noisy
 from .schedule import NoiseSchedule, _check_t, t_of_lambda
 
@@ -34,13 +34,6 @@ _CHANNELS = ("Y", "Cb", "Cr")
 DEFAULT_BINS = 256
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    """Raise unless every entry is finite; ``what`` names the values in the message."""
-    # min and max carry any NaN through and expose an infinity, without a mask array
-    if values.size and not np.isfinite([values.min(), values.max()]).all():
-        raise ValueError(f"{what} contain non-finite values")
-
-
 def _sample_matrices(channel_samples, min_rows: int, width: int | None = None) -> list[np.ndarray]:
     """Check a (y, cb, cr) triple of coefficient samples and return it as float64.
 
@@ -57,7 +50,7 @@ def _sample_matrices(channel_samples, min_rows: int, width: int | None = None) -
             raise ValueError(f"{name} samples must be 2-D with {want}, got shape {mat.shape}")
         if mat.shape[0] < min_rows:
             raise ValueError(f"{name} channel needs >= {min_rows} samples per rank, got {len(mat)}")
-        _check_finite(mat, f"{name} samples")
+        _check_finite(mat, f"{name} samples contain non-finite values")
     return mats
 
 
@@ -81,6 +74,7 @@ class EntropyWeights:
         kept = kept_ranks(self.block_size, self.drop_count)
         if self.weights.shape != (3 * kept,):
             raise ValueError(f"expected {3 * kept} weights, got shape {self.weights.shape}")
+        _check_finite(self.weights, "weights contain non-finite values")
         if not np.all(self.weights > 0):
             raise ValueError("all weights must be strictly positive")
         if abs(self.weights.mean() - 1.0) > 1e-9:
@@ -189,7 +183,7 @@ def apsd(parts, sched: NoiseSchedule, t_grid, seed: int = 0, mode: str = "vp",
             part = np.asarray(part, dtype=np.float64)
             if part.ndim != 2 or (acc is not None and part.shape[1] != acc.shape[1]):
                 raise ValueError(f"parts must be (n, ranks) matrices of one width, got {part.shape}")
-            _check_finite(part, "coefficients")
+            _check_finite(part, "coefficients contain non-finite values")
             if acc is None:
                 acc = np.zeros((t_grid.size, part.shape[1]))
             yield from ((part, n * part.shape[1], i) for i in range(t_grid.size))
@@ -219,7 +213,7 @@ def power_law_fit(powers) -> tuple[float, float]:
     powers = np.asarray(powers, dtype=np.float64)[1:]
     if powers.size < 4:
         raise ValueError(f"need at least 4 ranks beyond DC, got {powers.size}")
-    _check_finite(powers, "powers")
+    _check_finite(powers, "powers contain non-finite values")
     if np.any(powers <= 0):
         raise ValueError("cannot fit a power law through nonpositive powers")
     log_r = np.log(np.arange(1, powers.size + 1, dtype=np.float64))
@@ -243,12 +237,10 @@ def snr_threshold_time(
     """
     if not (s0 > 0 and gamma > 0):
         raise ValueError("s0 and gamma must be positive")
-    if mode == "ve_const_g":
-        t = s0 / gamma
-    elif mode == "vp":
-        t = t_of_lambda(0.5 * np.log(gamma / s0), sched)
-    else:
+    if mode not in ("ve_const_g", "vp"):
         raise ValueError(f"mode must be 've_const_g' or 'vp', got {mode!r}")
+    with np.errstate(divide="ignore", over="ignore"):  # a ratio past float range: t = 0 or inf
+        t = s0 / gamma if mode == "ve_const_g" else t_of_lambda(0.5 * np.log(gamma / s0), sched)
     return float(t)
 
 

@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .block_dct import blockify, dct2, from_zigzag, idct2, kept_ranks, to_zigzag, unblockify
+from .block_dct import (
+    _check_finite, blockify, dct2, from_zigzag, idct2, kept_ranks, to_zigzag, unblockify,
+)
 from .colorspace import SubsampledImage
 
 __all__ = [
@@ -98,8 +100,7 @@ class TokenArray:
         want = (self.config.token_count, self.config.token_width)
         if self.tokens.shape != want:
             raise ValueError(f"token matrix shape {self.tokens.shape} != expected {want}")
-        if not np.isfinite(self.tokens).all():
-            raise ValueError("token matrix contains non-finite values")
+        _check_finite(self.tokens, "token matrix contains non-finite values")
 
 
 def plane_to_zigzag(plane: np.ndarray, b: int) -> np.ndarray:
@@ -129,14 +130,12 @@ def detokenize(t: TokenArray) -> SubsampledImage:
     cfg = t.config
     b, k = cfg.block_size, cfg.kept
     nh, nw = cfg.height // (2 * b), cfg.width // (2 * b)
-    with np.errstate(over="ignore"):
-        segs = (t.tokens * cfg.eta).reshape(nh, nw, 6, k)
-    if not np.isfinite(segs).all():  # checked before idct2 turns an inf into NaNs
-        raise ValueError(f"tokens scaled by eta {cfg.eta} overflow to non-finite coefficients")
-    ys = unblockify(segs[:, :, :4].reshape(nh, nw, 2, 2, k))
     with np.errstate(over="ignore", invalid="ignore"):  # SubsampledImage rejects a plane that overflows
-        planes = [plane_from_zigzag(c, b) for c in (ys, segs[:, :, 4], segs[:, :, 5])]
-    return SubsampledImage(*planes)
+        segs = (t.tokens * cfg.eta).reshape(nh, nw, 6, k)
+        # checked before idct2 turns an inf into NaNs
+        _check_finite(segs, f"tokens scaled by eta {cfg.eta} overflow to non-finite coefficients")
+        coeffs = (unblockify(segs[:, :, :4].reshape(nh, nw, 2, 2, k)), segs[:, :, 4], segs[:, :, 5])
+        return SubsampledImage(*(plane_from_zigzag(c, b) for c in coeffs))
 
 
 def dct_coefficient_matrices(

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,9 +19,12 @@ from dctpipe.block_dct import (
     zigzag_order,
 )
 
-from dctpipe.fd_metric import compression_ratio, scan_mstar
-from dctpipe.freq_stats import EntropyWeights
-from dctpipe.tokenizer import TokenConfig
+from dctpipe.colorspace import SubsampledImage
+from dctpipe.fd_metric import GaussianStats, compression_ratio, gaussian_stats, scan_mstar
+from dctpipe.freq_stats import EntropyWeights, apsd, power_law_fit
+from dctpipe.scaling import estimate_ecs_bound, estimate_naive_bounds
+from dctpipe.schedule import NoiseSchedule
+from dctpipe.tokenizer import TokenArray, TokenConfig, detokenize
 
 from oracles import (
     naive_dct2_loops,
@@ -270,3 +276,68 @@ def test_geometry_rule_is_shared_by_its_consumers(b, m):
     }
     for name, fn in consumers.items():
         assert _rejects(fn) == (not valid), name
+
+
+def _ramp(*shape):
+    return np.linspace(1.0, 2.0, math.prod(shape)).reshape(shape)
+
+
+def _detokenize(tokens):
+    # tokens changed after TokenArray's own check reach detokenize's; at B = 1, eta = 1
+    # every coefficient is its pixel less 128, so a finite token makes a finite plane
+    t = TokenArray(TokenConfig(1, 0, 1.0, 2, 4), np.zeros(tokens.shape))
+    t.tokens[...] = tokens
+    return detokenize(t)
+
+
+# every input check through block_dct._check_finite: (its whole message, finite values, call);
+# frechet_distance's check of its own result is tested in test_fd_metric
+_FINITENESS_CALLERS = [
+    pytest.param("Y plane contains non-finite values", _ramp(2, 4),
+                 lambda v: SubsampledImage(v, _ramp(1, 2), _ramp(1, 2)), id="SubsampledImage.y"),
+    pytest.param("Cb plane contains non-finite values", _ramp(1, 2),
+                 lambda v: SubsampledImage(_ramp(2, 4), v, _ramp(1, 2)), id="SubsampledImage.cb"),
+    pytest.param("Cr plane contains non-finite values", _ramp(1, 2),
+                 lambda v: SubsampledImage(_ramp(2, 4), _ramp(1, 2), v), id="SubsampledImage.cr"),
+    pytest.param("token matrix contains non-finite values", _ramp(2, 6),
+                 lambda v: TokenArray(TokenConfig(1, 0, 1.0, 2, 4), v), id="TokenArray"),
+    pytest.param("tokens scaled by eta 1.0 overflow to non-finite coefficients", _ramp(2, 6),
+                 _detokenize, id="detokenize"),
+    pytest.param("Y samples contain non-finite values", _ramp(4, 2),
+                 lambda v: estimate_naive_bounds((v, _ramp(4, 2), _ramp(4, 2))), id="samples.y"),
+    pytest.param("Cb samples contain non-finite values", _ramp(4, 2),
+                 lambda v: estimate_naive_bounds((_ramp(4, 2), v, _ramp(4, 2))), id="samples.cb"),
+    pytest.param("Cr samples contain non-finite values", _ramp(4, 2),
+                 lambda v: estimate_naive_bounds((_ramp(4, 2), _ramp(4, 2), v)), id="samples.cr"),
+    pytest.param("coefficients contain non-finite values", _ramp(1000, 2),
+                 lambda v: apsd([v], NoiseSchedule(), [0.0]), id="apsd"),
+    pytest.param("powers contain non-finite values", _ramp(5),
+                 lambda v: power_law_fit(np.r_[1.0, v]), id="power_law_fit"),
+    pytest.param("DC samples contain non-finite values", _ramp(4),
+                 estimate_ecs_bound, id="estimate_ecs_bound"),
+    pytest.param("mean entries contain non-finite values", _ramp(3),
+                 lambda v: GaussianStats(v, np.eye(3)), id="GaussianStats.mean"),
+    pytest.param("covariance entries contain non-finite values", np.eye(3),
+                 lambda v: GaussianStats(np.zeros(3), v), id="GaussianStats.cov"),
+    pytest.param("features contain non-finite values", _ramp(4, 3),
+                 gaussian_stats, id="gaussian_stats"),
+    pytest.param("weights contain non-finite values", np.ones(3),
+                 lambda v: EntropyWeights(v, 1, 0), id="EntropyWeights"),
+]
+
+
+@pytest.mark.parametrize("message, finite, call", _FINITENESS_CALLERS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, 5e-324])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_every_finiteness_check_rejects_exactly_the_non_finite(message, finite, call, value, where):
+    values = finite.copy()  # the middle entry of the 3x3 covariance is on its diagonal
+    values.flat[{"first": 0, "middle": values.size // 2, "last": values.size - 1}[where]] = value
+    if not math.isfinite(value):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(values)
+        return
+    try:
+        with np.errstate(over="ignore"):  # apsd squares 1.7e308 to inf after its check
+            call(values)
+    except ValueError as exc:  # a later check may refuse it, as power_law_fit's sign check
+        assert str(exc) != message

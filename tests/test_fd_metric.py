@@ -104,6 +104,14 @@ def test_frechet_rejects_indefinite_covariance(rng):
         frechet_distance(bad, good)
 
 
+def test_a_distance_that_overflows_is_rejected_not_scored():
+    # finite stats whose traces overflow sum to inf - inf, and max(0.0, nan) is 0.0
+    a = GaussianStats([0.0, 0.0], np.diag([1e308, 1.0]))
+    b = GaussianStats([0.0, 1e3], np.diag([1e308, 1.0]))
+    with pytest.raises(ValueError, match="^Frechet distance overflows to a non-finite value$"):
+        frechet_distance(a, b)
+
+
 @given(
     where=st.sampled_from(["mean", "covariance", "features"]),
     bad=st.sampled_from([np.nan, np.inf, -np.inf]),

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ def test_non_finite_samples_are_named_by_channel(rng):
     for fn in (lambda m: entropy_weights(m, block_size=2), estimate_naive_bounds):
         with pytest.raises(ValueError, match="Cb samples contain non-finite values"):
             fn(_triple(rng, 2000, 4, bad=np.nan))
+
+
+@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_weights_are_named_before_their_sign_and_mean(tmp_path, bad):
+    path = tmp_path / "w.json"
+    path.write_text(f'{{"weights": [{bad}, 1, 1], "block_size": 1, "drop": 0}}')
+    with pytest.raises(ValueError, match="^weights contain non-finite values$"):
+        load_weights(path)
 
 
 def test_weights_json_roundtrip(tmp_path, rng):
@@ -387,6 +396,10 @@ def test_threshold_time_monotonicity():
 def test_threshold_time_saturation_flag():
     # a frequency that never reaches the threshold on [0, 1] crosses after t = 1
     assert snr_threshold_time(1e9, 1e-9, DEFAULTS, mode="vp") > 1
+    with warnings.catch_warnings():  # gamma / s0 underflows to 0: never, and silently
+        warnings.simplefilter("error")
+        assert snr_threshold_time(math.inf, 1.0, DEFAULTS, mode="vp") == math.inf
+        assert snr_threshold_time(1e308, 1e-308, DEFAULTS, mode="vp") == math.inf
     with pytest.raises(ValueError):
         snr_threshold_time(-1.0, 1.0, DEFAULTS)
     with pytest.raises(ValueError):
