@@ -191,33 +191,42 @@ def _collect_samples(args, widths, limit: int | None = None):
     With ``limit``, column r of a channel holds only the rows that
     ``scaling.reservoir_sample(samples, limit, seed=r)`` keeps of it. Its
     keys depend only on the sample count, so the rows are drawn from the
-    row numbers before any pixel is read and each image writes only its
-    picked rows: a channel's matrix is (min(rows, limit), width).
+    row numbers before any pixel is read, one rank per job on the ``--threads``
+    workers, into one (width, limit) matrix per channel. Each image writes only
+    its picked rows: a channel's matrix is (min(rows, limit), width).
     """
     b, paths = args.block_size, _image_paths(args.input)
     rows = list(map(_per_file(lambda p: _y_blocks(p, b)), paths))
-    first, n = dict(zip(paths, accumulate(rows, initial=0))), sum(rows)
+    index, n = {p: k for k, p in enumerate(paths)}, sum(rows)
     sizes = (n, n // 4, n // 4)  # a chroma plane has a quarter of the Y blocks
-    picks = [None] * 3  # per channel: each rank's sorted row numbers, None for every row
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    starts = np.fromiter(accumulate(rows, initial=0), dtype, len(rows) + 1)
+    starts = (starts, starts // 4, starts // 4)  # each image's first row, in the picks' dtype
+    # per channel that keeps fewer rows than it has: each rank's sorted row numbers, and
+    # where each image's first row cuts them; None keeps every row
+    picks = [np.empty((w, limit), dtype) if limit is not None and 0 < w and limit < size else None
+             for size, w in zip(sizes, widths)]
+    cuts = [None if p is None else np.empty((len(p), len(rows) + 1), np.intp) for p in picks]
+
+    def draw(job):  # a rank that keeps every row is drawn too: traces count each draw
+        c, r = job
+        picked = scaling.reservoir_sample(np.arange(sizes[c], dtype=dtype), limit, seed=r)
+        if picks[c] is not None:  # searched in the picks' dtype: no cast of them
+            picks[c][r], cuts[c][r] = picked, np.searchsorted(picked, starts[c])
+
     if limit is not None:
-        dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        for c, (size, width) in enumerate(zip(sizes, widths)):
-            picks[c] = [scaling.reservoir_sample(np.arange(size, dtype=dtype), limit, seed=r)
-                        for r in range(width)]
-            if not picks[c] or len(picks[c][0]) == size:  # every row kept: no row numbers held
-                picks[c] = None
-    mats = tuple(np.empty((size if pick is None else len(pick[0]), width))
+        _pmap(draw, [(c, r) for c, w in enumerate(widths) for r in range(w)], args.threads)
+    mats = tuple(np.empty((size if pick is None else limit, width))
                  for size, width, pick in zip(sizes, widths, picks))
 
     def fill(path):
-        lo = first[path]
+        k = index[path]
         coeffs = dct_coefficient_matrices(subsample_rgb(_read_rgb(path)), b)
-        for mat, pick, part, at in zip(mats, picks, coeffs, (lo, lo // 4, lo // 4)):
+        for mat, pick, cut, part, at in zip(mats, picks, cuts, coeffs, (s[k] for s in starts)):
             if pick is None:
                 mat[at : at + len(part)] = part[:, : mat.shape[1]]
                 continue
-            for r, picked in enumerate(pick):  # bounds in the picks' dtype: no cast of them
-                i, j = np.searchsorted(picked, np.array([at, at + len(part)], picked.dtype))
+            for r, (picked, i, j) in enumerate(zip(pick, cut[:, k], cut[:, k + 1])):
                 mat[i:j, r] = part[picked[i:j] - at, r]
 
     _pmap(_per_file(fill), paths, args.threads)
@@ -231,7 +240,8 @@ def _cmd_bounds(args) -> int:
     bounds = scaling.ScalingBounds(
         mode=args.mode, tau=args.tau, block_size=args.block_size,
         eta=scaling.estimate_ecs_bound(mats[0], args.tau) if ecs else None,
-        naive_bounds=None if ecs else tuple(scaling.estimate_naive_bounds(mats, args.tau)),
+        naive_bounds=None if ecs else tuple(scaling.estimate_naive_bounds(
+            mats, args.tau, map_fn=lambda fn, it: _pmap(fn, it, args.threads))),
     )
     scaling.save_bounds(args.out, bounds)
     return 0
@@ -240,7 +250,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_weights(args) -> int:
     kept = _check_flag("--drop", lambda m: kept_ranks(args.block_size, m), args.drop)
     mats = _collect_samples(args, (kept,) * 3)
-    w = freq_stats.entropy_weights(mats, args.block_size, args.drop, bins=args.bins)
+    w = freq_stats.entropy_weights(mats, args.block_size, args.drop, bins=args.bins,
+                                   map_fn=lambda fn, it: _pmap(fn, it, args.threads))
     freq_stats.save_weights(args.out, w)
     return 0
 

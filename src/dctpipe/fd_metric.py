@@ -70,10 +70,12 @@ def gaussian_stats(features: np.ndarray) -> GaussianStats:
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     _check_finite(x, "features contain non-finite values")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (n - 1)
-    cov = 0.5 * (cov + cov.T) + _RIDGE * np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed covariance is rejected below
+        mean = x.mean(axis=0)
+        centered = x - mean
+        cov = centered.T @ centered / (n - 1)
+        cov = 0.5 * (cov + cov.T) + _RIDGE * np.eye(d)
+    _check_finite(cov, "covariance of the features overflows to non-finite values")
     return GaussianStats(mean, cov)
 
 

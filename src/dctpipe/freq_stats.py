@@ -86,10 +86,10 @@ def _check_bins(bins: int) -> None:
         raise ValueError(f"need at least 16 histogram bins, got {bins}")
 
 
-def _hist_entropy(samples: np.ndarray, bins: int) -> float | None:
+def _hist_entropy(samples: np.ndarray, bins: int) -> float:
     lo, hi = samples.min(), samples.max()
     if hi == lo:
-        return None
+        return np.nan  # a constant rank has no density
     counts, _ = np.histogram(samples, bins=bins, range=(lo, hi))
     p = counts[counts > 0] / samples.size
     return float(-(p * np.log(p)).sum() + np.log((hi - lo) / bins))
@@ -100,27 +100,22 @@ def entropy_weights(
     block_size: int,
     drop_count: int = 0,
     bins: int = DEFAULT_BINS,
+    map_fn=map,
 ) -> EntropyWeights:
     """Estimate per-frequency entropy weights from coefficient samples.
 
     ``channel_samples`` is a (y, cb, cr) triple of (n_blocks, kept) matrices
     of finite zigzag-ordered coefficients (n >= 1000 per channel). Each rank's
     differential entropy comes from a ``bins``-bin histogram over its own
-    empirical range. Normalization to mean 1 is additive (H - mean(H) + 1):
-    a global rescale of the samples shifts every entropy by the same ln k,
-    so the shift cancels and the weights are scale invariant.
+    range, one column per ``map_fn(fn, columns)`` call. Normalization to mean
+    1 is additive (H - mean(H) + 1): a global rescale of the samples shifts
+    every entropy by the same ln k, so the weights are scale invariant.
     """
     _check_bins(bins)
     kept = kept_ranks(block_size, drop_count)
     mats = _sample_matrices(channel_samples, 1000, kept)
-    raw = np.empty(3 * kept)
-    degenerate = np.zeros(3 * kept, dtype=bool)
-    for ci, mat in enumerate(mats):
-        for r in range(kept):
-            h = _hist_entropy(mat[:, r], bins)
-            pos = ci * kept + r
-            degenerate[pos] = h is None
-            raw[pos] = np.nan if h is None else h
+    raw = np.array(list(map_fn(lambda x: _hist_entropy(x, bins), [c for m in mats for c in m.T])))
+    degenerate = np.isnan(raw)
 
     if degenerate.all():
         raise ValueError("every rank is constant; no entropy to estimate")
@@ -165,11 +160,12 @@ def apsd(parts, sched: NoiseSchedule, t_grid, seed: int = 0, mode: str = "vp",
     ``mode`` kernel ("vp" or "ve") and the sub-seed derive_stream(seed, i).
 
     One pass checks the parts in order and keeps one accumulator per time.
-    ``map_fn(fn, jobs)`` draws x_t per (part, time) job, one x_t per job in
-    flight: builtin ``map`` holds one, the CLI's ``--threads N`` map 2N.
-    A part's noise starts at the counter of its first element, and each
-    accumulator adds rows in part order, so with two or more ranks the bits
-    equal the mean's over the concatenation (one rank: numpy sums pairwise).
+    ``map_fn(fn, jobs)`` draws x_t per (part, time > 0) job, one x_t per job
+    in flight: builtin ``map`` holds one, the CLI's ``--threads N`` map 2N;
+    this thread folds t = 0, which draws no noise. A part's noise starts at
+    the counter of its first element, and each accumulator adds rows in part
+    order, so with two or more ranks the bits equal the mean's over the
+    concatenation (one rank: numpy sums pairwise). An overflowed power is an error.
     """
     if isinstance(parts, np.ndarray):
         raise ValueError("apsd takes an iterable of (n, ranks) matrices, not one array")
@@ -186,21 +182,31 @@ def apsd(parts, sched: NoiseSchedule, t_grid, seed: int = 0, mode: str = "vp",
             _check_finite(part, "coefficients contain non-finite values")
             if acc is None:
                 acc = np.zeros((t_grid.size, part.shape[1]))
-            yield from ((part, n * part.shape[1], i) for i in range(t_grid.size))
+            for job in [(part, n * part.shape[1], i) for i in range(t_grid.size)]:
+                if t_grid[job[2]] > 0:
+                    yield job
+                else:  # t = 0 draws no noise: folded here, in no worker's slot
+                    fold(*draw(job))
             n += len(part)
 
     def draw(job):  # one part's x_t at one time, squared in place
         part, offset, i = job
         sq = noisy(part, t_grid[i], sched, seeds[i], mode, offset=offset)
-        return i, np.square(sq, out=sq)
+        with np.errstate(over="ignore"):  # an overflowed power is rejected below
+            return i, np.square(sq, out=sq)
+
+    def fold(i, sq):  # row-by-row sum: the first row carries the sum so far
+        if len(sq):
+            with np.errstate(over="ignore"):
+                sq[0] += acc[i]
+                np.add.reduce(sq, axis=0, out=acc[i])
 
     for i, sq in map_fn(draw, jobs()):
-        if len(sq):  # row-by-row sum: the first row carries the sum so far
-            sq[0] += acc[i]
-            np.add.reduce(sq, axis=0, out=acc[i])
+        fold(i, sq)
         del sq  # so builtin map holds at most one x_t
     if n < 1000:
         raise ValueError(f"need at least 1000 blocks, got {n}")
+    _check_finite(acc, "coefficient powers overflow to non-finite values")
     return acc / n
 
 

@@ -75,18 +75,19 @@ def estimate_ecs_bound(dc_samples, tau: float = DEFAULT_TAU) -> float:
     return eta
 
 
-def estimate_naive_bounds(channel_samples, tau: float = DEFAULT_TAU) -> np.ndarray:
+def estimate_naive_bounds(channel_samples, tau: float = DEFAULT_TAU, map_fn=map) -> np.ndarray:
     """Per-frequency bounds for all three channels.
 
     ``channel_samples`` is a (y, cb, cr) triple of (n_blocks, B^2) matrices of
     zigzag-ordered coefficients. Returns 3 B^2 bounds ordered Y ranks 0..B^2-1,
     then Cb, then Cr. Every rank must have spread: a zero bound (constant
-    column) is an error because it cannot scale anything.
+    column) is an error because it cannot scale anything. Each column's
+    percentiles are one ``map_fn(fn, columns)`` call.
     """
     tau = _check_tau(tau)
     mats = _sample_matrices(channel_samples, 2)
-    # np.percentile partitions a copy of its input: one column's, not a channel's
-    out = np.array([_envelope(col, tau) for mat in mats for col in mat.T])
+    # np.percentile partitions a copy of its input: one column's per call, not a channel's
+    out = np.array(list(map_fn(lambda x: _envelope(x, tau), [c for m in mats for c in m.T])))
     width = mats[0].shape[1]
     if np.any(out <= 0):
         bad = int(np.argmax(out <= 0))

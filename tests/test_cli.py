@@ -16,8 +16,9 @@ from dctpipe import cli
 from dctpipe.cli import _build_parser, _collect_samples, _imap, _pmap, main
 from dctpipe.colorspace import subsample_rgb
 from dctpipe.fd_metric import make_feature_extractor, reconstruct_rgb, scan_mstar
+from dctpipe.freq_stats import DEFAULT_BINS, _hist_entropy
 from dctpipe.image_io import GrayImage, RgbImage, read_image, write_image
-from dctpipe.scaling import MAX_SAMPLES_PER_RANK, load_bounds
+from dctpipe.scaling import MAX_SAMPLES_PER_RANK, load_bounds, reservoir_sample
 from dctpipe.synth import band_limited_image
 from dctpipe.tokenizer import (
     TokenArray,
@@ -712,16 +713,23 @@ def test_scan_m_curve_report(tmp_path, capsys):
 
 
 def test_threads_flag_does_not_change_bytes(dataset, tmp_path, capsys):
-    outs = []
-    for threads in (1, 4):
-        out = tmp_path / f"b_{threads}.json"
-        code, _, err = run(
-            capsys, "bounds", "--input", dataset, "--block-size", 2,
-            "--threads", threads, "--out", out,
-        )
-        assert code == 0, err
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # 16 images of 32x32 at B=2: 4096 Y and 1024 chroma blocks, so every naive rank
+    # draws a reservoir, and more threads than this host's cores
+    commands = {
+        "ecs": ("bounds",),
+        "naive": ("bounds", "--mode", "naive", "--max-samples", 100),
+        "weights": ("weights",),
+        "apsd": ("apsd", "--t-list", "0,0.3,0.7"),
+    }
+    for name, argv in commands.items():
+        outs = []
+        for threads in (1, 2, 4, 5):
+            out = tmp_path / f"{name}_{threads}"
+            code, _, err = run(capsys, *argv, "--input", dataset, "--block-size", 2,
+                               "--threads", threads, "--out", out)
+            assert code == 0, err
+            outs.append(out.read_bytes())
+        assert outs == [outs[0]] * 4, name
 
 
 def test_pmap_keeps_at_most_two_items_per_thread_in_flight():
@@ -759,6 +767,36 @@ def test_two_thread_scan_holds_what_the_one_thread_scan_holds(traced_peak):
         for t in (1, 2)
     ]
     assert peaks[1] < peaks[0] + 2**19, peaks
+
+
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        # a Y rank's reservoir draw over its row numbers
+        (("bounds", "--mode", "naive", "--max-samples", 100),
+         lambda y: reservoir_sample(np.arange(len(y), dtype=np.int32), 100, seed=0)),
+        # a Y rank's histogram
+        (("weights", "--drop", 8), lambda y: _hist_entropy(y, DEFAULT_BINS)),
+    ],
+    ids=["naive", "weights"],
+)
+def test_two_thread_corpus_stats_hold_what_one_thread_holds(tmp_path, traced_peak, argv, step):
+    # 64 images of 64x64 at B=4: 16384 Y rows. The per-rank steps run on the workers one
+    # column each, so a second thread adds one Y column's step (and the pool's 64 KiB
+    # of bookkeeping), not a channel's
+    rng = np.random.default_rng(3)
+    for i in range(64):
+        write_image(tmp_path / f"i{i:02d}.ppm", RgbImage(rng.integers(0, 256, (64, 64, 3), np.uint8)))
+
+    def command(threads):
+        return lambda: main([*map(str, argv), "--block-size", "4", "--input", str(tmp_path),
+                             "--threads", str(threads), "--out", str(tmp_path / "o")])
+
+    assert command(2)() == 0  # warm the package's one-time caches outside the measurement
+    column = rng.normal(size=(64 * 256, 16))[:, 3]
+    one = traced_peak(lambda: step(column))
+    peaks = [traced_peak(command(t)) for t in (1, 2)]
+    assert peaks[1] < peaks[0] + one + 2**16, (peaks, one)
 
 
 def test_scan_m_counts_the_paths_before_it_decodes_an_image(tmp_path, capsys, monkeypatch):

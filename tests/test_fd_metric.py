@@ -62,6 +62,16 @@ def test_gaussian_stats_validation(rng):
         gaussian_stats(np.zeros(5))
 
 
+@pytest.mark.parametrize("value", [1.7e308, -1.7e308])
+def test_gaussian_stats_names_its_own_overflow(rng, value):
+    # finite features whose covariance passes float range: the message names the
+    # covariance the function builds, not the caller's values
+    x = rng.normal(size=(50, 3))
+    x[20, 1] = value
+    with pytest.raises(ValueError, match="^covariance of the features overflows to non-finite values$"):
+        gaussian_stats(x)
+
+
 def test_frechet_zero_on_identical(rng):
     s = gaussian_stats(rng.normal(size=(200, 6)))
     assert abs(frechet_distance(s, s)) < 1e-8

@@ -85,6 +85,24 @@ def test_entropy_weights_validation(rng):
         entropy_weights(iid_samples(rng, 2000, 3), block_size=2)  # wrong width
 
 
+def test_entropy_weights_on_worker_threads_have_the_bits_of_builtin_map(rng):
+    # one histogram per column on 1-4 threads, switching often; a constant column
+    # is clamped wherever its histogram runs
+    mats = [m * rng.uniform(0.5, 40.0, 5) for m in iid_samples(rng, 3000, 5)]
+    mats[2][:, 3] = 7.0
+    want = entropy_weights(mats, block_size=3, drop_count=4)
+    assert 13 in want.clamped_ranks  # Cr rank 3; small-scale ranks may clamp too
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in range(1, 5):
+            got = entropy_weights(mats, 3, 4, map_fn=lambda f, it: _imap(f, it, threads))
+            assert got.weights.tobytes() == want.weights.tobytes(), threads
+            assert got.clamped_ranks == want.clamped_ranks, threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _triple(rng, n, width, *, bad=None):
     mats = [rng.normal(size=(n, width)) for _ in range(3)]
     if bad is not None:
@@ -316,6 +334,35 @@ def test_a_bad_later_part_stops_the_threaded_draws(rng, bad, message):
             apsd(iter(parts), DEFAULTS, [0.0, 0.3, 0.9], map_fn=map_fn)
         assert str(info.value) == message
         assert threading.active_count() == before
+
+
+def test_apsd_folds_the_clean_power_without_a_job(rng):
+    # t = 0 draws no noise: the checking thread folds it, and map_fn sees only t > 0
+    parts = [rng.normal(size=(600, 4)), rng.normal(size=(700, 4))]
+    times = []
+
+    def spy(fn, jobs):
+        for job in jobs:
+            times.append(job[2])
+            yield fn(job)
+
+    t_grid = [0.0, 0.3, 0.0, 0.9]
+    want = whole_matrix_apsd(np.concatenate(parts), DEFAULTS, t_grid)
+    assert apsd(parts, DEFAULTS, t_grid, map_fn=spy).tobytes() == want.tobytes()
+    assert times == [1, 3, 1, 3]
+    assert apsd(parts, DEFAULTS, [0.0], map_fn=spy).tobytes() == want[:1].tobytes()
+    assert times == [1, 3, 1, 3]
+
+
+@pytest.mark.parametrize("t_grid", [[0.0], [0.0, 0.4], [0.4]])
+def test_apsd_rejects_a_power_that_overflows(rng, t_grid):
+    # finite coefficients whose square passes float range; RuntimeWarnings are errors here
+    coeffs = rng.normal(size=(1000, 4))
+    coeffs[500, 1] = 1.7e308
+    for map_fn in (map, lambda f, it: _imap(f, it, 2)):
+        for mode in ("vp", "ve"):
+            with pytest.raises(ValueError, match="^coefficient powers overflow to non-finite values$"):
+                apsd([coeffs[:400], coeffs[400:]], DEFAULTS, t_grid, mode=mode, map_fn=map_fn)
 
 
 def test_apsd_takes_parts_not_one_array(rng):
