@@ -8,7 +8,8 @@ tile rows, so each runs as one GEMM per tile row and one (N*B, B) @ (B, B)
 GEMM rather than two GEMMs per block.
 
 The block-grid geometry of the package lives here once. :func:`kept_ranks`
-checks a block size B and drop count m; :func:`blockify`
+checks a block size B and drop count m, each through the package's one
+integer rule :func:`_check_int`; :func:`blockify`
 views an (H, W, ...) grid as (H/bh, W/bw, bh, bw, ...) tiles (DCT blocks,
 the 2x2 luma blocks of a token) and :func:`unblockify` undoes it;
 :func:`avg_pool` takes the mean of each tile (2x2 chroma subsampling, the
@@ -33,12 +34,25 @@ __all__ = [
 
 def kept_ranks(block_size: int, drop_count: int = 0) -> int:
     """B^2 - m zigzag ranks kept per block; ValueError unless B >= 1 and 0 <= m <= B^2 - 1."""
-    if block_size < 1:
-        raise ValueError(f"block size must be >= 1, got {block_size}")
+    block_size = _check_int(block_size, "block size", 1)
     top = block_size**2 - 1
+    drop_count = _check_int(drop_count, "drop count")
     if not 0 <= drop_count <= top:
         raise ValueError(f"drop count must be in [0, {top}] for B={block_size}, got {drop_count}")
     return top + 1 - drop_count
+
+
+def _check_int(value, name: str, low: int | None = None) -> int:
+    """The package's one integer rule: ``value`` as a Python int.
+
+    ValueError unless ``value`` is an int or numpy integer (a bool is not)
+    and, with ``low``, at least ``low``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def _check_finite(values: np.ndarray, message: str) -> None:

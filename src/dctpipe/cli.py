@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fd_metric, freq_stats, scaling, upsample
-from .block_dct import kept_ranks
+from .block_dct import _check_int, kept_ranks
 from .colorspace import assemble_rgb, subsample_rgb
 from .diffuse import perturb
 from .image_io import RgbImage, read_image, read_shape, write_image
@@ -42,11 +42,6 @@ __all__ = ["main"]
 
 def _fmt(x: float) -> str:
     return f"{x:#.6g}"
-
-
-def _check_threads(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
 
 
 def _flag(parse, check):
@@ -342,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--threads", type=_flag(int, _check_threads), default=1,
-                       help="worker threads")
+        p.add_argument("--threads", type=_flag(int, lambda n: _check_int(n, "thread count", 1)),
+                       default=1, help="worker threads")
         return p
 
     p = add("encode", _cmd_encode, "image -> DCTK token file")
@@ -368,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=_flag(int, kept_ranks), required=True)
     p.add_argument("--mode", choices=("ecs", "naive"), default="ecs")
     p.add_argument("--tau", type=_flag(float, scaling._check_tau), default=scaling.DEFAULT_TAU)
-    p.add_argument("--max-samples", type=_flag(int, scaling._check_limit),
+    p.add_argument("--max-samples", type=_flag(int, lambda n: _check_int(n, "limit", 1)),
                    default=scaling.MAX_SAMPLES_PER_RANK)
     p.add_argument("--out", required=True)
 

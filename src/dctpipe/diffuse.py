@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .block_dct import _check_int
 from .schedule import NoiseSchedule, y_scaled
 from .tokenizer import TokenArray
 
@@ -62,7 +63,7 @@ def _mix64_int(v: int) -> int:
 
 
 def _key(seed: int) -> int:
-    return _mix64_int(int(seed) + int(_GOLDEN))
+    return _mix64_int(_check_int(seed, "seed") + int(_GOLDEN))
 
 
 def _uniforms(c: np.ndarray, key: int, out: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -112,7 +113,7 @@ def counter_normals(seed: int, count: int, start: int = 0) -> np.ndarray:
 
 def derive_stream(seed: int, stream: int) -> int:
     """Derive an independent sub-seed, e.g. one per time point of a sweep."""
-    return _mix64_int(_key(seed) ^ int(stream))
+    return _mix64_int(_key(seed) ^ _check_int(stream, "stream"))
 
 
 def perturb_params(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_dct import _check_finite, avg_pool, kept_ranks
+from .block_dct import _check_finite, _check_int, avg_pool, kept_ranks
 from .colorspace import SubsampledImage, assemble_rgb, subsample_rgb
 from .tokenizer import dct_coefficient_matrices, detokenize, tokenize
 
@@ -172,7 +172,7 @@ def _check_grid(m_grid, block_size: int):
     materialised, however large B is; any other iterable comes back a list.
     """
     lazy = isinstance(m_grid, range)
-    grid = m_grid if lazy else [int(m) for m in m_grid]
+    grid = m_grid if lazy else [_check_int(m, "drop count") for m in m_grid]
     ascending = (grid.step > 0 or not grid[1:]) if lazy else grid == sorted(set(grid))
     if not grid or not ascending:
         raise ValueError("m_grid must be a nonempty, strictly ascending list of drop counts")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block_dct import _check_finite, kept_ranks
+from .block_dct import _check_finite, _check_int, kept_ranks
 from .diffuse import derive_stream, noisy
 from .schedule import NoiseSchedule, _check_t, t_of_lambda
 
@@ -61,7 +61,8 @@ class EntropyWeights:
     ``weights`` is ordered Y ranks, then Cb ranks, then Cr ranks and is
     normalized to mean 1. ``clamped_ranks`` flags positions whose weight
     was degenerate (constant samples) or nonpositive and was replaced by
-    the smallest positive weight seen.
+    the smallest positive weight seen; they are strictly ascending
+    positions of ``weights``.
     """
 
     weights: np.ndarray
@@ -79,9 +80,14 @@ class EntropyWeights:
             raise ValueError("all weights must be strictly positive")
         if abs(self.weights.mean() - 1.0) > 1e-9:
             raise ValueError("weights must be normalized to mean 1")
+        ranks = tuple(_check_int(r, "clamped rank") for r in self.clamped_ranks)
+        if list(ranks) != sorted(set(ranks)) or not all(0 <= r < 3 * kept for r in ranks):
+            raise ValueError(f"clamped ranks must ascend strictly in [0, {3 * kept}), got {ranks}")
+        object.__setattr__(self, "clamped_ranks", ranks)
 
 
 def _check_bins(bins: int) -> None:
+    _check_int(bins, "bins")
     if bins < 16:
         raise ValueError(f"need at least 16 histogram bins, got {bins}")
 

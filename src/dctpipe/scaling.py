@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block_dct import _check_finite, kept_ranks
+from .block_dct import _check_finite, _check_int, kept_ranks
 from .diffuse import counter_uniforms
 from .freq_stats import _load_json, _sample_matrices
 
@@ -44,13 +44,6 @@ def _check_tau(tau: float) -> float:
     if not 50.0 < tau < 100.0:
         raise ValueError(f"tau must lie in (50, 100), got {tau}")
     return float(tau)
-
-
-def _check_limit(limit: int) -> None:
-    if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
-        raise ValueError(f"limit must be an integer, got {limit!r}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
 
 
 def _envelope(samples: np.ndarray, tau: float):
@@ -110,7 +103,7 @@ def reservoir_sample(samples: np.ndarray, limit: int, seed: int = 0) -> np.ndarr
     x = np.asarray(samples)
     if x.ndim != 1:
         raise ValueError(f"samples must be a 1-D vector, got shape {x.shape}")
-    _check_limit(limit)
+    _check_int(limit, "limit", 1)
     if x.size <= limit:
         return x
     # Keep the `limit` smallest keys: equivalent to a uniform reservoir.

@@ -15,10 +15,11 @@ the scaled SNR throughout. All functions accept scalars or arrays of t.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .block_dct import _check_int
 
 __all__ = [
     "NoiseSchedule",
@@ -147,10 +148,7 @@ def discrete_schedule(
     recovered step by step via beta'_t = 1 - alpha_bar'_t / alpha_bar'_{t-1}
     with alpha_bar'_0 = 1.
     """
-    try:
-        steps = operator.index(steps)  # an int or numpy integer; a float or string raises
-    except TypeError:
-        raise ValueError(f"steps must be an integer, got {steps!r}") from None
+    steps = _check_int(steps, "steps")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     if not 0 < beta_start <= beta_end < 1:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -20,8 +21,11 @@ from dctpipe.block_dct import (
 )
 
 from dctpipe.colorspace import SubsampledImage
-from dctpipe.fd_metric import GaussianStats, compression_ratio, gaussian_stats, scan_mstar
-from dctpipe.freq_stats import EntropyWeights, apsd, power_law_fit
+from dctpipe.diffuse import counter_uniforms, derive_stream
+from dctpipe.fd_metric import (
+    GaussianStats, _check_grid, compression_ratio, gaussian_stats, scan_mstar,
+)
+from dctpipe.freq_stats import EntropyWeights, apsd, entropy_weights, power_law_fit
 from dctpipe.scaling import estimate_ecs_bound, estimate_naive_bounds
 from dctpipe.schedule import NoiseSchedule
 from dctpipe.tokenizer import TokenArray, TokenConfig, detokenize
@@ -340,3 +344,31 @@ def test_every_finiteness_check_rejects_exactly_the_non_finite(message, finite, 
         call(values)
     except ValueError as exc:  # a later check may refuse it: power_law_fit's sign, an overflow
         assert str(exc) != message
+
+
+# every integer check through block_dct._check_int: (its name, a whole value it takes, call);
+# reservoir_sample's limit and discrete_schedule's steps are tested in their own modules,
+# and the CLI's --threads and --max-samples only ever hand it a parsed int
+_INTEGER_CALLERS = [
+    pytest.param("block size", 4, lambda v: kept_ranks(v, 3), id="kept_ranks.B"),
+    pytest.param("drop count", 4, lambda v: kept_ranks(3, v), id="kept_ranks.m"),
+    pytest.param("drop count", 4, lambda v: _check_grid([1, v], 3), id="_check_grid"),
+    pytest.param("bins", 16, lambda v: entropy_weights([_ramp(1000, 1)] * 3, 1, bins=v).weights,
+                 id="entropy_weights.bins"),
+    pytest.param("clamped rank", 4, lambda v: EntropyWeights(np.ones(12), 2, 0, (1, v)).clamped_ranks,
+                 id="EntropyWeights.clamped_ranks"),
+    pytest.param("seed", 4, lambda v: counter_uniforms(v, np.arange(3)), id="counter_uniforms"),
+    pytest.param("seed", 4, lambda v: derive_stream(v, 1), id="derive_stream.seed"),
+    pytest.param("stream", 4, lambda v: derive_stream(1, v), id="derive_stream.stream"),
+]
+
+
+@pytest.mark.parametrize("name, whole, call", _INTEGER_CALLERS)
+def test_every_integer_check_rejects_exactly_the_non_integers(name, whole, call):
+    for value in (2.5, float(whole), np.float64(whole), True, str(whole), None):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+    want = pickle.dumps(call(whole))
+    for value in (np.int64(whole), np.uint16(whole)):
+        assert pickle.dumps(call(value)) == want, repr(value)

@@ -359,14 +359,23 @@ def test_encode_with_bounds_missing_tau_is_single_line_error(dataset, tmp_path, 
 
 
 def test_encode_with_mistyped_bounds_is_single_line_error(dataset, tmp_path, capsys):
-    bounds = tmp_path / "b.json"
-    for doc in ([1, 2], {"mode": "ecs", "tau": "high", "block_size": 4, "eta": 50.0}):
+    bounds, out = tmp_path / "b.json", tmp_path / "x.dctk"
+    docs = (
+        ([1, 2], "malformed bounds file"),
+        ({"mode": "ecs", "tau": "high", "block_size": 4, "eta": 50.0}, "malformed bounds file"),
+        # a whole float used to pass for --block-size 4 and encode
+        ({"mode": "ecs", "tau": 98.25, "block_size": 4.0, "eta": 50.0},
+         "block size must be an integer, got 4.0"),
+    )
+    for doc, message in docs:
         bounds.write_text(json.dumps(doc))
         code, _, err = run(
             capsys, "encode", "--input", sorted(dataset.iterdir())[0], "--block-size", 4,
-            "--bounds", bounds, "--out", tmp_path / "x.dctk",
+            "--bounds", bounds, "--out", out,
         )
         assert_single_line_error(code, err)
+        assert message in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -175,6 +175,28 @@ def test_malformed_weights_json_is_value_error(tmp_path, doc):
         load_weights(path)
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"drop": True}, "drop count must be an integer, got True"),
+        ({"block_size": 1.0}, "block size must be an integer, got 1.0"),
+        ({"clamped_ranks": [99]}, "clamped ranks must ascend strictly in [0, 3), got (99,)"),
+        ({"clamped_ranks": ["x"]}, "clamped rank must be an integer, got 'x'"),
+        ({"clamped_ranks": [True]}, "clamped rank must be an integer, got True"),
+        ({"clamped_ranks": [1, 0]}, "clamped ranks must ascend strictly in [0, 3), got (1, 0)"),
+        ({"clamped_ranks": [2, 2]}, "clamped ranks must ascend strictly in [0, 3), got (2, 2)"),
+    ],
+)
+def test_weights_json_integer_fields_are_checked(tmp_path, field, message):
+    # each of these used to load; clamped ranks are positions of the weights, ascending
+    # as entropy_weights flags them
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"weights": [1.0, 1.0, 1.0], "block_size": 1, "drop": 0} | field))
+    with pytest.raises(ValueError) as info:
+        load_weights(path)
+    assert str(info.value) == message
+
+
 def unit_weights(block_size, drop=0):
     kept = block_size**2 - drop
     return EntropyWeights(np.ones(3 * kept), block_size, drop)

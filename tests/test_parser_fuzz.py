@@ -181,15 +181,31 @@ def test_unparsable_artifact_is_rejected_by_file_name(tmp_path, load, kind, data
     assert str(info.value).startswith(f"malformed {kind} file {path}: {error}: "), info.value
 
 
+def _doc(**fields):
+    return json.dumps(fields).encode()
+
+
 @given(st.one_of(st.binary(max_size=40), _json_doc(["mode", "tau", "block_size", "eta", "naive_bounds"])))
+@example(_doc(mode="ecs", tau=98.25, block_size=True, eta=1.0))
+@example(_doc(mode="ecs", tau=98.25, block_size=4.0, eta=1.0))
 @settings(max_examples=300, deadline=None)
 def test_load_bounds_returns_bounds_or_value_error(scratch_file, data):
     bounds = _parse(load_bounds, scratch_file, data)
-    assert bounds is None or isinstance(bounds, ScalingBounds)
+    if bounds is not None:
+        assert isinstance(bounds, ScalingBounds)
+        assert type(bounds.block_size) is int  # not a bool or a whole float
 
 
 @given(st.one_of(st.binary(max_size=40), _json_doc(["weights", "block_size", "drop", "clamped_ranks"])))
+@example(_doc(weights=[1.0] * 3, block_size=True, drop=0))
+@example(_doc(weights=[1.0] * 9, block_size=2, drop=True))
+@example(_doc(weights=[1.0] * 3, block_size=1, drop=0, clamped_ranks=[99, "x"]))
 @settings(max_examples=300, deadline=None)
 def test_load_weights_returns_weights_or_value_error(scratch_file, data):
     w = _parse(load_weights, scratch_file, data)
-    assert w is None or isinstance(w, EntropyWeights)
+    if w is not None:
+        assert isinstance(w, EntropyWeights)
+        assert type(w.block_size) is int and type(w.drop_count) is int
+        ranks = w.clamped_ranks
+        assert all(type(r) is int for r in ranks)
+        assert list(ranks) == sorted(set(ranks)) and all(0 <= r < w.weights.size for r in ranks)

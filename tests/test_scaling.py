@@ -157,13 +157,15 @@ def test_reservoir_sample_deterministic(rng):
         # a float limit used to raise TypeError from argpartition
         (np.zeros(10), 2.5, "limit must be an integer, got 2.5"),
         (np.zeros(10), 5.0, "limit must be an integer, got 5.0"),
+        (np.zeros(10), np.float64(5), "limit must be an integer, got np.float64(5.0)"),
         (np.zeros(10), True, "limit must be an integer, got True"),
         (np.zeros(10), "5", "limit must be an integer, got '5'"),
+        (np.zeros(10), None, "limit must be an integer, got None"),
         (np.zeros(10), 0, "limit must be >= 1, got 0"),
         (np.zeros(10), np.int64(-3), "limit must be >= 1, got -3"),
     ],
-    ids=["matrix-under", "matrix-over", "scalar", "float", "whole-float", "bool", "str", "zero",
-         "negative"],
+    ids=["matrix-under", "matrix-over", "scalar", "float", "whole-float", "numpy-float", "bool",
+         "str", "none", "zero", "negative"],
 )
 def test_reservoir_sample_input_rule(samples, limit, message):
     with pytest.raises(ValueError) as info:
@@ -173,7 +175,9 @@ def test_reservoir_sample_input_rule(samples, limit, message):
 
 def test_reservoir_sample_takes_numpy_integer_limits():
     x = np.arange(100.0)
-    assert np.array_equal(reservoir_sample(x, np.int32(7), 2), reservoir_sample(x, 7, 2))
+    want = reservoir_sample(x, 7, 2).tobytes()
+    for limit in (np.int32(7), np.int64(7), np.uint16(7)):
+        assert reservoir_sample(x, limit, 2).tobytes() == want, repr(limit)
 
 
 @given(
@@ -246,6 +250,16 @@ def test_malformed_bounds_json_is_value_error(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="malformed bounds"):
         load_bounds(path)
+
+
+@pytest.mark.parametrize("block_size", [2.5, True, 4.0])
+def test_bounds_json_block_size_must_be_an_integer(tmp_path, block_size):
+    # json reads 4.0 as a float and true as a bool; both used to load as a block size
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"mode": "ecs", "tau": 98.25, "block_size": block_size, "eta": 1.0}))
+    with pytest.raises(ValueError) as info:
+        load_bounds(path)
+    assert str(info.value) == f"block size must be an integer, got {block_size!r}"
 
 
 def test_bounds_invariants():

@@ -192,8 +192,8 @@ def test_discrete_validation():
 
 
 @pytest.mark.parametrize(
-    "steps", [2.5, 10.0, np.float64(10), "10", None],
-    ids=["fraction", "whole float", "numpy float", "string", "none"],
+    "steps", [2.5, 10.0, np.float64(10), "10", None, True],
+    ids=["fraction", "whole float", "numpy float", "string", "none", "bool"],
 )
 def test_discrete_schedule_steps_must_be_an_integer(steps):
     with pytest.raises(ValueError) as info:
