@@ -48,10 +48,7 @@ def main():
     print(f"\npower-law fit of the clean spectrum: K={k_fit:.4f} alpha={alpha_fit:.4f}")
 
     print(f"\nSNR={args.gamma} crossing times by rank ({args.mode}):")
-    times = [
-        snr_threshold_time(s0, args.gamma, sched, mode="vp" if args.mode == "vp" else "ve_const_g")
-        for s0 in clean
-    ]
+    times = [snr_threshold_time(s0, args.gamma, sched, mode=args.mode) for s0 in clean]
     for r in show:
         t = times[r]
         print(f"  rank {r:3d}: t={t:.4f}{' (saturated)' if t > 1 else ''}")

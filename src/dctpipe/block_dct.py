@@ -9,7 +9,7 @@ GEMM rather than two GEMMs per block.
 
 The block-grid geometry of the package lives here once. :func:`kept_ranks`
 checks a block size B and drop count m, each through the package's one
-integer rule :func:`_check_int`; :func:`blockify`
+integer rule :func:`_check_int` (its real rule is :func:`_check_real`); :func:`blockify`
 views an (H, W, ...) grid as (H/bh, W/bw, bh, bw, ...) tiles (DCT blocks,
 the 2x2 luma blocks of a token) and :func:`unblockify` undoes it;
 :func:`avg_pool` takes the mean of each tile (2x2 chroma subsampling, the
@@ -53,6 +53,15 @@ def _check_int(value, name: str, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _check_real(value, message: str, low: float = 0.0, high: float = math.inf) -> float:
+    """The package's one real-number rule: ``value`` as a Python float, unless it is a bool or
+    fails low < value < high (as NaN does): then ValueError(message.format(value)), formatted only
+    then. A value that does not compare with a float (a string, None) raises TypeError."""
+    if isinstance(value, (bool, np.bool_)) or not low < value < high:
+        raise ValueError(message.format(value))
+    return float(value)
 
 
 def _check_finite(values: np.ndarray, message: str) -> None:

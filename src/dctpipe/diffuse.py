@@ -82,10 +82,9 @@ def _uniforms(c: np.ndarray, key: int, out: np.ndarray, offset: int = 0) -> np.n
     return out
 
 
-def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1], one per counter value, independent of call order."""
-    c = np.array(counters, dtype=np.uint64)
-    return _uniforms(c, _key(seed), np.empty(c.shape))
+def counter_uniforms(seed: int, count: int) -> np.ndarray:
+    """Uniforms in (0, 1] of counters 0..count-1; uniform i depends on (seed, i) only."""
+    return _uniforms(np.arange(count, dtype=np.uint64), _key(seed), np.empty(count))
 
 
 def counter_normals(seed: int, count: int, start: int = 0) -> np.ndarray:

@@ -73,6 +73,8 @@ class EntropyWeights:
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         kept = kept_ranks(self.block_size, self.drop_count)
+        object.__setattr__(self, "block_size", int(self.block_size))
+        object.__setattr__(self, "drop_count", int(self.drop_count))
         if self.weights.shape != (3 * kept,):
             raise ValueError(f"expected {3 * kept} weights, got shape {self.weights.shape}")
         _check_finite(self.weights, "weights contain non-finite values")
@@ -241,18 +243,19 @@ def snr_threshold_time(
 ) -> float:
     """Time at which a frequency with clean power ``s0`` reaches SNR = gamma.
 
-    mode "ve_const_g": SNR(t) = s0 / t (VE with g = 1), so t = s0 / gamma.
-    mode "vp": the kernel sampled by :func:`apsd` gives SNR(t) = s0 snr(t),
-    with snr the schedule's SNR scaled by c. The crossing sits at the
-    half-log-SNR lambda = 0.5 ln(gamma / s0), and t = t_of_lambda(lambda).
+    SNR(t) = s0 m(t)^2 / s(t)^2 under the ``mode`` kernel of :func:`diffuse.perturb_params`,
+    the one :func:`apsd` samples: s0 snr(t) for "vp", with snr the schedule's SNR scaled by c,
+    and s0 / y'(t) for "ve". The crossing is t = t_of_lambda(lambda), at the half-log-SNR
+    lambda = 0.5 ln(gamma / s0) for "vp" and -0.5 ln(e^{s0 / gamma} - 1) for "ve".
     A time t > 1 means the frequency never reaches the threshold on [0, 1].
     """
     if not (s0 > 0 and gamma > 0):
         raise ValueError("s0 and gamma must be positive")
-    if mode not in ("ve_const_g", "vp"):
-        raise ValueError(f"mode must be 've_const_g' or 'vp', got {mode!r}")
+    if mode not in ("vp", "ve"):
+        raise ValueError(f"mode must be 'vp' or 've', got {mode!r}")
     with np.errstate(divide="ignore", over="ignore"):  # a ratio past float range: t = 0 or inf
-        t = s0 / gamma if mode == "ve_const_g" else t_of_lambda(0.5 * np.log(gamma / s0), sched)
+        lam = 0.5 * np.log(gamma / s0) if mode == "vp" else -0.5 * np.log(np.expm1(s0 / gamma))
+        t = t_of_lambda(lam, sched)
     return float(t)
 
 
@@ -285,9 +288,16 @@ def _load_json(path, kind: str, build):
 
 def load_weights(path) -> EntropyWeights:
     """Read a weights JSON file; a malformed file or field raises ValueError naming the file."""
-    return _load_json(path, "weights", lambda doc: EntropyWeights(
-        weights=np.asarray(doc["weights"]),
-        block_size=doc["block_size"],
-        drop_count=doc["drop"],
-        clamped_ranks=tuple(doc.get("clamped_ranks", ())),
-    ))
+
+    def build(doc):
+        bad = [w for w in doc["weights"] if type(w) not in (int, float)]  # true is no JSON number
+        if bad:
+            raise TypeError(f"weights must be numbers, got {bad[0]!r}")
+        return EntropyWeights(
+            weights=np.asarray(doc["weights"]),
+            block_size=doc["block_size"],
+            drop_count=doc["drop"],
+            clamped_ranks=tuple(doc.get("clamped_ranks", ())),
+        )
+
+    return _load_json(path, "weights", build)

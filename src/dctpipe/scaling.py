@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block_dct import _check_finite, _check_int, kept_ranks
+from .block_dct import _check_finite, _check_int, _check_real
 from .diffuse import counter_uniforms
 from .freq_stats import _load_json, _sample_matrices
 
@@ -41,9 +41,7 @@ MAX_SAMPLES_PER_RANK = 1 << 22
 
 
 def _check_tau(tau: float) -> float:
-    if not 50.0 < tau < 100.0:
-        raise ValueError(f"tau must lie in (50, 100), got {tau}")
-    return float(tau)
+    return _check_real(tau, "tau must lie in (50, 100), got {}", 50.0, 100.0)
 
 
 def _envelope(samples: np.ndarray, tau: float):
@@ -92,7 +90,7 @@ def reservoir_sample(samples: np.ndarray, limit: int, seed: int = 0) -> np.ndarr
     """Deterministically subsample a 1-D vector to at most ``limit`` values.
 
     Used when a pooled per-rank sample set would not fit in memory. Sample i
-    is kept when its counter key ``counter_uniforms(seed, i)`` is among the
+    is kept when its key, uniform i of ``counter_uniforms(seed, n)``, is among the
     ``limit`` smallest, and kept samples stay in input order; a vector of at
     most ``limit`` samples comes back whole. The keys depend only on
     (len(samples), limit, seed), never on the values, so
@@ -107,7 +105,7 @@ def reservoir_sample(samples: np.ndarray, limit: int, seed: int = 0) -> np.ndarr
     if x.size <= limit:
         return x
     # Keep the `limit` smallest keys: equivalent to a uniform reservoir.
-    keys = counter_uniforms(seed, np.arange(x.size, dtype=np.uint64))
+    keys = counter_uniforms(seed, x.size)
     return x[np.sort(np.argpartition(keys, limit)[:limit])]
 
 
@@ -124,19 +122,21 @@ class ScalingBounds:
     def __post_init__(self):
         if self.mode not in ("ecs", "naive"):
             raise ValueError(f"mode must be 'ecs' or 'naive', got {self.mode!r}")
-        _check_tau(self.tau)
-        kept_ranks(self.block_size)
+        object.__setattr__(self, "tau", _check_tau(self.tau))
+        object.__setattr__(self, "block_size", _check_int(self.block_size, "block size", 1))
         if self.mode == "ecs":
-            if self.eta is None or not 0 < self.eta < np.inf:
+            if self.eta is None:
                 raise ValueError("ecs bounds require a positive finite eta")
+            eta = _check_real(self.eta, "ecs bounds require a positive finite eta")
+            object.__setattr__(self, "eta", eta)
         else:
             if self.naive_bounds is None:
                 raise ValueError("naive bounds require the bound vector")
-            want = 3 * self.block_size**2
-            if len(self.naive_bounds) != want:
-                raise ValueError(f"expected {want} naive bounds, got {len(self.naive_bounds)}")
-            if not all(0 < b < np.inf for b in self.naive_bounds):
-                raise ValueError("all naive bounds must be positive and finite")
+            want, bounds = 3 * self.block_size**2, self.naive_bounds
+            if len(bounds) != want:
+                raise ValueError(f"expected {want} naive bounds, got {len(bounds)}")
+            message = "all naive bounds must be positive and finite"
+            object.__setattr__(self, "naive_bounds", tuple(_check_real(b, message) for b in bounds))
 
 
 def save_bounds(path, bounds: ScalingBounds) -> None:

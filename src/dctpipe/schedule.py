@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_dct import _check_int
+from .block_dct import _check_int, _check_real
 
 __all__ = [
     "NoiseSchedule",
@@ -44,8 +44,9 @@ class NoiseSchedule:
     c: float = 1.0
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.a, self.b, self.c)):
-            raise ValueError(f"a, b, c must all be positive and finite, got {self}")
+        message = f"a, b, c must all be positive and finite, got {self}"
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), message))
 
 
 def snr_factor_for_resolution(resolution: int) -> float:
@@ -153,10 +154,7 @@ def discrete_schedule(
         raise ValueError(f"need at least 2 steps, got {steps}")
     if not 0 < beta_start <= beta_end < 1:
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if c == np.inf:
-        raise ValueError(f"c must be finite, got {c}")
+    c = _check_real(c, "c must be positive and finite, got {}")
     base_beta = np.linspace(beta_start, beta_end, steps)
     base_ab = np.cumprod(1.0 - base_beta)
     base_snr = base_ab / (1.0 - base_ab)

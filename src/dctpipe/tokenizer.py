@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .block_dct import (
-    _check_finite, blockify, dct2, from_zigzag, idct2, kept_ranks, to_zigzag, unblockify,
+    _check_finite, _check_real, blockify, dct2, from_zigzag, idct2, kept_ranks, to_zigzag,
+    unblockify,
 )
 from .colorspace import SubsampledImage
 
@@ -50,9 +51,8 @@ def _check_patch_tiling(height: int, width: int, b: int) -> None:
         raise ValueError(f"image {width}x{height} is not tiled by the {2 * b}x{2 * b} patch")
 
 
-def _check_eta(eta: float) -> None:
-    if not (eta > 0 and np.isfinite(eta)):
-        raise ValueError(f"eta must be a positive finite real, got {eta}")
+def _check_eta(eta: float) -> float:
+    return _check_real(eta, "eta must be a positive finite real, got {}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class TokenConfig:
 
     def __post_init__(self):
         kept_ranks(self.block_size, self.drop_count)
-        _check_eta(self.eta)
+        object.__setattr__(self, "eta", _check_eta(self.eta))
         _check_patch_tiling(self.height, self.width, self.block_size)
 
     @property

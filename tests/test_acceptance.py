@@ -187,7 +187,7 @@ def test_criterion_6_spectral_autoregression():
     floor_dev = abs(diff.mean() / sigma2 - 1.0)
 
     crossings = [
-        snr_threshold_time(s0, 0.05, sched, mode="ve_const_g") for s0 in clean
+        snr_threshold_time(s0, 0.05, sched, mode="ve") for s0 in clean
     ]
     monotone = all(b <= a + 1e-12 for a, b in zip(crossings, crossings[1:]))
     crossings_vp = [

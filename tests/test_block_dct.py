@@ -26,8 +26,8 @@ from dctpipe.fd_metric import (
     GaussianStats, _check_grid, compression_ratio, gaussian_stats, scan_mstar,
 )
 from dctpipe.freq_stats import EntropyWeights, apsd, entropy_weights, power_law_fit
-from dctpipe.scaling import estimate_ecs_bound, estimate_naive_bounds
-from dctpipe.schedule import NoiseSchedule
+from dctpipe.scaling import ScalingBounds, estimate_ecs_bound, estimate_naive_bounds
+from dctpipe.schedule import NoiseSchedule, discrete_schedule
 from dctpipe.tokenizer import TokenArray, TokenConfig, detokenize
 
 from oracles import (
@@ -357,7 +357,7 @@ _INTEGER_CALLERS = [
                  id="entropy_weights.bins"),
     pytest.param("clamped rank", 4, lambda v: EntropyWeights(np.ones(12), 2, 0, (1, v)).clamped_ranks,
                  id="EntropyWeights.clamped_ranks"),
-    pytest.param("seed", 4, lambda v: counter_uniforms(v, np.arange(3)), id="counter_uniforms"),
+    pytest.param("seed", 4, lambda v: counter_uniforms(v, 3), id="counter_uniforms"),
     pytest.param("seed", 4, lambda v: derive_stream(v, 1), id="derive_stream.seed"),
     pytest.param("stream", 4, lambda v: derive_stream(1, v), id="derive_stream.stream"),
 ]
@@ -372,3 +372,45 @@ def test_every_integer_check_rejects_exactly_the_non_integers(name, whole, call)
     want = pickle.dumps(call(whole))
     for value in (np.int64(whole), np.uint16(whole)):
         assert pickle.dumps(call(value)) == want, repr(value)
+
+
+def _schedule_message(**fields):
+    fields = ", ".join(f"{k}={v!r}" for k, v in ({"a": 0.1, "b": 19.9, "c": 1.0} | fields).items())
+    return f"a, b, c must all be positive and finite, got NoiseSchedule({fields})"
+
+
+# every real check through block_dct._check_real: (its message for a value, the call,
+# which returns the stored value, and the values that lie inside the caller's range)
+_REALS = (3, 2.5, np.float32(2.5), np.int64(3))
+_TAUS = (75, 60.5, np.float32(60.5), np.int64(75))
+_REAL_CALLERS = [
+    pytest.param(lambda v: f"eta must be a positive finite real, got {v}",
+                 lambda v: TokenConfig(1, 0, v, 2, 2).eta, _REALS, id="TokenConfig.eta"),
+    pytest.param(lambda v: f"tau must lie in (50, 100), got {v}",
+                 lambda v: ScalingBounds("ecs", v, 4, eta=1.0).tau, _TAUS, id="ScalingBounds.tau"),
+    pytest.param(lambda v: "ecs bounds require a positive finite eta",
+                 lambda v: ScalingBounds("ecs", 98.25, 4, eta=v).eta, _REALS, id="ScalingBounds.eta"),
+    pytest.param(lambda v: "all naive bounds must be positive and finite",
+                 lambda v: ScalingBounds("naive", 98.25, 1, naive_bounds=(1.0, v, 1.0)).naive_bounds[1],
+                 _REALS, id="ScalingBounds.naive_bounds"),
+    pytest.param(lambda v: _schedule_message(a=v), lambda v: NoiseSchedule(a=v).a, _REALS,
+                 id="NoiseSchedule.a"),
+    pytest.param(lambda v: _schedule_message(b=v), lambda v: NoiseSchedule(b=v).b, _REALS,
+                 id="NoiseSchedule.b"),
+    pytest.param(lambda v: _schedule_message(c=v), lambda v: NoiseSchedule(c=v).c, _REALS,
+                 id="NoiseSchedule.c"),
+    pytest.param(lambda v: f"c must be positive and finite, got {v}",
+                 lambda v: discrete_schedule(10, c=v).alpha_bar.tobytes(), _REALS,
+                 id="discrete_schedule.c"),
+]
+
+
+@pytest.mark.parametrize("message, call, inside", _REAL_CALLERS)
+def test_every_real_check_rejects_exactly_the_non_reals(message, call, inside):
+    outside = [True, np.True_, 0, -1, math.nan, math.inf, -math.inf]
+    for value in outside + ([50, 100] if inside is _TAUS else []):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message(value), repr(value)
+    for value in inside:  # stored as the Python float, not as given
+        assert pickle.dumps(call(value)) == pickle.dumps(call(float(value))), repr(value)

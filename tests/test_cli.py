@@ -366,6 +366,9 @@ def test_encode_with_mistyped_bounds_is_single_line_error(dataset, tmp_path, cap
         # a whole float used to pass for --block-size 4 and encode
         ({"mode": "ecs", "tau": 98.25, "block_size": 4.0, "eta": 50.0},
          "block size must be an integer, got 4.0"),
+        # and a JSON true for eta encoded with eta = 1
+        ({"mode": "ecs", "tau": 98.25, "block_size": 4, "eta": True},
+         "ecs bounds require a positive finite eta"),
     )
     for doc, message in docs:
         bounds.write_text(json.dumps(doc))

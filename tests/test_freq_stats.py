@@ -22,7 +22,8 @@ from dctpipe.freq_stats import (
 from dctpipe.block_dct import dct2, to_zigzag
 from dctpipe.cli import _imap
 from dctpipe.scaling import estimate_naive_bounds
-from dctpipe.schedule import NoiseSchedule, snr, t_of_lambda, y_integral
+from dctpipe.diffuse import perturb_params
+from dctpipe.schedule import NoiseSchedule, snr, t_of_lambda, y_integral, y_scaled
 from dctpipe.synth import power_law_coefficients
 
 from oracles import gaussian_differential_entropy, whole_matrix_apsd
@@ -173,6 +174,27 @@ def test_malformed_weights_json_is_value_error(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_weights(path)
+
+
+def test_weights_with_numpy_fields_save_the_plain_bytes(tmp_path):
+    # numpy integers used to reach json.dumps, which cannot write them
+    plain, numpy = tmp_path / "plain.json", tmp_path / "numpy.json"
+    weights = np.linspace(0.5, 1.5, 9)
+    save_weights(plain, EntropyWeights(weights, 2, 1, (3,)))
+    for size, drop in ((np.int64, np.uint16), (np.uint16, np.int64)):
+        save_weights(numpy, EntropyWeights(weights, size(2), drop(1), (np.int64(3),)))
+        assert numpy.read_bytes() == plain.read_bytes(), (size, drop)
+
+
+@pytest.mark.parametrize("entry", [True, False, "x", None, [1.0]])
+def test_weights_json_entries_must_be_numbers(tmp_path, entry):
+    # true used to load as the weight 1.0, and "x" raised numpy's error without the file name
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"weights": [entry, 1.5, 0.5], "block_size": 1, "drop": 0}))
+    with pytest.raises(ValueError) as info:
+        load_weights(path)
+    want = f"malformed weights file {path}: TypeError: weights must be numbers, got {entry!r}"
+    assert str(info.value) == want
 
 
 @pytest.mark.parametrize(
@@ -431,10 +453,13 @@ def test_power_law_fit_validation():
             power_law_fit(powers)
 
 
-def test_threshold_time_ve_direct():
-    t = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="ve_const_g")
-    assert t == pytest.approx(1.0)
-    assert snr_threshold_time(2.0, 0.5, DEFAULTS, mode="ve_const_g") == pytest.approx(4.0)
+def test_threshold_time_ve_value():
+    # ve adds noise of variance y'(t), so the crossing solves y'(t) = s0 / gamma
+    t = snr_threshold_time(1.0, 1.0, DEFAULTS, mode="ve")
+    assert isinstance(t, float)
+    assert t == pytest.approx((-0.1 + math.sqrt(0.01 + 2 * 19.9)) / 19.9, rel=1e-12)
+    t = snr_threshold_time(2.0, 0.5, DEFAULTS, mode="ve")
+    assert float(y_scaled(t, DEFAULTS)) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_threshold_time_vp_value():
@@ -480,7 +505,7 @@ _THRESHOLD_INPUTS = st.one_of(
 )
 
 
-@given(s0=_THRESHOLD_INPUTS, gamma=_THRESHOLD_INPUTS, mode=st.sampled_from(["vp", "ve_const_g"]))
+@given(s0=_THRESHOLD_INPUTS, gamma=_THRESHOLD_INPUTS, mode=st.sampled_from(["vp", "ve"]))
 @settings(max_examples=200, deadline=None)
 def test_threshold_time_rejects_nan_as_it_rejects_nonpositive_inputs(s0, gamma, mode):
     # a NaN time compares False with 1, so it used to read as a frequency that crosses
@@ -488,8 +513,24 @@ def test_threshold_time_rejects_nan_as_it_rejects_nonpositive_inputs(s0, gamma, 
         with pytest.raises(ValueError, match="s0 and gamma must be positive"):
             snr_threshold_time(s0, gamma, DEFAULTS, mode=mode)
         return
-    want = s0 / gamma if mode == "ve_const_g" else t_of_lambda(0.5 * np.log(gamma / s0), DEFAULTS)
-    assert snr_threshold_time(s0, gamma, DEFAULTS, mode=mode) == float(want)
+    with np.errstate(over="ignore"):  # e^{s0 / gamma} past the float max: t = inf
+        lam = 0.5 * np.log(gamma / s0) if mode == "vp" else -0.5 * np.log(np.expm1(s0 / gamma))
+    assert snr_threshold_time(s0, gamma, DEFAULTS, mode=mode) == float(t_of_lambda(lam, DEFAULTS))
+
+
+@given(
+    s0=st.floats(1e-3, 1e3), gamma=st.floats(1e-3, 1e3), c=st.floats(1.0, 12.0),
+    mode=st.sampled_from(["vp", "ve"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_threshold_time_is_where_the_sampled_kernel_reaches_gamma(s0, gamma, c, mode):
+    # the closed form must agree with the kernel that apsd draws, in either mode; s0 / gamma
+    # stays within 1e±6, as nearer t = 0 schedule.y_scaled's own rounding passes 1e-9 for c > 1
+    sched = NoiseSchedule(c=c)
+    t = snr_threshold_time(s0, gamma, sched, mode=mode)
+    if 0 < t <= 1:
+        mean, std = perturb_params(t, sched, mode)
+        assert s0 * mean**2 / std**2 == pytest.approx(gamma, rel=1e-9)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])  # the apsd CLI concatenates into F order

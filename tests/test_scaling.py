@@ -234,6 +234,36 @@ def test_bounds_json_roundtrip(tmp_path):
     assert load_bounds(path) == naive
 
 
+def test_bounds_with_numpy_fields_save_the_plain_bytes(tmp_path):
+    # numpy scalars used to reach json.dumps, which cannot write them
+    plain, numpy = tmp_path / "plain.json", tmp_path / "numpy.json"
+    naive = tuple(float(i + 1) for i in range(12))
+    for kind, fields in (("ecs", {"eta": 123.5}), ("naive", {"naive_bounds": naive})):
+        save_bounds(plain, ScalingBounds(kind, 98.25, 2, **fields))
+        for size, real in ((np.int64, np.float32), (np.uint16, np.float64)):
+            wrapped = {k: real(v) if k == "eta" else tuple(map(real, v)) for k, v in fields.items()}
+            save_bounds(numpy, ScalingBounds(kind, real(98.25), size(2), **wrapped))
+            assert numpy.read_bytes() == plain.read_bytes(), (kind, size, real)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"tau": True}, "tau must lie in (50, 100), got True"),
+        ({"eta": True}, "ecs bounds require a positive finite eta"),
+        ({"mode": "naive", "block_size": 1, "naive_bounds": [1.0, True, 1.0]},
+         "all naive bounds must be positive and finite"),
+    ],
+)
+def test_bounds_json_reals_are_numbers_not_true(tmp_path, field, message):
+    # a JSON true used to load as the real 1.0
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"mode": "ecs", "tau": 98.25, "block_size": 4, "eta": 2.0} | field))
+    with pytest.raises(ValueError) as info:
+        load_bounds(path)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "doc",
     [

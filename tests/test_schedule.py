@@ -212,10 +212,10 @@ def test_discrete_schedule_takes_numpy_integer_steps():
 @pytest.mark.parametrize(
     "c, message",
     [
-        (0.0, "c must be positive, got 0.0"),
-        (-1.0, "c must be positive, got -1.0"),
-        (math.nan, "c must be positive, got nan"),
-        (math.inf, "c must be finite, got inf"),
+        (0.0, "c must be positive and finite, got 0.0"),
+        (-1.0, "c must be positive and finite, got -1.0"),
+        (math.nan, "c must be positive and finite, got nan"),
+        (math.inf, "c must be positive and finite, got inf"),
         # c * SNR overflows to inf at the first steps, and inf / inf is NaN
         (1e308, "scaled schedule leaves (0, 1) for c=1e+308; reduce c or the beta range"),
     ],
