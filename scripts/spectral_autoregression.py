@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from dctpipe.freq_stats import apsd, power_law_fit, snr_threshold_time
-from dctpipe.schedule import NoiseSchedule, y_integral
+from dctpipe.schedule import NoiseSchedule, y_scaled
 from dctpipe.synth import power_law_coefficients
 
 
@@ -40,7 +40,7 @@ def main():
     for t, row in zip(t_grid, powers):
         print(f"{t:<7.2f}" + "".join(f"{row[r]:<10.4f}" for r in show))
         if t > 0 and args.mode == "ve":
-            floor = float(y_integral(t, sched))
+            floor = float(y_scaled(t, sched))
             print(f"       expected additive noise floor: {floor:.4f}")
 
     clean = powers[0] if t_grid[0] == 0 else apsd([coeffs], sched, [0.0])[0]

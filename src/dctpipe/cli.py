@@ -235,8 +235,8 @@ def _cmd_bounds(args) -> int:
     bounds = scaling.ScalingBounds(
         mode=args.mode, tau=args.tau, block_size=args.block_size,
         eta=scaling.estimate_ecs_bound(mats[0], args.tau) if ecs else None,
-        naive_bounds=None if ecs else tuple(scaling.estimate_naive_bounds(
-            mats, args.tau, map_fn=lambda fn, it: _pmap(fn, it, args.threads))),
+        naive_bounds=None if ecs else scaling.estimate_naive_bounds(
+            mats, args.tau, map_fn=lambda fn, it: _pmap(fn, it, args.threads)),
     )
     scaling.save_bounds(args.out, bounds)
     return 0

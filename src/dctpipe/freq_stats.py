@@ -137,7 +137,7 @@ def entropy_weights(
         weights=weights,
         block_size=block_size,
         drop_count=drop_count,
-        clamped_ranks=tuple(int(i) for i in np.flatnonzero(clamp)),
+        clamped_ranks=np.flatnonzero(clamp),
     )
 
 
@@ -246,17 +246,18 @@ def snr_threshold_time(
     SNR(t) = s0 m(t)^2 / s(t)^2 under the ``mode`` kernel of :func:`diffuse.perturb_params`,
     the one :func:`apsd` samples: s0 snr(t) for "vp", with snr the schedule's SNR scaled by c,
     and s0 / y'(t) for "ve". The crossing is t = t_of_lambda(lambda), at the half-log-SNR
-    lambda = 0.5 ln(gamma / s0) for "vp" and -0.5 ln(e^{s0 / gamma} - 1) for "ve".
-    A time t > 1 means the frequency never reaches the threshold on [0, 1].
+    lambda = 0.5 (ln gamma - ln s0) for "vp" and -0.5 ln(e^r - 1) = -0.5 (r + ln(1 - e^{-r}))
+    for "ve", r = s0 / gamma. A time t > 1 means the frequency never reaches gamma on [0, 1].
     """
     if not (s0 > 0 and gamma > 0):
         raise ValueError("s0 and gamma must be positive")
     if mode not in ("vp", "ve"):
         raise ValueError(f"mode must be 'vp' or 've', got {mode!r}")
-    with np.errstate(divide="ignore", over="ignore"):  # a ratio past float range: t = 0 or inf
-        lam = 0.5 * np.log(gamma / s0) if mode == "vp" else -0.5 * np.log(np.expm1(s0 / gamma))
-        t = t_of_lambda(lam, sched)
-    return float(t)
+    with np.errstate(divide="ignore", over="ignore"):  # r past float range: t = 0 or inf
+        r = s0 / gamma
+        lam = (-0.5 * (r + np.log(-np.expm1(-r))) if mode == "ve"
+               else 0.5 * (np.log(gamma) - np.log(s0)))
+        return float(t_of_lambda(lam, sched))
 
 
 def save_weights(path, w: EntropyWeights) -> None:
@@ -293,11 +294,13 @@ def load_weights(path) -> EntropyWeights:
         bad = [w for w in doc["weights"] if type(w) not in (int, float)]  # true is no JSON number
         if bad:
             raise TypeError(f"weights must be numbers, got {bad[0]!r}")
+        if extra := doc.keys() - {"block_size", "drop", "weights", "clamped_ranks"}:
+            raise TypeError(f"unexpected weights key {min(extra)!r}")
         return EntropyWeights(
-            weights=np.asarray(doc["weights"]),
+            weights=doc["weights"],
             block_size=doc["block_size"],
             drop_count=doc["drop"],
-            clamped_ranks=tuple(doc.get("clamped_ranks", ())),
+            clamped_ranks=doc.get("clamped_ranks", ()),
         )
 
     return _load_json(path, "weights", build)

@@ -14,7 +14,7 @@ Percentiles use linear interpolation between closest order statistics
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +111,8 @@ def reservoir_sample(samples: np.ndarray, limit: int, seed: int = 0) -> np.ndarr
 
 @dataclass(frozen=True)
 class ScalingBounds:
-    """Result of a bound estimation run, as stored in bounds JSON files."""
+    """Result of a bound estimation run. A bounds JSON file holds exactly its fields
+    that are not None: mode, tau, block_size and the mode's eta or naive_bounds."""
 
     mode: str
     tau: float
@@ -129,6 +130,8 @@ class ScalingBounds:
                 raise ValueError("ecs bounds require a positive finite eta")
             eta = _check_real(self.eta, "ecs bounds require a positive finite eta")
             object.__setattr__(self, "eta", eta)
+            if self.naive_bounds is not None:
+                raise ValueError("ecs bounds take no naive bound vector")
         else:
             if self.naive_bounds is None:
                 raise ValueError("naive bounds require the bound vector")
@@ -137,28 +140,15 @@ class ScalingBounds:
                 raise ValueError(f"expected {want} naive bounds, got {len(bounds)}")
             message = "all naive bounds must be positive and finite"
             object.__setattr__(self, "naive_bounds", tuple(_check_real(b, message) for b in bounds))
+            if self.eta is not None:
+                raise ValueError("naive bounds take no eta")
 
 
 def save_bounds(path, bounds: ScalingBounds) -> None:
-    doc: dict = {"mode": bounds.mode, "tau": bounds.tau, "block_size": bounds.block_size}
-    if bounds.mode == "ecs":
-        doc["eta"] = bounds.eta
-    else:
-        doc["naive_bounds"] = list(bounds.naive_bounds)
+    doc = {k: v for k, v in asdict(bounds).items() if v is not None}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_bounds(path) -> ScalingBounds:
     """Read a bounds JSON file; a malformed file or field raises ValueError naming the file."""
-
-    def build(doc):
-        naive = doc.get("naive_bounds")
-        return ScalingBounds(
-            mode=doc["mode"],
-            tau=doc["tau"],
-            block_size=doc["block_size"],
-            eta=doc.get("eta"),
-            naive_bounds=tuple(naive) if naive is not None else None,
-        )
-
-    return _load_json(path, "bounds", build)
+    return _load_json(path, "bounds", lambda doc: ScalingBounds(**doc))

@@ -107,10 +107,11 @@ def t_of_lambda(lam, sched: NoiseSchedule = NoiseSchedule()):
     """Closed-form inverse of :func:`lambda_of_t` for the scaled schedule.
 
     The log argument c (1 + e^{2 lam}) / e^{2 lam} + 1 - c simplifies to
-    1 + c e^{-2 lam}, which keeps the expression finite for any real lam.
+    1 + c e^{-2 lam}; y' = ln(1 + e^{ln c - 2 lam}) is taken by logaddexp,
+    so no e^{-2 lam} overflows and t is finite for any real lam.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    yp = np.log1p(sched.c * np.exp(-2.0 * lam))
+    yp = np.logaddexp(0.0, np.log(sched.c) - 2.0 * lam)
     out = (-sched.a + np.sqrt(sched.a**2 + 2.0 * sched.b * yp)) / sched.b
     return out if np.ndim(lam) else float(out)
 

@@ -7,13 +7,14 @@ independent to be compared against.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from dctpipe.block_dct import blockify, dct2, idct2, unblockify
 from dctpipe.colorspace import subsample_rgb
-from dctpipe.diffuse import derive_stream, noisy
+from dctpipe.diffuse import derive_stream, noisy, perturb_params
 from dctpipe.fd_metric import (
     frechet_distance,
     gaussian_stats,
@@ -21,6 +22,7 @@ from dctpipe.fd_metric import (
     reconstruct_rgb,
 )
 from dctpipe.scaling import estimate_ecs_bound, reservoir_sample
+from dctpipe.schedule import NoiseSchedule
 from dctpipe.tokenizer import dct_coefficient_matrices
 
 
@@ -351,3 +353,44 @@ def collected_ecs_bound(y_dc, limit: int, tau: float) -> float:
     """The ecs bound in the form ``bounds`` used before it drew its Y DC rows from the
     row count: the whole Y DC column collected, then subsampled by its values."""
     return estimate_ecs_bound(reservoir_sample(y_dc, limit), tau)
+
+
+def explicit_bounds_json(bounds) -> str:
+    """A bounds file's text with its keys written one by one per mode, as ``save_bounds``
+    wrote them before it wrote the fields of ``ScalingBounds`` that are not None."""
+    doc = {"mode": bounds.mode, "tau": bounds.tau, "block_size": bounds.block_size}
+    if bounds.mode == "ecs":
+        doc["eta"] = bounds.eta
+    else:
+        doc["naive_bounds"] = list(bounds.naive_bounds)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def kernel_crossing_time(s0: float, gamma: float, sched, mode: str) -> float:
+    """First time the sampled kernel's SNR s0 m(t)^2 / s(t)^2 falls to gamma, by bisection.
+
+    m and s come from ``perturb_params``, which takes t in [0, 1]. The kernel
+    at t = h u is that of the schedule (a h, b h^2, c) at u, so h doubles
+    until the SNR at u = 1 is at most gamma (inf past h = 2^64), then u is
+    bisected in [0, 1] down to adjacent floats. SNRs are compared in logs, so
+    an s0 near the float max or an m near underflow stays finite; an m that
+    underflows to 0 (perturb_params raises) is SNR 0.
+    """
+
+    def above(u, stretched):
+        try:
+            m, s = perturb_params(u, stretched, mode)
+        except ValueError:
+            return False
+        return s == 0 or math.log(s0) + 2 * math.log(m) - 2 * math.log(s) > math.log(gamma)
+
+    h = 1.0
+    while above(1.0, NoiseSchedule(sched.a * h, sched.b * h * h, sched.c)):
+        h *= 2.0
+        if h > 2.0**64:
+            return math.inf
+    stretched = NoiseSchedule(sched.a * h, sched.b * h * h, sched.c)
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if above(mid, stretched) else (lo, mid)
+    return h * hi

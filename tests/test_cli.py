@@ -369,6 +369,13 @@ def test_encode_with_mistyped_bounds_is_single_line_error(dataset, tmp_path, cap
         # and a JSON true for eta encoded with eta = 1
         ({"mode": "ecs", "tau": 98.25, "block_size": 4, "eta": True},
          "ecs bounds require a positive finite eta"),
+        # an unknown key or the other mode's field used to be dropped or kept without a word
+        ({"mode": "ecs", "tau": 98.25, "block_size": 4, "eta": 50.0, "extra": [1]},
+         "malformed bounds file"),
+        ({"mode": "ecs", "tau": 98.25, "block_size": 4, "eta": 50.0, "naive_bounds": "junk"},
+         "ecs bounds take no naive bound vector"),
+        ({"mode": "naive", "tau": 98.25, "block_size": 1, "naive_bounds": [1.0] * 3, "eta": "abc"},
+         "naive bounds take no eta"),
     )
     for doc, message in docs:
         bounds.write_text(json.dumps(doc))

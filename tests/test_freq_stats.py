@@ -23,10 +23,10 @@ from dctpipe.block_dct import dct2, to_zigzag
 from dctpipe.cli import _imap
 from dctpipe.scaling import estimate_naive_bounds
 from dctpipe.diffuse import perturb_params
-from dctpipe.schedule import NoiseSchedule, snr, t_of_lambda, y_integral, y_scaled
+from dctpipe.schedule import NoiseSchedule, snr, y_integral, y_scaled
 from dctpipe.synth import power_law_coefficients
 
-from oracles import gaussian_differential_entropy, whole_matrix_apsd
+from oracles import gaussian_differential_entropy, kernel_crossing_time, whole_matrix_apsd
 
 DEFAULTS = NoiseSchedule()
 
@@ -194,6 +194,17 @@ def test_weights_json_entries_must_be_numbers(tmp_path, entry):
     with pytest.raises(ValueError) as info:
         load_weights(path)
     want = f"malformed weights file {path}: TypeError: weights must be numbers, got {entry!r}"
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("extra", [{"extra": [1]}, {"drop_count": 0}, {"": 0}, {"z": 1, "b": 2}])
+def test_weights_json_rejects_unknown_keys(tmp_path, extra):
+    # each used to load, the unknown key dropped without a word
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"weights": [1.0, 1.0, 1.0], "block_size": 1, "drop": 0} | extra))
+    with pytest.raises(ValueError) as info:
+        load_weights(path)
+    want = f"malformed weights file {path}: TypeError: unexpected weights key {min(extra)!r}"
     assert str(info.value) == want
 
 
@@ -490,10 +501,13 @@ def test_threshold_time_monotonicity():
 def test_threshold_time_saturation_flag():
     # a frequency that never reaches the threshold on [0, 1] crosses after t = 1
     assert snr_threshold_time(1e9, 1e-9, DEFAULTS, mode="vp") > 1
-    with warnings.catch_warnings():  # gamma / s0 underflows to 0: never, and silently
+    with warnings.catch_warnings():  # an infinite s0 never crosses; gamma / s0 = 1e-616 does
         warnings.simplefilter("error")
         assert snr_threshold_time(math.inf, 1.0, DEFAULTS, mode="vp") == math.inf
-        assert snr_threshold_time(1e308, 1e-308, DEFAULTS, mode="vp") == math.inf
+        assert snr_threshold_time(math.inf, 1.0, DEFAULTS, mode="ve") == math.inf
+        t = snr_threshold_time(1e308, 1e-308, DEFAULTS, mode="vp")
+        assert t == pytest.approx(kernel_crossing_time(1e308, 1e-308, DEFAULTS, "vp"), rel=1e-9)
+        assert t == pytest.approx(11.9345, abs=1e-4)
     with pytest.raises(ValueError):
         snr_threshold_time(-1.0, 1.0, DEFAULTS)
     with pytest.raises(ValueError):
@@ -513,9 +527,22 @@ def test_threshold_time_rejects_nan_as_it_rejects_nonpositive_inputs(s0, gamma, 
         with pytest.raises(ValueError, match="s0 and gamma must be positive"):
             snr_threshold_time(s0, gamma, DEFAULTS, mode=mode)
         return
-    with np.errstate(over="ignore"):  # e^{s0 / gamma} past the float max: t = inf
-        lam = 0.5 * np.log(gamma / s0) if mode == "vp" else -0.5 * np.log(np.expm1(s0 / gamma))
-    assert snr_threshold_time(s0, gamma, DEFAULTS, mode=mode) == float(t_of_lambda(lam, DEFAULTS))
+    # e^{s0 / gamma} used to overflow to t = inf for "ve", where the kernel crosses at a finite t;
+    # t_of_lambda's -a + sqrt(a^2 + 2 b y') cancels where t is small, to 2e-8 relative at 1e-11
+    t = snr_threshold_time(s0, gamma, DEFAULTS, mode=mode)
+    assert t == pytest.approx(kernel_crossing_time(s0, gamma, DEFAULTS, mode), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "s0, gamma, mode, want",
+    [(1e308, 1e-10, "vp", 0.3830), (1e308, 1e-20, "vp", 0.3890), (1000.0, 1.0, "ve", 0.4475)],
+)
+def test_threshold_time_is_finite_where_the_snr_ratio_leaves_float_range(s0, gamma, mode, want):
+    # gamma / s0 and e^{s0 / gamma} used to overflow, and the time read inf ("never crosses")
+    sched = NoiseSchedule(a=0.1, b=1e4, c=4.0)
+    t = snr_threshold_time(s0, gamma, sched, mode=mode)
+    assert t == pytest.approx(kernel_crossing_time(s0, gamma, sched, mode), abs=1e-6)
+    assert t == pytest.approx(want, abs=5e-5)
 
 
 @given(

@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -185,8 +186,12 @@ def _doc(**fields):
     return json.dumps(fields).encode()
 
 
-@given(st.one_of(st.binary(max_size=40), _json_doc(["mode", "tau", "block_size", "eta", "naive_bounds"])))
+@given(st.one_of(st.binary(max_size=40),
+                 _json_doc(["mode", "tau", "block_size", "eta", "naive_bounds", "extra"])))
 @example(_doc(mode="ecs", tau=98.25, block_size=True, eta=1.0))
+@example(_doc(mode="ecs", tau=98.25, block_size=1, eta=1.0, extra=[1]))
+@example(_doc(mode="ecs", tau=98.25, block_size=1, eta=1.0, naive_bounds="junk"))
+@example(_doc(mode="naive", tau=98.25, block_size=1, naive_bounds=[1.0] * 3, eta="abc"))
 @example(_doc(mode="ecs", tau=98.25, block_size=4.0, eta=1.0))
 @example(_doc(mode="ecs", tau=98.25, block_size=4, eta=True))
 @example(_doc(mode="naive", tau=98.25, block_size=1, naive_bounds=[True, 1.0, 1.0]))
@@ -199,15 +204,20 @@ def test_load_bounds_returns_bounds_or_value_error(scratch_file, data):
         assert type(bounds.tau) is float  # not a bool or an int
         reals = [bounds.eta] if bounds.mode == "ecs" else bounds.naive_bounds
         assert all(type(r) is float and 0 < r < math.inf for r in reals)
+        # the file held exactly the mode's keys: the fields that are not None
+        assert json.loads(data).keys() == {k for k, v in asdict(bounds).items() if v is not None}
 
 
-@given(st.one_of(st.binary(max_size=40), _json_doc(["weights", "block_size", "drop", "clamped_ranks"])))
+@given(st.one_of(st.binary(max_size=40),
+                 _json_doc(["weights", "block_size", "drop", "clamped_ranks", "extra"])))
 @example(_doc(weights=[1.0] * 3, block_size=True, drop=0))
 @example(_doc(weights=[1.0] * 9, block_size=2, drop=True))
 @example(_doc(weights=[1.0] * 3, block_size=1, drop=0, clamped_ranks=[99, "x"]))
 @example(_doc(weights=[True, 1.5, 0.5], block_size=1, drop=0))
 @example(_doc(weights=["x", 1, 1], block_size=1, drop=0))
 @example(_doc(weights=[None, 1, 1], block_size=1, drop=0))
+@example(_doc(weights=[1.0] * 3, block_size=1, drop=0, extra=[1]))
+@example(_doc(weights=[1.0] * 3, block_size=1, drop_count=0))
 @settings(max_examples=300, deadline=None)
 def test_load_weights_returns_weights_or_value_error(scratch_file, data):
     w = _parse(load_weights, scratch_file, data)
@@ -215,6 +225,7 @@ def test_load_weights_returns_weights_or_value_error(scratch_file, data):
         assert isinstance(w, EntropyWeights)
         # every weight was a JSON number: true, a string or null is not one
         assert all(type(v) in (int, float) for v in json.loads(data)["weights"])
+        assert json.loads(data).keys() <= {"weights", "block_size", "drop", "clamped_ranks"}
         assert type(w.block_size) is int and type(w.drop_count) is int
         ranks = w.clamped_ranks
         assert all(type(r) is int for r in ranks)

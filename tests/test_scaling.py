@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from dctpipe.scaling import (
 )
 from dctpipe.tokenizer import dct_coefficient_matrices
 
-from oracles import channel_percentile_bounds, percentile_sorted
+from oracles import channel_percentile_bounds, explicit_bounds_json, percentile_sorted
 
 
 def constant_dataset_dc(value, b, n_images=5):
@@ -244,6 +246,66 @@ def test_bounds_with_numpy_fields_save_the_plain_bytes(tmp_path):
             wrapped = {k: real(v) if k == "eta" else tuple(map(real, v)) for k, v in fields.items()}
             save_bounds(numpy, ScalingBounds(kind, real(98.25), size(2), **wrapped))
             assert numpy.read_bytes() == plain.read_bytes(), (kind, size, real)
+
+
+@st.composite
+def valid_bounds(draw):
+    """Any valid ScalingBounds, its fields Python or numpy scalars and its naive bounds a
+    tuple, a list or an array."""
+    real = draw(st.sampled_from([float, np.float64, np.float32]))
+    size = draw(st.sampled_from([int, np.int64, np.uint16]))(draw(st.integers(1, 8)))
+    tau = draw(st.floats(50, 100, exclude_min=True, exclude_max=True).map(real).filter(
+        lambda t: 50 < t < 100))  # float32 may round an open end onto 50 or 100
+    positive = st.floats(1e-30, 1e30).map(real)
+    if draw(st.booleans()):
+        return ScalingBounds("ecs", tau, size, eta=draw(positive))
+    n = 3 * int(size) ** 2
+    vector = draw(st.sampled_from([tuple, list, np.array]))
+    return ScalingBounds("naive", tau, size, naive_bounds=vector(
+        draw(st.lists(positive, min_size=n, max_size=n))))
+
+
+@given(valid_bounds())
+@settings(max_examples=150, deadline=None)
+def test_bounds_file_round_trips_with_the_bytes_of_the_explicit_writer(bounds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "b.json"
+        save_bounds(path, bounds)
+        assert path.read_text() == explicit_bounds_json(bounds)
+        assert load_bounds(path) == bounds
+
+
+_ECS = {"mode": "ecs", "tau": 98.25, "block_size": 1, "eta": 2.0}
+_NAIVE = {"mode": "naive", "tau": 98.25, "block_size": 1, "naive_bounds": [1.0, 2.0, 3.0]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # each of these used to load: the unknown key dropped, the other mode's field kept
+        (_ECS | {"extra": [1]},
+         "malformed bounds file {}: TypeError: ScalingBounds.__init__() got an unexpected "
+         "keyword argument 'extra'"),
+        (_NAIVE | {"extra": [1]},
+         "malformed bounds file {}: TypeError: ScalingBounds.__init__() got an unexpected "
+         "keyword argument 'extra'"),
+        (_ECS | {"naive_bounds": "junk"}, "ecs bounds take no naive bound vector"),
+        (_ECS | {"naive_bounds": [1.0, 2.0, 3.0]}, "ecs bounds take no naive bound vector"),
+        (_NAIVE | {"eta": "abc"}, "naive bounds take no eta"),
+        (_NAIVE | {"eta": 2.0}, "naive bounds take no eta"),
+        ({k: v for k, v in _ECS.items() if k != "mode"},
+         "malformed bounds file {}: TypeError: ScalingBounds.__init__() missing 1 required "
+         "positional argument: 'mode'"),
+    ],
+    ids=["ecs-extra", "naive-extra", "ecs-junk-vector", "ecs-vector", "naive-str-eta",
+         "naive-eta", "missing-mode"],
+)
+def test_bounds_file_holds_exactly_its_modes_keys(tmp_path, doc, message):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_bounds(path)
+    assert str(info.value) == message.format(path)
 
 
 @pytest.mark.parametrize(

@@ -138,6 +138,17 @@ def test_t_of_lambda_hits_half_at_c4():
     assert t_of_lambda(lambda_of_t(0.5, sched), sched) == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [1.0, 4.0, 12.0])
+@pytest.mark.parametrize("lam", [-1000.0, -1e6, -1e300])
+def test_t_of_lambda_is_finite_where_e_to_the_minus_2_lambda_overflows(c, lam):
+    # c e^{-2 lam} used to overflow to inf, with a RuntimeWarning, and t with it; past
+    # c e^{-2 lam} = 2^53, y' = ln(1 + c e^{-2 lam}) is ln c - 2 lam to double precision
+    sched = NoiseSchedule(c=c)
+    yp = math.log(c) - 2.0 * lam
+    want = (-sched.a + math.sqrt(sched.a**2 + 2.0 * sched.b * yp)) / sched.b
+    assert t_of_lambda(lam, sched) == pytest.approx(want, rel=1e-12)
+
+
 @given(
     st.floats(min_value=1e-4, max_value=1.0),
     st.floats(min_value=1.0, max_value=64.0),
