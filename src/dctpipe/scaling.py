@@ -21,7 +21,7 @@ import numpy as np
 
 from .block_dct import _check_finite, _check_int, _check_real
 from .diffuse import counter_uniforms
-from .freq_stats import _load_json, _sample_matrices
+from .freq_stats import _CHANNELS, _load_json, _sample_matrices
 
 __all__ = [
     "DEFAULT_TAU",
@@ -82,7 +82,7 @@ def estimate_naive_bounds(channel_samples, tau: float = DEFAULT_TAU, map_fn=map)
     width = mats[0].shape[1]
     if np.any(out <= 0):
         bad = int(np.argmax(out <= 0))
-        raise ValueError(f"rank {bad % width} of channel {bad // width} has zero spread")
+        raise ValueError(f"rank {bad % width} of channel {_CHANNELS[bad // width]} has zero spread")
     return out
 
 

@@ -90,7 +90,7 @@ def beta_prime(t, sched: NoiseSchedule = NoiseSchedule()):
     t = _check_t(t)
     base = sched.a + sched.b * t
     w = (sched.c - 1.0) * np.exp(-y_integral(t, sched))
-    out = base + w * (-base) / (1.0 + w)
+    out = base / (1.0 + w)
     return out if np.ndim(t) else float(out)
 
 
@@ -107,12 +107,17 @@ def t_of_lambda(lam, sched: NoiseSchedule = NoiseSchedule()):
     """Closed-form inverse of :func:`lambda_of_t` for the scaled schedule.
 
     The log argument c (1 + e^{2 lam}) / e^{2 lam} + 1 - c simplifies to
-    1 + c e^{-2 lam}; y' = ln(1 + e^{ln c - 2 lam}) is taken by logaddexp,
-    so no e^{-2 lam} overflows and t is finite for any real lam.
+    1 + c e^{-2 lam}; the base integral y = ln(1 + e^{ln c - 2 lam}) is taken
+    by logaddexp, so no e^{-2 lam} overflows. t, the root of a t + b t^2 / 2 = y,
+    is y / (a/2 + sqrt(a^2/4 + b y / 2)): nothing cancels as t -> 0, no b y
+    overflows, and t is finite for any real lam.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    yp = np.logaddexp(0.0, np.log(sched.c) - 2.0 * lam)
-    out = (-sched.a + np.sqrt(sched.a**2 + 2.0 * sched.b * yp)) / sched.b
+    y = np.logaddexp(0.0, np.log(sched.c) - 2.0 * lam)
+    half_a = 0.5 * sched.a
+    with np.errstate(invalid="ignore"):  # inf / inf where y = inf, replaced below
+        out = y / (half_a + np.hypot(half_a, np.sqrt(0.5 * sched.b) * np.sqrt(y)))
+    out = np.where(np.isinf(y), y, out)
     return out if np.ndim(lam) else float(out)
 
 

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .block_dct import (
-    _check_finite, _check_real, blockify, dct2, from_zigzag, idct2, kept_ranks, to_zigzag,
-    unblockify,
+    _check_finite, _check_int, _check_real, blockify, dct2, from_zigzag, idct2, kept_ranks,
+    to_zigzag, unblockify,
 )
 from .colorspace import SubsampledImage
 
@@ -42,12 +42,13 @@ LEVEL_SHIFT = 128.0
 
 _MAGIC = b"DCTK"
 _VERSION = 1
-_HEADER = struct.Struct("<IIHHdQ")  # h, w, block_size, drop_count, eta, token_count
-_HEADER_INTS = (("height", 32), ("width", 32), ("block_size", 16), ("drop_count", 16))
+# the DCTK header: TokenConfig's fields with their struct codes in file order, then the token count
+_HEADER_FIELDS = {"height": "I", "width": "I", "block_size": "H", "drop_count": "H", "eta": "d"}
+_HEADER = struct.Struct("<" + "".join(_HEADER_FIELDS.values()) + "Q")
 
 
 def _check_patch_tiling(height: int, width: int, b: int) -> None:
-    if height % (2 * b) or width % (2 * b):
+    if min(height, width) < 2 * b or height % (2 * b) or width % (2 * b):
         raise ValueError(f"image {width}x{height} is not tiled by the {2 * b}x{2 * b} patch")
 
 
@@ -59,8 +60,8 @@ def _check_eta(eta: float) -> float:
 class TokenConfig:
     """Geometry and scaling of a token array.
 
-    The patch size is 2B, so height and width must be divisible by 2B;
-    drop_count may remove everything except the DC coefficient.
+    The patch size is 2B, so height and width must be positive multiples
+    of 2B; drop_count may remove everything except the DC coefficient.
     """
 
     block_size: int
@@ -71,6 +72,8 @@ class TokenConfig:
 
     def __post_init__(self):
         kept_ranks(self.block_size, self.drop_count)
+        for name in ("block_size", "drop_count", "height", "width"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name))
         object.__setattr__(self, "eta", _check_eta(self.eta))
         _check_patch_tiling(self.height, self.width, self.block_size)
 
@@ -154,13 +157,11 @@ def dct_coefficient_matrices(
 
 def write_dctk(path, t: TokenArray) -> None:
     """Write a token array in the DCTK binary format (little-endian, f64 payload)."""
-    cfg = t.config
-    for name, bits in _HEADER_INTS:
-        if not 0 <= getattr(cfg, name) < 1 << bits:
-            raise ValueError(f"{name} {getattr(cfg, name)} does not fit the DCTK header's u{bits}")
-    header = _HEADER.pack(
-        cfg.height, cfg.width, cfg.block_size, cfg.drop_count, cfg.eta, cfg.token_count
-    )
+    values = [getattr(t.config, name) for name in _HEADER_FIELDS]
+    for (name, code), value in zip(_HEADER_FIELDS.items(), values):
+        if code != "d" and not 0 <= value < 1 << (bits := 8 * struct.calcsize(code)):
+            raise ValueError(f"{name} {value} does not fit the DCTK header's u{bits}")
+    header = _HEADER.pack(*values, t.config.token_count)
     payload = np.ascontiguousarray(t.tokens, dtype="<f8").tobytes()
     Path(path).write_bytes(_MAGIC + struct.pack("<H", _VERSION) + header + payload)
 
@@ -176,8 +177,8 @@ def read_dctk(path) -> TokenArray:
     (version,) = struct.unpack_from("<H", data, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported DCTK version {version}")
-    h, w, b, m, eta, n = _HEADER.unpack_from(data, 6)
-    cfg = TokenConfig(block_size=b, drop_count=m, eta=eta, height=h, width=w)
+    *values, n = _HEADER.unpack_from(data, 6)
+    cfg = TokenConfig(**dict(zip(_HEADER_FIELDS, values)))
     if n != cfg.token_count:
         raise ValueError(f"header token count {n} != geometry-implied {cfg.token_count}")
     need, have = n * cfg.token_width * 8, len(data) - offset

@@ -7,6 +7,7 @@ independent to be compared against.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 
@@ -394,3 +395,33 @@ def kernel_crossing_time(s0: float, gamma: float, sched, mode: str) -> float:
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if above(mid, stretched) else (lo, mid)
     return h * hi
+
+
+def _decimal_schedule(sched, *values):
+    """The schedule's a, b, c and ``values`` as Decimals, each exactly the float it was."""
+    return [decimal.Decimal(float(v)) for v in (sched.a, sched.b, sched.c, *values)]
+
+
+def decimal_t_of_lambda(lam: float, sched) -> float:
+    """t(lambda) in 80-digit decimal arithmetic, by the textbook root of a t + b t^2 / 2 = y.
+
+    y = ln(1 + c e^{-2 lam}) is the base integral at the crossing, and
+    t = (-a + sqrt(a^2 + 2 b y)) / b loses to cancellation only the digits
+    that 2 b y / a^2 is below 1, which 80 digits leave to spare for lam up to 40.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        a, b, c, lam = _decimal_schedule(sched, lam)
+        y = (1 + c * (-2 * lam).exp()).ln()
+        return float((-a + (a * a + 2 * b * y).sqrt()) / b)
+
+
+def decimal_beta_prime(t: float, sched) -> float:
+    """beta'(t; c) = a + b t + w (-a - b t) / (1 + w), w = (c - 1) e^{-y}, in 80-digit
+    decimal arithmetic: the module docstring's form, whose terms cancel for large c in floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        a, b, c, t = _decimal_schedule(sched, t)
+        base = a + b * t
+        w = (c - 1) * (-(a * t + b * t * t / 2)).exp()
+        return float(base + w * (-base) / (1 + w))

@@ -357,6 +357,8 @@ _INTEGER_CALLERS = [
                  id="entropy_weights.bins"),
     pytest.param("clamped rank", 4, lambda v: EntropyWeights(np.ones(12), 2, 0, (1, v)).clamped_ranks,
                  id="EntropyWeights.clamped_ranks"),
+    pytest.param("height", 4, lambda v: TokenConfig(1, 0, 1.0, v, 2), id="TokenConfig.height"),
+    pytest.param("width", 4, lambda v: TokenConfig(1, 0, 1.0, 2, v), id="TokenConfig.width"),
     pytest.param("seed", 4, lambda v: counter_uniforms(v, 3), id="counter_uniforms"),
     pytest.param("seed", 4, lambda v: derive_stream(v, 1), id="derive_stream.seed"),
     pytest.param("stream", 4, lambda v: derive_stream(1, v), id="derive_stream.stream"),

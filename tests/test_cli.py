@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import resource
+import struct
 import subprocess
 import sys
 import threading
@@ -248,6 +249,18 @@ def test_decode_of_short_dctk_is_single_line_error(tmp_path, capsys):
     code, _, err = run(capsys, "decode", "--input", dctk, "--out", tmp_path / "x.ppm")
     assert_single_line_error(code, err)
     assert "truncated" in err
+
+
+@pytest.mark.parametrize("command", ["diffuse", "decode"])
+def test_zero_by_zero_dctk_is_single_line_error(tmp_path, capsys, command):
+    # diffuse used to write another 0x0 file, and decode failed only on the RGB image
+    dctk, out = tmp_path / "empty.dctk", tmp_path / "out.bin"
+    dctk.write_bytes(b"DCTK\x01\x00" + struct.pack("<IIHHdQ", 0, 0, 4, 0, 1.0, 0))
+    extra = ["--t", 0.3] if command == "diffuse" else []
+    code, _, err = run(capsys, command, "--input", dctk, *extra, "--out", out)
+    assert_single_line_error(code, err)
+    assert err == f"dctpipe {command}: image 0x0 is not tiled by the 8x8 patch\n"
+    assert not out.exists()
 
 
 def test_decode_of_tokens_whose_inverse_dct_overflows_is_single_line_error(tmp_path):

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dctpipe.freq_stats import (
@@ -520,6 +520,7 @@ _THRESHOLD_INPUTS = st.one_of(
 
 
 @given(s0=_THRESHOLD_INPUTS, gamma=_THRESHOLD_INPUTS, mode=st.sampled_from(["vp", "ve"]))
+@example(1.0, 1e12, "vp")
 @settings(max_examples=200, deadline=None)
 def test_threshold_time_rejects_nan_as_it_rejects_nonpositive_inputs(s0, gamma, mode):
     # a NaN time compares False with 1, so it used to read as a frequency that crosses
@@ -528,9 +529,9 @@ def test_threshold_time_rejects_nan_as_it_rejects_nonpositive_inputs(s0, gamma, 
             snr_threshold_time(s0, gamma, DEFAULTS, mode=mode)
         return
     # e^{s0 / gamma} used to overflow to t = inf for "ve", where the kernel crosses at a finite t;
-    # t_of_lambda's -a + sqrt(a^2 + 2 b y') cancels where t is small, to 2e-8 relative at 1e-11
+    # t_of_lambda's old -a + sqrt(a^2 + 2 b y) cancelled for small t: 5.5e-9 relative at 1e-11
     t = snr_threshold_time(s0, gamma, DEFAULTS, mode=mode)
-    assert t == pytest.approx(kernel_crossing_time(s0, gamma, DEFAULTS, mode), rel=1e-6)
+    assert t == pytest.approx(kernel_crossing_time(s0, gamma, DEFAULTS, mode), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(

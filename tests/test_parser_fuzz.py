@@ -53,6 +53,8 @@ def dctk_like(draw):
 
 @given(st.one_of(st.binary(max_size=80), st.binary(max_size=80).map(_DCTK_PREFIX.__add__), dctk_like()))
 @example(_DCTK_PREFIX + struct.pack("<IIHHdQ", 2, 2, 1, 0, 2.5, 1) + np.full(6, np.nan).tobytes())
+@example(_DCTK_PREFIX + struct.pack("<IIHHdQ", 0, 0, 1, 0, 2.5, 0))
+@example(_DCTK_PREFIX + struct.pack("<IIHHdQ", 0, 4, 2, 0, 2.5, 0))
 @settings(max_examples=300, deadline=None)
 def test_read_dctk_returns_valid_tokens_or_value_error(scratch_file, data):
     t = _parse(read_dctk, scratch_file, data)
@@ -60,6 +62,9 @@ def test_read_dctk_returns_valid_tokens_or_value_error(scratch_file, data):
         assert isinstance(t, TokenArray)
         cfg = t.config
         assert t.tokens.shape == (cfg.token_count, cfg.token_width)
+        assert cfg.token_count >= 1
+        ints = (cfg.block_size, cfg.drop_count, cfg.height, cfg.width)
+        assert all(type(v) is int for v in ints)  # not a bool
         assert len(data) == 34 + t.tokens.size * 8
         assert np.isfinite(t.tokens).all()
 

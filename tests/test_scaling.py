@@ -133,9 +133,10 @@ def test_naive_broadens_high_frequencies_relative_to_ecs(rng):
 
 def test_naive_rejects_degenerate_rank(rng):
     y = rng.normal(size=(100, 4))
-    y[:, 2] = 0.0
-    with pytest.raises(ValueError, match="zero spread"):
-        estimate_naive_bounds((y, y, y), 98.25)
+    cb = y.copy()
+    cb[:, 2] = 0.0
+    with pytest.raises(ValueError, match="^rank 2 of channel Cb has zero spread$"):
+        estimate_naive_bounds((y, cb, y), 98.25)
 
 
 def test_reservoir_sample_deterministic(rng):

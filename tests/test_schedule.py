@@ -18,6 +18,8 @@ from dctpipe.schedule import (
     y_scaled,
 )
 
+from oracles import decimal_beta_prime, decimal_t_of_lambda
+
 DEFAULTS = NoiseSchedule()
 
 
@@ -68,6 +70,15 @@ def test_snr_diverges_at_zero():
 def test_beta_prime_degenerates_at_c1():
     t = np.linspace(0.0, 1.0, 101)
     assert np.abs(beta_prime(t, DEFAULTS) - (0.1 + 19.9 * t)).max() < 1e-12
+
+
+def test_beta_prime_matches_the_decimal_oracle():
+    # the form base + w (-base) / (1 + w) cancelled to 1.8e-10 relative at large c
+    t = np.geomspace(1e-9, 1.0, 200)
+    for c in (0.5, 4.0, 12.0, 1e6):
+        sched = NoiseSchedule(c=c)
+        want = np.array([decimal_beta_prime(v, sched) for v in t])
+        assert np.abs(beta_prime(t, sched) / want - 1.0).max() < 1e-14, c
 
 
 def test_beta_prime_at_zero_is_a_over_c():
@@ -142,11 +153,36 @@ def test_t_of_lambda_hits_half_at_c4():
 @pytest.mark.parametrize("lam", [-1000.0, -1e6, -1e300])
 def test_t_of_lambda_is_finite_where_e_to_the_minus_2_lambda_overflows(c, lam):
     # c e^{-2 lam} used to overflow to inf, with a RuntimeWarning, and t with it; past
-    # c e^{-2 lam} = 2^53, y' = ln(1 + c e^{-2 lam}) is ln c - 2 lam to double precision
+    # c e^{-2 lam} = 2^53, y = ln(1 + c e^{-2 lam}) is ln c - 2 lam to double precision
     sched = NoiseSchedule(c=c)
-    yp = math.log(c) - 2.0 * lam
-    want = (-sched.a + math.sqrt(sched.a**2 + 2.0 * sched.b * yp)) / sched.b
+    y = math.log(c) - 2.0 * lam
+    want = (-sched.a + math.sqrt(sched.a**2 + 2.0 * sched.b * y)) / sched.b
     assert t_of_lambda(lam, sched) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1.0, 4.0, 12.0])
+def test_t_of_lambda_is_finite_where_b_y_overflows(c):
+    # y = ln c + 2e307, so b y passes the float max; t is sqrt(2 y / b) to double precision
+    sched = NoiseSchedule(c=c)
+    want = math.sqrt(2.0 * (math.log(c) + 2e307) / sched.b)
+    assert t_of_lambda(-1e307, sched) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sched", [DEFAULTS, NoiseSchedule(c=4.0), NoiseSchedule(c=12.0), NoiseSchedule(0.1, 1e4, 4.0)],
+    ids=["c1", "c4", "c12", "steep"],
+)
+def test_t_of_lambda_matches_the_decimal_oracle(sched):
+    # (-a + sqrt(a^2 + 2 b y)) / b cancelled as t -> 0: 2.19 relative error at lam = 40
+    lam = np.linspace(-20.0, 40.0, 241)
+    want = np.array([decimal_t_of_lambda(v, sched) for v in lam])
+    assert np.abs(t_of_lambda(lam, sched) / want - 1.0).max() < 1e-14
+
+
+def test_t_of_lambda_keeps_a_tiny_time():
+    # the cancelling form returned 0.0 here
+    assert decimal_t_of_lambda(25.0, DEFAULTS) == pytest.approx(1.92875e-21, rel=1e-5, abs=0)
+    assert t_of_lambda(25.0) == pytest.approx(decimal_t_of_lambda(25.0, DEFAULTS), rel=1e-14, abs=0)
 
 
 @given(

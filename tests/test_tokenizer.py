@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from dctpipe.colorspace import SubsampledImage
 from dctpipe.synth import power_law_coefficients
 from dctpipe.tokenizer import (
+    _HEADER,
+    _HEADER_FIELDS,
     TokenArray,
     TokenConfig,
     dct_coefficient_matrices,
@@ -139,6 +143,40 @@ def test_config_invariants():
         TokenConfig(4, 0, 0.0, 32, 32)  # eta must be positive
     with pytest.raises(ValueError):
         TokenConfig(4, -1, 1.0, 32, 32)
+
+
+@pytest.mark.parametrize(
+    "h, w, message",
+    [
+        (0, 0, "image 0x0 is not tiled by the 8x8 patch"),
+        (8, 0, "image 0x8 is not tiled by the 8x8 patch"),
+        (-8, 8, "image 8x-8 is not tiled by the 8x8 patch"),
+        (8.0, 8, "height must be an integer, got 8.0"),
+        (True, 8, "height must be an integer, got True"),
+    ],
+)
+def test_config_rejects_a_side_that_is_not_a_whole_number_of_patches(h, w, message):
+    with pytest.raises(ValueError) as info:
+        TokenConfig(4, 0, 1.0, h, w)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "b, side",
+    [(np.uint16(256), 512), (4, np.int32(2**20)), (np.int64(4), np.uint32(2**20))],
+)
+def test_config_stores_numpy_integers_as_python_ints(b, side):
+    # numpy arithmetic on the stored values overflowed: B^2 in uint16, H W in int32
+    cfg = TokenConfig(b, np.uint8(0), 1.0, side, side)
+    plain = TokenConfig(int(b), 0, 1.0, int(side), int(side))
+    assert cfg == plain and cfg.token_count == plain.token_count
+    assert all(type(getattr(cfg, f.name)) is int for f in fields(cfg) if f.name != "eta")
+
+
+def test_dctk_header_is_the_config_fields_then_the_token_count():
+    # a field added to TokenConfig or to the header alone fails here
+    assert sorted(_HEADER_FIELDS) == sorted(f.name for f in fields(TokenConfig))
+    assert _HEADER.size == 28
 
 
 @pytest.mark.parametrize(
