@@ -142,7 +142,7 @@ def _cmd_encode(args) -> int:
     _check_flag("--drop", lambda m: kept_ranks(args.block_size, m), args.drop)
     eta = args.eta
     if args.bounds is not None:
-        b = scaling.load_bounds(args.bounds)
+        b = _per_file(scaling.load_bounds)(args.bounds)
         if b.mode != "ecs":
             raise ValueError("encode needs an ecs bounds file (one global eta)")
         if b.block_size != args.block_size:
@@ -154,7 +154,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    write_image(args.out, assemble_rgb(detokenize(read_dctk(args.input))))
+    write_image(args.out, assemble_rgb(detokenize(_per_file(read_dctk)(args.input))))
     return 0
 
 
@@ -270,7 +270,7 @@ def _cmd_scan_m(args) -> int:
 
 
 def _cmd_diffuse(args) -> int:
-    tokens = read_dctk(args.input)
+    tokens = _per_file(read_dctk)(args.input)
     c = args.c
     if c is None:
         c = snr_factor_for_resolution(max(tokens.config.height, tokens.config.width))
@@ -305,7 +305,7 @@ def _cmd_apsd(args) -> int:
 
 
 def _cmd_upsample(args) -> int:
-    img = read_image(args.input)
+    img = _per_file(read_image)(args.input)
     write_image(args.output, upsample.upsample_image(img, args.method, args.block_size))
     return 0
 

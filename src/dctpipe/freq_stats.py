@@ -271,11 +271,11 @@ def save_weights(path, w: EntropyWeights) -> None:
 
 
 def _load_json(path, kind: str, build):
-    """build(doc) of the JSON in ``path``. A file that is not UTF-8 JSON, or a missing or
-    mistyped field, raises ValueError naming the file; build's own checks keep their messages."""
+    """build(doc) of the JSON in ``path``. Not UTF-8 JSON, or a missing or mistyped field,
+    raises ``malformed {kind} file: …``; build's own checks keep theirs. None names the file."""
 
     def malformed(exc):
-        return ValueError(f"malformed {kind} file {path}: {type(exc).__name__}: {exc}")
+        return ValueError(f"malformed {kind} file: {type(exc).__name__}: {exc}")
 
     try:
         doc = json.loads(Path(path).read_text())
@@ -288,7 +288,7 @@ def _load_json(path, kind: str, build):
 
 
 def load_weights(path) -> EntropyWeights:
-    """Read a weights JSON file; a malformed file or field raises ValueError naming the file."""
+    """Read a weights JSON file; a malformed file or field raises ValueError (see _load_json)."""
 
     def build(doc):
         bad = [w for w in doc["weights"] if type(w) not in (int, float)]  # true is no JSON number

@@ -150,5 +150,5 @@ def save_bounds(path, bounds: ScalingBounds) -> None:
 
 
 def load_bounds(path) -> ScalingBounds:
-    """Read a bounds JSON file; a malformed file or field raises ValueError naming the file."""
+    """Read a bounds JSON file; a malformed file or field raises ValueError (see _load_json)."""
     return _load_json(path, "bounds", lambda doc: ScalingBounds(**doc))

@@ -107,17 +107,21 @@ def t_of_lambda(lam, sched: NoiseSchedule = NoiseSchedule()):
     """Closed-form inverse of :func:`lambda_of_t` for the scaled schedule.
 
     The log argument c (1 + e^{2 lam}) / e^{2 lam} + 1 - c simplifies to
-    1 + c e^{-2 lam}; the base integral y = ln(1 + e^{ln c - 2 lam}) is taken
-    by logaddexp, so no e^{-2 lam} overflows. t, the root of a t + b t^2 / 2 = y,
-    is y / (a/2 + sqrt(a^2/4 + b y / 2)): nothing cancels as t -> 0, no b y
-    overflows, and t is finite for any real lam.
+    1 + c e^{-2 lam}, so the base integral is y = ln(1 + e^{2u}) with u = ln(c)/2 - lam.
+    Its half, h = max(u, 0) + log1p(e^{-2|u|}) / 2, is finite for any finite lam: no
+    e^{2u} is formed, and a 2|u| past the float max only makes e^{-2|u|} its true 0. t, the
+    root of a t + b t^2 / 2 = 2h, is h / (a/4 + hypot(a/4, sqrt(b/2) sqrt(h/2))): nothing
+    cancels as t -> 0 and no b h overflows. A NaN lam is an error.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    y = np.logaddexp(0.0, np.log(sched.c) - 2.0 * lam)
-    half_a = 0.5 * sched.a
-    with np.errstate(invalid="ignore"):  # inf / inf where y = inf, replaced below
-        out = y / (half_a + np.hypot(half_a, np.sqrt(0.5 * sched.b) * np.sqrt(y)))
-    out = np.where(np.isinf(y), y, out)
+    if np.isnan(lam).any():
+        raise ValueError("lambda must not be NaN")
+    u = 0.5 * np.log(sched.c) - lam
+    quarter_a = 0.25 * sched.a
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf where h = inf, replaced below
+        h = np.maximum(u, 0.0) + 0.5 * np.log1p(np.exp(-2.0 * np.abs(u)))
+        out = h / (quarter_a + np.hypot(quarter_a, np.sqrt(0.5 * sched.b) * np.sqrt(0.5 * h)))
+    out = np.where(np.isinf(h), h, out)
     return out if np.ndim(lam) else float(out)
 
 

@@ -133,6 +133,10 @@ CASES = [
     ("apsd --input in/sizes --block-size 4 --t-list 0,0.3 --out out/sizes_apsd.csv", True),
     ("apsd --input in/sizes --block-size 2 --t-list 0.7 --mode ve --channel cr --threads 2 --out out/sizes_apsd_cr.csv", True),
     ("bounds --input in/sizes --block-size 2 --max-samples 300 --out out/sizes_ecs_capped.json", True),
+    # a malformed input file is named in front of the reader's message
+    ("decode --input in/short.dctk --out out/short.ppm", False),
+    ("diffuse --input in/short.dctk --t 0.5 --out out/short_t.dctk", False),
+    ("encode --input in/rgb/i00.ppm --block-size 4 --bounds in/trailing.ppm --out out/bad_bounds.dctk", False),
 ]
 
 

@@ -405,14 +405,18 @@ def _decimal_schedule(sched, *values):
 def decimal_t_of_lambda(lam: float, sched) -> float:
     """t(lambda) in 80-digit decimal arithmetic, by the textbook root of a t + b t^2 / 2 = y.
 
-    y = ln(1 + c e^{-2 lam}) is the base integral at the crossing, and
+    y = ln(1 + c e^{-2 lam}) is the base integral at the crossing, taken for lam < 0 as
+    ln c - 2 lam + ln(1 + e^{2 lam} / c) so that no e^{-2 lam} passes the decimal range, and
     t = (-a + sqrt(a^2 + 2 b y)) / b loses to cancellation only the digits
     that 2 b y / a^2 is below 1, which 80 digits leave to spare for lam up to 40.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 80
         a, b, c, lam = _decimal_schedule(sched, lam)
-        y = (1 + c * (-2 * lam).exp()).ln()
+        if lam < 0:
+            y = c.ln() - 2 * lam + (1 + (2 * lam).exp() / c).ln()
+        else:
+            y = (1 + c * (-2 * lam).exp()).ln()
         return float((-a + (a * a + 2 * b * y).sqrt()) / b)
 
 

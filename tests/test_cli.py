@@ -121,7 +121,7 @@ def test_encode_names_an_unparsable_bounds_file(dataset, tmp_path, capsys, data,
     code, _, err = run(capsys, "encode", "--input", sorted(dataset.iterdir())[0], "--block-size", 2,
                        "--bounds", bounds, "--out", tmp_path / "x.dctk")
     assert_single_line_error(code, err)
-    assert err.startswith(f"dctpipe encode: malformed bounds file {bounds}: {error}: "), err
+    assert err.startswith(f"dctpipe encode: {bounds}: malformed bounds file: {error}: "), err
 
 
 def test_encode_rejects_naive_bounds(dataset, tmp_path, capsys):
@@ -259,7 +259,7 @@ def test_zero_by_zero_dctk_is_single_line_error(tmp_path, capsys, command):
     extra = ["--t", 0.3] if command == "diffuse" else []
     code, _, err = run(capsys, command, "--input", dctk, *extra, "--out", out)
     assert_single_line_error(code, err)
-    assert err == f"dctpipe {command}: image 0x0 is not tiled by the 8x8 patch\n"
+    assert err == f"dctpipe {command}: {dctk}: image 0x0 is not tiled by the 8x8 patch\n"
     assert not out.exists()
 
 
@@ -662,6 +662,84 @@ def test_directory_commands_name_the_bad_file(tmp_path, rng, capsys, kind, cmd):
     assert_single_line_error(code, err)
     assert f"{path}: " in err
     assert err.count(str(path)) == 1
+
+
+_ECS_DOC = {"mode": "ecs", "tau": 98.25, "block_size": 2, "eta": 50.0}
+# malformed files of each kind of input, by what is wrong with them
+MALFORMED = {
+    "pnm": {
+        "truncated": b"P6\n4 4\n255\n" + bytes(10),
+        "trailing bytes": b"P6\n4 4\n255\n" + bytes(48) + b"EXTRA",
+        "bad magic": b"P3\n4 4\n255\n" + bytes(48),
+    },
+    "dctk": {
+        "short header": b"DCTK\x01",
+        "trailing bytes": None,  # a valid 8x8 file plus one byte, written by the test
+        "0x0": b"DCTK\x01\x00" + struct.pack("<IIHHdQ", 0, 0, 4, 0, 1.0, 0),
+    },
+    "bounds": {
+        "not UTF-8": b"\xff{}",
+        "not JSON": b"{'mode': 'ecs'}",
+        "empty": b"",
+        "text after JSON": b'{"tau": 98.25} trailing',
+        "past the digit limit": b"1" * 5000,
+        "unknown key": json.dumps(_ECS_DOC | {"extra": 1}).encode(),
+        "negative eta": json.dumps(_ECS_DOC | {"eta": -1}).encode(),
+    },
+}
+# every subcommand that reads a file: for each input flag, an argv whose slot for it is
+# malformed. {pnm}, {dctk} and {bounds} are a bad file, {dir} a directory of good images and
+# one bad one; {images} is a directory of good images, {image} one of them, {out} the output
+FILE_READERS = {
+    "encode": {"--input": "encode --input {pnm} --block-size 2 --eta 10 --out {out}",
+               "--bounds": "encode --input {image} --block-size 2 --bounds {bounds} --out {out}"},
+    "decode": {"--input": "decode --input {dctk} --out {out}"},
+    "diffuse": {"--input": "diffuse --input {dctk} --t 0.5 --out {out}"},
+    "upsample": {"--input": "upsample --method dct --block-size 2 --input {pnm} --output {out}"},
+    "bounds": {"--input": "bounds --input {dir} --block-size 2 --out {out}"},
+    "weights": {"--input": "weights --input {dir} --block-size 2 --out {out}"},
+    "apsd": {"--input": "apsd --input {dir} --block-size 2 --t-list 0 --out {out}"},
+    "scan-m": {"--input": "scan-m --input {dir} --block-size 2 --gamma 1 --grid 0..3 "
+                          "--features pixels8 --report {out}"},
+    "fd": {"--dir-a": "fd --dir-a {dir} --dir-b {images} --features pixels8",
+           "--dir-b": "fd --dir-a {images} --dir-b {dir} --features pixels8"},
+}
+FILE_FLAGS = {"--input", "--dir-a", "--dir-b", "--bounds"}
+
+
+def _flags(command):
+    return {flag for a in SUBCOMMANDS[command]._actions for flag in a.option_strings}
+
+
+@pytest.mark.parametrize("command", [c for c in SUBCOMMANDS if _flags(c) & FILE_FLAGS])
+def test_every_input_file_is_named(tmp_path, rng, capsys, command):
+    # GNU form, `dctpipe command: file: message`, for every input flag and malformed kind;
+    # a new file-reading subcommand or input flag fails here until the table has its row
+    assert FILE_READERS.get(command, {}).keys() == _flags(command) & FILE_FLAGS, command
+    images = tmp_path / "images"
+    images.mkdir()
+    write_image(images / "a.ppm", cell_chroma_image(rng, 16, 16))
+    for i in range(498 if command == "scan-m" else 1):  # scan-m counts 500 paths before reading
+        (images / f"c{i:03d}.ppm").write_bytes((images / "a.ppm").read_bytes())
+    dctk = tmp_path / "good.dctk"
+    cfg = TokenConfig(2, 0, 1.0, 8, 8)
+    write_dctk(dctk, TokenArray(cfg, np.zeros((cfg.token_count, cfg.token_width))))
+    for flag, argv in FILE_READERS[command].items():
+        kind = next(k for k in ("pnm", "dctk", "bounds", "dir") if f"{{{k}}}" in argv)
+        for name, data in MALFORMED["pnm" if kind == "dir" else kind].items():
+            case = tmp_path / flag.lstrip("-") / name.replace(" ", "_")
+            case.mkdir(parents=True)
+            bad = case / ("b.ppm" if kind in ("pnm", "dir") else f"b.{kind}")
+            bad.write_bytes(dctk.read_bytes() + b"\x00" if data is None else data)
+            for good in images.iterdir() if kind == "dir" else ():
+                (case / good.name).write_bytes(good.read_bytes())
+            out = case / "out.bin"
+            files = {kind: case if kind == "dir" else bad, "images": images,
+                     "image": images / "a.ppm", "out": out}
+            code, stdout, err = run(capsys, *argv.format(**files).split())
+            assert_single_line_error(code, err)
+            assert err.startswith(f"dctpipe {command}: {bad}: "), (flag, name, err)
+            assert not out.exists() and stdout == "", (flag, name)
 
 
 @pytest.mark.parametrize("channel", ["cb", "cr"])

@@ -179,12 +179,16 @@ UNPARSABLE = [
 
 @pytest.mark.parametrize("load, kind", [(load_bounds, "bounds"), (load_weights, "weights")])
 @pytest.mark.parametrize("data, error", UNPARSABLE)
-def test_unparsable_artifact_is_rejected_by_file_name(tmp_path, load, kind, data, error):
+def test_unparsable_artifact_is_a_malformed_file_error_without_its_path(
+    tmp_path, load, kind, data, error
+):
+    # the CLI puts the file name in front (tests/test_cli.py::test_every_input_file_is_named)
     path = tmp_path / f"{kind}.json"
     path.write_bytes(data)
     with pytest.raises(ValueError) as info:
         load(path)
-    assert str(info.value).startswith(f"malformed {kind} file {path}: {error}: "), info.value
+    assert str(info.value).startswith(f"malformed {kind} file: {error}: "), info.value
+    assert str(path) not in str(info.value)
 
 
 def _doc(**fields):

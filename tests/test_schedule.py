@@ -150,14 +150,12 @@ def test_t_of_lambda_hits_half_at_c4():
 
 
 @pytest.mark.parametrize("c", [1.0, 4.0, 12.0])
-@pytest.mark.parametrize("lam", [-1000.0, -1e6, -1e300])
+@pytest.mark.parametrize("lam", [-1000.0, -1e6, -1e300, -1e308, -1.79e308])
 def test_t_of_lambda_is_finite_where_e_to_the_minus_2_lambda_overflows(c, lam):
-    # c e^{-2 lam} used to overflow to inf, with a RuntimeWarning, and t with it; past
-    # c e^{-2 lam} = 2^53, y = ln(1 + c e^{-2 lam}) is ln c - 2 lam to double precision
+    # c e^{-2 lam} used to overflow to inf, with a RuntimeWarning, and t with it; from
+    # lam = -0.9e308 on, -2 lam itself did
     sched = NoiseSchedule(c=c)
-    y = math.log(c) - 2.0 * lam
-    want = (-sched.a + math.sqrt(sched.a**2 + 2.0 * sched.b * y)) / sched.b
-    assert t_of_lambda(lam, sched) == pytest.approx(want, rel=1e-12)
+    assert t_of_lambda(lam, sched) == pytest.approx(decimal_t_of_lambda(lam, sched), rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1.0, 4.0, 12.0])
@@ -169,14 +167,28 @@ def test_t_of_lambda_is_finite_where_b_y_overflows(c):
 
 
 @pytest.mark.parametrize(
-    "sched", [DEFAULTS, NoiseSchedule(c=4.0), NoiseSchedule(c=12.0), NoiseSchedule(0.1, 1e4, 4.0)],
-    ids=["c1", "c4", "c12", "steep"],
+    "sched",
+    [DEFAULTS, NoiseSchedule(c=4.0), NoiseSchedule(c=12.0), NoiseSchedule(0.1, 1e4, 4.0),
+     NoiseSchedule(c=1e-6), NoiseSchedule(c=1e-3), NoiseSchedule(c=0.5)],
+    ids=["c1", "c4", "c12", "steep", "c1e-6", "c1e-3", "c0.5"],
 )
 def test_t_of_lambda_matches_the_decimal_oracle(sched):
     # (-a + sqrt(a^2 + 2 b y)) / b cancelled as t -> 0: 2.19 relative error at lam = 40
     lam = np.linspace(-20.0, 40.0, 241)
     want = np.array([decimal_t_of_lambda(v, sched) for v in lam])
     assert np.abs(t_of_lambda(lam, sched) / want - 1.0).max() < 1e-14
+
+
+@pytest.mark.parametrize("lam", [math.nan, [0.0, math.nan]])
+def test_t_of_lambda_rejects_nan(lam):
+    # a NaN lambda used to give NaN with an `invalid value in logaddexp` warning
+    with pytest.raises(ValueError, match="lambda must not be NaN"):
+        t_of_lambda(lam)
+
+
+@pytest.mark.parametrize("lam, want", [(math.inf, 0.0), (-math.inf, math.inf), (1.79e308, 0.0)])
+def test_t_of_lambda_at_the_ends(lam, want):
+    assert t_of_lambda(lam, NoiseSchedule(c=4.0)) == want
 
 
 def test_t_of_lambda_keeps_a_tiny_time():
