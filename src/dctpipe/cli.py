@@ -139,22 +139,23 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_encode(args) -> int:
-    _check_flag("--drop", lambda m: kept_ranks(args.block_size, m), args.drop)
-    eta = args.eta
-    if args.bounds is not None:
-        b = _per_file(scaling.load_bounds)(args.bounds)
+    def eta_of(path):  # the file's checks run in its per-file step, so their errors name it
+        b = scaling.load_bounds(path)
         if b.mode != "ecs":
             raise ValueError("encode needs an ecs bounds file (one global eta)")
         if b.block_size != args.block_size:
             raise ValueError(f"bounds were estimated for B={b.block_size}, not B={args.block_size}")
-        eta = b.eta
+        return b.eta
+
+    _check_flag("--drop", lambda m: kept_ranks(args.block_size, m), args.drop)
+    eta = args.eta if args.bounds is None else _per_file(eta_of)(args.bounds)
     s = subsample_rgb(_per_file(_read_rgb)(args.input))
     write_dctk(args.out, tokenize(s, args.block_size, args.drop, eta))
     return 0
 
 
 def _cmd_decode(args) -> int:
-    write_image(args.out, assemble_rgb(detokenize(_per_file(read_dctk)(args.input))))
+    write_image(args.out, assemble_rgb(_per_file(lambda p: detokenize(read_dctk(p)))(args.input)))
     return 0
 
 
@@ -293,8 +294,8 @@ def _cmd_apsd(args) -> int:
             raise ValueError(f"a P5 gray image has no {args.channel} channel; use --channel y")
         return plane_to_zigzag(plane, b).reshape(-1, b * b)
 
-    # images are read and transformed as the noise draws on the workers need them
-    parts = map(_per_file(coeffs_of), _image_paths(args.input))
+    # images are read and transformed on the workers, in path order, as the draws need them
+    parts = _imap(_per_file(coeffs_of), _image_paths(args.input), args.threads)
     powers = freq_stats.apsd(parts, sched, args.t_list, seed=args.seed, mode=args.mode,
                              map_fn=lambda fn, it: _imap(fn, it, args.threads))
     lines = ["t,rank,power"]

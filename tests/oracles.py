@@ -200,6 +200,17 @@ def gaussian_differential_entropy(sigma: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e * sigma * sigma)
 
 
+def histogram_entropy(samples: np.ndarray, bins: int) -> float:
+    """Histogram entropy of one rank as the package took it before it binned in place:
+    np.histogram's counts over the samples' own range, plus the log bin width."""
+    lo, hi = samples.min(), samples.max()
+    if hi == lo:
+        return np.nan
+    counts, _ = np.histogram(samples, bins=bins, range=(lo, hi))
+    p = counts[counts > 0] / samples.size
+    return float(-(p * np.log(p)).sum() + np.log((hi - lo) / bins))
+
+
 # BT.601 full-range matrix, written out again so the oracles below share no
 # code with dctpipe.colorspace
 _BT601 = np.array(

@@ -687,6 +687,19 @@ MALFORMED = {
         "negative eta": json.dumps(_ECS_DOC | {"eta": -1}).encode(),
     },
 }
+# files that read well but that one command rejects for their content, by command and flag:
+# diffuse accepts the DCTK whose tokens times eta overflow, and only encode reads bounds
+REJECTED = {
+    "decode": {"--input": {
+        "eta overflow": b"DCTK" + struct.pack("<HIIHHdQ", 1, 8, 8, 2, 0, 1e300, 4)
+                        + np.full(96, 1e10, "<f8").tobytes(),
+    }},
+    "encode": {"--bounds": {
+        "naive": json.dumps({"mode": "naive", "tau": 98.25, "block_size": 2,
+                             "naive_bounds": [1.0] * 12}).encode(),
+        "other block size": json.dumps(_ECS_DOC | {"block_size": 4}).encode(),
+    }},
+}
 # every subcommand that reads a file: for each input flag, an argv whose slot for it is
 # malformed. {pnm}, {dctk} and {bounds} are a bad file, {dir} a directory of good images and
 # one bad one; {images} is a directory of good images, {image} one of them, {out} the output
@@ -726,7 +739,8 @@ def test_every_input_file_is_named(tmp_path, rng, capsys, command):
     write_dctk(dctk, TokenArray(cfg, np.zeros((cfg.token_count, cfg.token_width))))
     for flag, argv in FILE_READERS[command].items():
         kind = next(k for k in ("pnm", "dctk", "bounds", "dir") if f"{{{k}}}" in argv)
-        for name, data in MALFORMED["pnm" if kind == "dir" else kind].items():
+        rejected = REJECTED.get(command, {}).get(flag, {})
+        for name, data in (MALFORMED["pnm" if kind == "dir" else kind] | rejected).items():
             case = tmp_path / flag.lstrip("-") / name.replace(" ", "_")
             case.mkdir(parents=True)
             bad = case / ("b.ppm" if kind in ("pnm", "dir") else f"b.{kind}")
@@ -740,6 +754,12 @@ def test_every_input_file_is_named(tmp_path, rng, capsys, command):
             assert_single_line_error(code, err)
             assert err.startswith(f"dctpipe {command}: {bad}: "), (flag, name, err)
             assert not out.exists() and stdout == "", (flag, name)
+    if command == "diffuse":  # tokens that overflow only once scaled by eta are decode's error
+        overflow, out = tmp_path / "overflow.dctk", tmp_path / "noisy.dctk"
+        overflow.write_bytes(REJECTED["decode"]["--input"]["eta overflow"])
+        argv = FILE_READERS[command]["--input"].format(dctk=overflow, out=out)
+        code, _, err = run(capsys, *argv.split())
+        assert code == 0 and out.exists(), err
 
 
 @pytest.mark.parametrize("channel", ["cb", "cr"])
@@ -830,6 +850,8 @@ def test_threads_flag_does_not_change_bytes(dataset, tmp_path, capsys):
         "naive": ("bounds", "--mode", "naive", "--max-samples", 100),
         "weights": ("weights",),
         "apsd": ("apsd", "--t-list", "0,0.3,0.7"),
+        "apsd_clean": ("apsd", "--t-list", "0"),
+        "apsd_clean_last": ("apsd", "--t-list", "0.3,0"),
     }
     for name, argv in commands.items():
         outs = []
@@ -928,8 +950,8 @@ def test_scan_m_counts_the_paths_before_it_decodes_an_image(tmp_path, capsys, mo
         (("bounds",), 1, 1),
         # a Y rank's reservoir draws row numbers, counters, keys and a partition of them
         (("bounds", "--mode", "naive", "--max-samples", 100), 16, 4),
-        # np.histogram bins a Y column through a few column-sized temporaries
-        (("weights", "--drop", 8), 8, 6),
+        # a Y column's histogram bins it in place: one float, one intp and one bool buffer
+        (("weights", "--drop", 8), 8, 3),
         # under the default cap naive keeps every row, each channel once, and each
         # rank's percentile partitions a copy of one column
         (("bounds", "--mode", "naive"), 16, 3),
@@ -1062,16 +1084,27 @@ def test_ecs_bound_has_the_bits_of_collecting_then_sampling(tmp_path, capsys, li
         assert load_bounds(tmp_path / "e.json").eta == want, threads
 
 
-def test_imap_error_mid_directory_stops_every_worker(tmp_path, rng, capsys):
+@pytest.mark.parametrize("kind", ["truncated", "untiled"])
+def test_imap_error_mid_directory_stops_every_worker(tmp_path, rng, capsys, monkeypatch, kind):
+    # a read error and a transform error alike are raised on a parts worker
     for i in range(12):
         write_image(tmp_path / f"i{i:02d}.ppm", cell_chroma_image(rng, 32, 32))
     bad = tmp_path / "i05.ppm"
-    bad.write_bytes(b"P6\n32 32\n255\n" + bytes(10))
+    if kind == "truncated":
+        bad.write_bytes(b"P6\n32 32\n255\n" + bytes(10))
+        message = "truncated payload: need 3072 bytes, have 10"
+    else:  # 4x4 blocks do not tile its 34x34 Y plane
+        write_image(bad, cell_chroma_image(rng, 34, 34))
+        message = "grid 34x34 is not tiled by 4x4 blocks"
+    readers, read = {}, cli.read_image
+    monkeypatch.setattr(cli, "read_image",
+                        lambda p: readers.setdefault(p, threading.current_thread()) and read(p))
     baseline = threading.active_count()
-    code, _, err = run(capsys, "apsd", "--input", tmp_path, "--block-size", 2, "--t-list", "0,0.5",
+    code, _, err = run(capsys, "apsd", "--input", tmp_path, "--block-size", 4, "--t-list", "0,0.5",
                        "--threads", 2, "--out", tmp_path / "p.csv")
     assert_single_line_error(code, err)
-    assert err == f"dctpipe apsd: {bad}: truncated payload: need 3072 bytes, have 10\n"
+    assert err == f"dctpipe apsd: {bad}: {message}\n"
+    assert bad in readers and threading.main_thread() not in readers.values()
     assert threading.active_count() == baseline
     assert not (tmp_path / "p.csv").exists()
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from dctpipe.freq_stats import (
     EntropyWeights,
+    _hist_entropy,
     apply_ebfr,
     apsd,
     entropy_weights,
@@ -26,7 +28,12 @@ from dctpipe.diffuse import perturb_params
 from dctpipe.schedule import NoiseSchedule, snr, y_integral, y_scaled
 from dctpipe.synth import power_law_coefficients
 
-from oracles import gaussian_differential_entropy, kernel_crossing_time, whole_matrix_apsd
+from oracles import (
+    gaussian_differential_entropy,
+    histogram_entropy,
+    kernel_crossing_time,
+    whole_matrix_apsd,
+)
 
 DEFAULTS = NoiseSchedule()
 
@@ -102,6 +109,36 @@ def test_entropy_weights_on_worker_threads_have_the_bits_of_builtin_map(rng):
             assert got.clamped_ranks == want.clamped_ranks, threads
     finally:
         sys.setswitchinterval(interval)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 999, 8192, 8193, 20_000]),
+    bins=st.integers(16, 300), kind=st.sampled_from(["normal", "edges", "two values"]),
+    scale=st.floats(-8, 8), offset=st.floats(-8, 8),
+)
+@example(seed=0, n=20_000, bins=256, kind="edges", scale=0.0, offset=0.0)
+@settings(max_examples=100, deadline=None)
+def test_hist_entropy_bins_as_np_histogram_does(seed, n, bins, kind, scale, offset):
+    # a strided column, binned in place per block of 8192 values; values on the edges, a
+    # float beside them, or past 1e8 times the range are where a truncated bin index is wrong
+    rng = np.random.default_rng(seed)
+    lo, width = 10.0**offset * rng.normal(), 10.0**scale
+    if kind == "normal":
+        x = lo + width * rng.normal(size=n)
+    else:
+        edges = np.linspace(lo, lo + width, bins + 1 if kind == "edges" else 2)
+        near = [edges, np.nextafter(edges[1:], -np.inf), np.nextafter(edges[:-1], np.inf)]
+        x = rng.choice(np.concatenate(near if kind == "edges" else near[:1]), n)
+        x[[0, -1]] = edges[[0, -1]]  # the samples span the edges' range
+    column = np.repeat(x[:, None], 3, axis=1)[:, 1]
+    try:
+        want = histogram_entropy(column, bins)
+    except ValueError as exc:  # more bins than floats between lo and hi
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _hist_entropy(column, bins)
+        return
+    got = _hist_entropy(column, bins)
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def _triple(rng, n, width, *, bad=None):
@@ -391,22 +428,23 @@ def test_a_bad_later_part_stops_the_threaded_draws(rng, bad, message):
         assert threading.active_count() == before
 
 
-def test_apsd_folds_the_clean_power_without_a_job(rng):
-    # t = 0 draws no noise: the checking thread folds it, and map_fn sees only t > 0
+def test_apsd_sends_every_part_and_time_through_map_fn(rng):
+    # t = 0 is a job like any other: map_fn sees each (part, time) in part-then-time order
     parts = [rng.normal(size=(600, 4)), rng.normal(size=(700, 4))]
-    times = []
+    jobs = []
 
-    def spy(fn, jobs):
-        for job in jobs:
-            times.append(job[2])
+    def spy(fn, it):
+        for job in it:
+            jobs.append((job[0].shape[0], job[2]))
             yield fn(job)
 
     t_grid = [0.0, 0.3, 0.0, 0.9]
     want = whole_matrix_apsd(np.concatenate(parts), DEFAULTS, t_grid)
     assert apsd(parts, DEFAULTS, t_grid, map_fn=spy).tobytes() == want.tobytes()
-    assert times == [1, 3, 1, 3]
+    assert jobs == [(600, i) for i in range(4)] + [(700, i) for i in range(4)]
+    jobs.clear()
     assert apsd(parts, DEFAULTS, [0.0], map_fn=spy).tobytes() == want[:1].tobytes()
-    assert times == [1, 3, 1, 3]
+    assert jobs == [(600, 0), (700, 0)]
 
 
 @pytest.mark.parametrize("t_grid", [[0.0], [0.0, 0.4], [0.4]])
@@ -508,6 +546,10 @@ def test_threshold_time_saturation_flag():
         t = snr_threshold_time(1e308, 1e-308, DEFAULTS, mode="vp")
         assert t == pytest.approx(kernel_crossing_time(1e308, 1e-308, DEFAULTS, "vp"), rel=1e-9)
         assert t == pytest.approx(11.9345, abs=1e-4)
+    for mode in ("vp", "ve"):  # one infinite input still crosses; two leave s0 / gamma undefined
+        assert snr_threshold_time(1.0, math.inf, DEFAULTS, mode=mode) == 0.0
+        with pytest.raises(ValueError, match="^s0 and gamma must be positive and not both inf"):
+            snr_threshold_time(math.inf, math.inf, DEFAULTS, mode=mode)
     with pytest.raises(ValueError):
         snr_threshold_time(-1.0, 1.0, DEFAULTS)
     with pytest.raises(ValueError):
